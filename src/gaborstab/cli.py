@@ -26,6 +26,8 @@ import os
 import sys
 import tempfile
 
+from .errors import AdmissibilityError, ConvergenceError, GridFormatError
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
@@ -138,7 +140,7 @@ def _signal_from(block, geometry, context: str):
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ConfigError(f"{context}: k must be a nonnegative integer")
             return hermite_gaussian(k, geometry)
-    except ConfigError:
+    except (ConfigError, GridFormatError):
         raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -294,7 +296,7 @@ def _weight_from_config(block, context: str):
             if np.iscomplexobj(values):
                 raise ConfigError(f"{context}: weight grids must be real")
             return WeightGrid(geometry=geom, values=values)
-    except ConfigError:
+    except (ConfigError, GridFormatError):
         raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -354,7 +356,7 @@ def _entire_function_from(block, context: str):
             F = read_phase_grid(_input_path(_require(block, "input", context),
                                             f"{context}.input"))
             return lifted_spec(entire_lift(F))
-    except ConfigError:
+    except (ConfigError, GridFormatError):
         raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -447,7 +449,7 @@ def _noise_from(block, geometry, seed, context: str):
                     f"{context}: band-limited noise needs a nonnegative integer seed "
                     "(config 'seed' or --seed)")
             return noise_band_limited(geometry, amplitude, cutoff, use_seed)
-    except ConfigError:
+    except (ConfigError, GridFormatError):
         raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -642,8 +644,6 @@ def main(argv=None) -> int:
         print(f"gaborstab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # typed mapping below; keeps one exit per failure class
-        from .errors import AdmissibilityError, ConvergenceError, GridFormatError
-
         if isinstance(exc, AdmissibilityError):
             print(f"gaborstab: inadmissible exponents: {exc}", file=sys.stderr)
             return EXIT_ADMISSIBILITY

@@ -103,11 +103,6 @@ class PhaseAlignment:
     method: str
 
 
-def _aligned_norm(F1: np.ndarray, F2: np.ndarray, geometry: GridGeometry,
-                  p: float, mask: np.ndarray | None, theta: float) -> float:
-    return _lp_norm(F2 - np.exp(1j * theta) * F1, geometry, p, mask)
-
-
 def _wrap_angle(theta: float) -> float:
     wrapped = float(theta) % (2.0 * math.pi)
     return 0.0 if wrapped >= 2.0 * math.pi else wrapped
@@ -129,23 +124,33 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         raise AdmissibilityError(f"p = {p} must be >= 1")
     geom = F1.geometry
     v1, v2 = F1.values, F2.values
-    if mask is not None:
+    if mask is None:
+        sel1, sel2 = v1.ravel(), v2.ravel()
+    else:
         mask = np.asarray(mask, bool)
         if mask.shape != geom.extents:
             raise ValueError("mask shape does not match grid extents")
+        sel1, sel2 = v1[mask], v2[mask]
+    vol = geom.cell_volume
     if p == 2.0 and not force_search:
-        sel1 = v1 if mask is None else v1[mask]
-        sel2 = v2 if mask is None else v2[mask]
-        inner = complex(np.sum(sel2 * np.conj(sel1)) * geom.cell_volume)
+        inner = complex(np.sum(sel2 * np.conj(sel1)) * vol)
         theta = _wrap_angle(np.angle(inner)) if inner != 0 else 0.0
-        n1 = float(np.sum(np.abs(sel1) ** 2) * geom.cell_volume)
-        n2 = float(np.sum(np.abs(sel2) ** 2) * geom.cell_volume)
+        n1 = float(np.sum(np.abs(sel1) ** 2) * vol)
+        n2 = float(np.sum(np.abs(sel2) ** 2) * vol)
         residual_sq = max(n1 + n2 - 2.0 * abs(inner), 0.0)
         return PhaseAlignment(theta_star=theta, residual=math.sqrt(residual_sq),
                               method="closed-form")
 
+    # The search evaluates the objective ~110 times; filling two buffers of
+    # the packed size in place spares each evaluation full-grid temporaries.
+    diff = np.empty_like(sel1)
+    mag = np.empty(sel1.shape)
+
     def objective(theta: float) -> float:
-        return _aligned_norm(v1, v2, geom, p, mask, theta)
+        np.multiply(np.exp(1j * theta), sel1, out=diff)
+        np.subtract(sel2, diff, out=diff)
+        np.abs(diff, out=mag)
+        return float(np.sum(mag ** p) * vol) ** (1.0 / p)
 
     thetas = 2.0 * math.pi * np.arange(COARSE_SCAN_POINTS) / COARSE_SCAN_POINTS
     coarse = np.array([objective(t) for t in thetas])

@@ -531,19 +531,39 @@ class TestExitCodes:
                         tmp_path) == cli.EXIT_CONFIG
         assert "at least 1" in capsys.readouterr().err
 
-    def test_corrupt_input_exit_5(self, tmp_path, capsys):
-        geom = box_geometry((16,), -1.0, 1.0)
-        path = tmp_path / "sig.ggr"
-        write_grid(str(path), geom, np.zeros(16, dtype=complex))
-        data = bytearray(path.read_bytes())
-        data[:4] = b"XXXX"
-        path.write_bytes(bytes(data))
-        cfg = write_cfg(tmp_path, "gabor.json", {
-            "input": str(path),
-            "phase_geometry": PHASE_2D,
-            "output": "F.ggr",
-        })
-        assert run_main("gabor", cfg, tmp_path) == cli.EXIT_IO
+    # case -> (subcommand, config reading the grid file at a path, kind of grid)
+    MALFORMED_INPUTS = {
+        "gabor-input": ("gabor", lambda path: {
+            "input": path, "phase_geometry": PHASE_2D, "output": "F.ggr"}, "signal"),
+        "cheeger-spectrogram-file": ("cheeger", lambda path: {
+            "weight": {"kind": "spectrogram-file", "input": path},
+            "output": "h.json"}, "real-phase"),
+        "cheeger-grid-file": ("cheeger", lambda path: {
+            "weight": {"kind": "grid-file", "input": path},
+            "output": "h.json"}, "real-phase"),
+        "entire-lifted-gabor": ("entire", lambda path: {
+            "function": {"kind": "lifted-gabor", "input": path},
+            "radii": [1.0], "output": "norms.csv"}, "complex-phase"),
+        "stability-files": ("stability", lambda path: {
+            "pair": {"kind": "files", "f_input": path, "g_input": path},
+            "p": 1.0, "q": 3.0, "output": "report.json"}, "signal"),
+    }
+
+    @pytest.mark.parametrize("damage", ["bad-magic", "truncated"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_grid_file_exit_5(self, tmp_path, capsys, case, damage):
+        command, config, kind = self.MALFORMED_INPUTS[case]
+        if kind == "signal":
+            geom, values = box_geometry((16,), -1.0, 1.0), np.zeros(16, complex)
+        else:
+            geom = box_geometry((8, 8), -1.0, 1.0)
+            values = np.ones((8, 8), complex if kind == "complex-phase" else float)
+        path = tmp_path / "grid.ggr"
+        write_grid(str(path), geom, values)
+        data = path.read_bytes()
+        path.write_bytes(b"XXXX" + data[4:] if damage == "bad-magic" else data[:-8])
+        cfg = write_cfg(tmp_path, f"{command}.json", config(str(path)))
+        assert run_main(command, cfg, tmp_path) == cli.EXIT_IO
         assert "I/O failure" in capsys.readouterr().err
 
     def test_output_path_collision_exit_5(self, tmp_path, capsys):

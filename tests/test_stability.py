@@ -121,6 +121,33 @@ class TestPhaseAlignment:
         assert got.residual <= scan_min + 1e-9
         assert abs(got.residual - scan_min) < 1e-6
 
+    def _random_pair(self, shape=(31, 37), seed=7):
+        # more than 128 cells, so numpy's pairwise summation splits the sum
+        rng = np.random.default_rng(seed)
+        geom = box_geometry(shape, -1.0, 1.0)
+        v1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return PhaseSpaceGrid(geom, v1), PhaseSpaceGrid(geom, v2), rng
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_search_residual_is_full_grid_formula_bit_for_bit(self, p, masked):
+        F1, F2, rng = self._random_pair()
+        mask = rng.random(F1.geometry.extents) < 0.4 if masked else None
+        got = align_phase_global(F1, F2, p, mask)
+        mag = np.abs(F2.values - np.exp(1j * got.theta_star) * F1.values)
+        if mask is not None:
+            mag = mag[mask]
+        reference = float(np.sum(mag ** p) * F1.geometry.cell_volume) ** (1.0 / p)
+        assert got.residual == reference
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_full_mask_equals_no_mask_bit_for_bit(self, p):
+        F1, F2, _ = self._random_pair()
+        full = align_phase_global(F1, F2, p, np.ones(F1.geometry.extents, bool))
+        none = align_phase_global(F1, F2, p)
+        assert (full.residual, full.theta_star) == (none.residual, none.theta_star)
+
     def test_zero_inner_product_defaults_to_unit_factor(self):
         geom = box_geometry((2, 2), 0.0, 1.0)
         F1 = PhaseSpaceGrid(geom, np.array([[1.0, 0.0], [0.0, 0.0]]))

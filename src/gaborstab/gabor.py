@@ -2,12 +2,16 @@
 
 The transform implemented here is
     Gf(x, y) = int_{R^d} f(t) e^{-pi|t-x|^2} e^{-2 pi i t.y} dt,
-discretized as a Riemann sum over the signal grid.  For each window position
-x the sum over t is a discrete Fourier transform of the windowed signal
-evaluated at the requested y samples; building the Fourier factors from the
-absolute coordinates t = t0 + k*dt bakes in the phase correction
-e^{-2 pi i t0 . y} for grids that do not start at the origin.  That product
-is the single source of phase truth for the whole package.
+discretized as a Riemann sum over the signal grid.  Window and Fourier
+factor both split over the d axes, so the sum is taken one signal axis at a
+time: for each window position x_a on axis a, the array is multiplied by the
+window row e^{-pi(t_a - x_a)^2} and t_a is contracted in one call, either
+against the Fourier factor e^{-2 pi i t_a y_a} or by an FFT along t_a.  The
+contracted axis comes out trailing as (x_a, y_a), so after d axes the values
+are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
+factors from the absolute coordinates t = t0 + k*dt bakes in the phase
+correction e^{-2 pi i t0 . y} for grids that do not start at the origin.
+That product is the single source of phase truth for the whole package.
 """
 
 from __future__ import annotations
@@ -37,16 +41,15 @@ def _boundary_max(values: np.ndarray) -> float:
     return worst
 
 
-def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:
-    """Sampled Gabor transform of f on a phase-space grid.
+def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
+                         axis_contraction) -> PhaseSpaceGrid:
+    """The Riemann sum of Gf, one signal axis at a time.
 
-    Parameters
-    ----------
-    f : SignalGrid
-        Signal samples; the signal should decay below 1e-12 of its peak at
-        the grid boundary (a warning is emitted otherwise).
-    phase_geometry : GridGeometry
-        Rank 2d grid with axes ordered (x_1, y_1, ..., x_d, y_d).
+    axis_contraction(signal_geometry, a, y) returns the contraction for
+    signal axis a: it maps a windowed array whose axis 0 is t_a to the same
+    array with t_a replaced by a trailing y_a axis.  Axis 0 of the working
+    array is always the next signal axis; the window positions of the axis
+    just contracted are stacked in front of its y_a axis.
     """
     d = f.dimension
     if phase_geometry.rank != 2 * d:
@@ -60,36 +63,46 @@ def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGr
     if _boundary_max(f.values) > BOUNDARY_DECAY_TOL * peak:
         warnings.warn(
             "signal does not decay below 1e-12 of its peak at the grid boundary; "
-            "the transform is truncated", stacklevel=2)
+            "the transform is truncated", stacklevel=3)
 
-    t_axes = [f.geometry.axis_coordinates(a) for a in range(d)]
-    x_axes = [phase_geometry.axis_coordinates(2 * a) for a in range(d)]
-    y_axes = [phase_geometry.axis_coordinates(2 * a + 1) for a in range(d)]
-    # Fourier factors from absolute coordinates: e^{-2 pi i t y} carries the
+    contractions = [axis_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
+                    for a in range(d)]
+    g = f.values
+    for a, contract in enumerate(contractions):
+        t = f.geometry.axis_coordinates(a)
+        x = phase_geometry.axis_coordinates(2 * a)
+        windows = np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2)
+        row = (t.size,) + (1,) * (g.ndim - 1)
+        out = np.empty(g.shape[1:] + phase_geometry.extents[2 * a:2 * a + 2], np.complex128)
+        for ix in range(x.size):
+            out[..., ix, :] = contract(g * windows[ix].reshape(row))
+        g = out
+    return PhaseSpaceGrid(geometry=phase_geometry, values=g * f.geometry.cell_volume)
+
+
+def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
+    # Fourier factor from absolute coordinates: e^{-2 pi i t y} carries the
     # origin phase correction exactly.
-    fourier = [np.exp(-2j * np.pi * np.outer(t_axes[a], y_axes[a])) for a in range(d)]
-    windows = [np.exp(-np.pi * (t_axes[a][None, :] - x_axes[a][:, None]) ** 2) for a in range(d)]
+    fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
+    return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
 
-    cellvol = f.geometry.cell_volume
-    out = np.empty(phase_geometry.extents, dtype=np.complex128)
-    x_extents = tuple(len(x) for x in x_axes)
-    for ix in np.ndindex(*x_extents):
-        w = f.values
-        for a in range(d):
-            shape = [1] * d
-            shape[a] = len(t_axes[a])
-            w = w * windows[a][ix[a]].reshape(shape)
-        # Contract each signal axis in turn against its Fourier factor; the
-        # contracted axis moves to the back, so axis 0 is always next.
-        g = w
-        for a in range(d):
-            g = np.tensordot(g, fourier[a], axes=([0], [0]))
-        dest = []
-        for a in range(d):
-            dest.append(ix[a])
-            dest.append(slice(None))
-        out[tuple(dest)] = g * cellvol
-    return PhaseSpaceGrid(geometry=phase_geometry, values=out)
+
+def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:
+    """Sampled Gabor transform of f on a phase-space grid.
+
+    Each signal axis in turn is windowed at every x sample of that axis and
+    contracted against its Fourier factor e^{-2 pi i t y} in one matrix
+    product, so any y samples are allowed.
+
+    Parameters
+    ----------
+    f : SignalGrid
+        Signal samples; the signal should decay below 1e-12 of its peak at
+        the grid boundary (a warning is emitted otherwise).
+    phase_geometry : GridGeometry
+        Rank 2d grid with axes ordered (x_1, y_1, ..., x_d, y_d).
+    """
+    return _separable_transform(f, phase_geometry, _fourier_contraction)
 
 
 def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
@@ -107,60 +120,24 @@ def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
     return k % n
 
 
+def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
+    k = _fft_frequency_indices(y, geometry.extents[a], geometry.spacing[a])
+    origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
+    return lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase
+
+
 def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:
     """The same Riemann sum as gabor_transform, evaluated with batched FFTs.
 
-    For each window position x the t-sum is a discrete Fourier transform;
-    when every y sample sits on the frequency lattice k/(n dt) of the
-    signal grid, one FFT per window position evaluates them all.  The
-    origin phase e^{-2 pi i t0 . y} is applied afterwards, from the same
-    absolute-coordinate convention as the direct path.  Off-lattice y grids
-    are an error, not an approximation: use gabor_transform for those.
+    Each signal axis in turn is windowed at every x sample of that axis and
+    transformed by one FFT along that axis.  When every y sample sits on the
+    frequency lattice k/(n dt) of the signal axis, picking those bins
+    evaluates the sum for all y at once.  The origin phase e^{-2 pi i t0 y}
+    is applied afterwards, from the same absolute-coordinate convention as
+    the direct path.  Off-lattice y grids are an error, not an
+    approximation: use gabor_transform for those.
     """
-    d = f.dimension
-    if phase_geometry.rank != 2 * d:
-        raise ValueError(
-            f"phase geometry rank {phase_geometry.rank} does not match 2 x signal dimension {2 * d}"
-        )
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return PhaseSpaceGrid(geometry=phase_geometry,
-                              values=np.zeros(phase_geometry.extents, np.complex128))
-    if _boundary_max(f.values) > BOUNDARY_DECAY_TOL * peak:
-        warnings.warn(
-            "signal does not decay below 1e-12 of its peak at the grid boundary; "
-            "the transform is truncated", stacklevel=2)
-
-    t_axes = [f.geometry.axis_coordinates(a) for a in range(d)]
-    x_axes = [phase_geometry.axis_coordinates(2 * a) for a in range(d)]
-    y_axes = [phase_geometry.axis_coordinates(2 * a + 1) for a in range(d)]
-    n_axes = [len(t) for t in t_axes]
-    dts = [f.geometry.spacing[a] for a in range(d)]
-    k_axes = [_fft_frequency_indices(y_axes[a], n_axes[a], dts[a]) for a in range(d)]
-    origin_phase = [np.exp(-2j * np.pi * f.geometry.origin[a] * y_axes[a]) for a in range(d)]
-    windows = [np.exp(-np.pi * (t_axes[a][None, :] - x_axes[a][:, None]) ** 2) for a in range(d)]
-
-    cellvol = f.geometry.cell_volume
-    out = np.empty(phase_geometry.extents, dtype=np.complex128)
-    x_extents = tuple(len(x) for x in x_axes)
-    pick = np.ix_(*k_axes)
-    for ix in np.ndindex(*x_extents):
-        w = f.values.astype(np.complex128)
-        for a in range(d):
-            shape = [1] * d
-            shape[a] = n_axes[a]
-            w = w * windows[a][ix[a]].reshape(shape)
-        g = np.fft.fftn(w)[pick]
-        for a in range(d):
-            shape = [1] * d
-            shape[a] = len(y_axes[a])
-            g = g * origin_phase[a].reshape(shape)
-        dest = []
-        for a in range(d):
-            dest.append(ix[a])
-            dest.append(slice(None))
-        out[tuple(dest)] = g * cellvol
-    return PhaseSpaceGrid(geometry=phase_geometry, values=out)
+    return _separable_transform(f, phase_geometry, _fft_contraction)
 
 
 @dataclass(frozen=True, slots=True)

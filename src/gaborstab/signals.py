@@ -119,12 +119,8 @@ def make_analytic(spec: AnalyticSignalSpec, geometry: GridGeometry) -> SignalGri
         raise ValueError(
             f"geometry rank {geometry.rank} does not match signal dimension {spec.dimension}"
         )
-    if spec.kind == "gaussian":
-        values = _bump_values(geometry, spec.center, spec.frequency)
-    elif spec.kind == "shifted-gaussian":
-        values = _bump_values(geometry, spec.center, spec.frequency)
-    else:
-        values = _bump_values(geometry, spec.center, spec.frequency)
+    values = _bump_values(geometry, spec.center, spec.frequency)
+    if spec.kind == "two-bump":
         values = values + spec.sign * _bump_values(geometry, spec.center2, spec.frequency2)
     return SignalGrid(geometry=geometry, values=values)
 

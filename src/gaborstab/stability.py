@@ -26,7 +26,7 @@ import numpy as np
 from . import fdiff
 from .cheeger import ACTIVE_THRESHOLD, sweep_cut_cheeger, weight_from_spectrogram
 from .errors import AdmissibilityError
-from .gabor import Spectrogram, gabor_transform, spectrogram
+from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
 from .grids import DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry
 from .signals import make_analytic, two_bump_spec
 
@@ -72,9 +72,7 @@ def check_admissible(p: float, q: float, d: int) -> None:
 
 def _lp_norm(values: np.ndarray, geometry: GridGeometry, p: float,
              mask: np.ndarray | None) -> float:
-    mag = np.abs(values)
-    if mask is not None:
-        mag = mag[mask]
+    mag = np.abs(values if mask is None else values[mask])
     return float(np.sum(mag ** p) * geometry.cell_volume) ** (1.0 / p)
 
 
@@ -387,23 +385,12 @@ def make_instability_pair(d: int, T: float, geometry: GridGeometry) -> tuple[Sig
     f_minus = make_analytic(two_bump_spec(c1, zero, c2, zero, sign=-1), geometry)
     peak = float(np.abs(f_plus.values).max())
     for grid in (f_plus, f_minus):
-        edge = _boundary_max(np.abs(grid.values))
+        edge = _boundary_max(grid.values)
         if edge > 1e-12 * peak:
             raise ValueError(
                 f"boundary magnitude {edge:.3e} shows the grid cannot contain "
                 f"both bumps at separation T = {T}")
     return f_plus, f_minus
-
-
-def _boundary_max(mag: np.ndarray) -> float:
-    worst = 0.0
-    for a in range(mag.ndim):
-        sl = [slice(None)] * mag.ndim
-        for edge in (0, -1):
-            sl[a] = edge
-            worst = max(worst, float(mag[tuple(sl)].max()))
-        sl[a] = slice(None)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from gaborstab.gabor import (
     spectrogram,
     wirtinger_residual,
 )
-from gaborstab.grids import GridGeometry, PhaseSpaceGrid, box_geometry
+from gaborstab.grids import GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry
 from gaborstab.signals import (
     analytic_gabor_transform,
     gaussian_spec,
@@ -162,6 +162,32 @@ class TestFftPath:
         f = make_gaussian(1, lattice_signal_geometry())
         with pytest.raises(ValueError):
             gabor_transform_fft(f, box_geometry((5,), -1.0, 1.0))
+
+
+class TestRiemannSum:
+    @pytest.mark.filterwarnings("ignore:signal does not decay")
+    @pytest.mark.parametrize("transform", [gabor_transform, gabor_transform_fft])
+    def test_matches_brute_force_sum(self, transform):
+        # every axis has its own extent, so a swapped axis order or reshape
+        # cannot pass; n*dt = 3 on both signal axes puts y spacing 1/3 on the
+        # FFT lattice, and nonzero origins exercise the origin phase
+        rng = np.random.default_rng(4)
+        sig_geom = GridGeometry(extents=(12, 10), spacing=(0.25, 0.3), origin=(0.7, -1.1))
+        phase = GridGeometry(extents=(3, 5, 4, 6), spacing=(0.4, 1.0 / 3.0, 0.5, 1.0 / 3.0),
+                             origin=(1.0, -2.0 / 3.0, -0.8, -4.0 / 3.0))
+        f = SignalGrid(sig_geom, rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10)))
+        t1, t2 = np.meshgrid(sig_geom.axis_coordinates(0), sig_geom.axis_coordinates(1),
+                             indexing="ij")
+        x1, y1, x2, y2 = (phase.axis_coordinates(a) for a in range(4))
+        brute = np.empty(phase.extents, np.complex128)
+        for i in range(x1.size):
+            for j in range(y1.size):
+                for k in range(x2.size):
+                    for m in range(y2.size):
+                        kernel = (np.exp(-np.pi * ((t1 - x1[i]) ** 2 + (t2 - x2[k]) ** 2))
+                                  * np.exp(-2j * np.pi * (t1 * y1[j] + t2 * y2[m])))
+                        brute[i, j, k, m] = np.sum(f.values * kernel) * sig_geom.cell_volume
+        assert sup_err(transform(f, phase).values, brute) < 1e-13
 
 
 class TestSpectrogram:

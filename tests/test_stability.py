@@ -250,6 +250,22 @@ class TestNormTerms:
         assert grad == pytest.approx(self.grad_exact(p), rel=5e-3)
         assert sobolev_diff_norm(S1, S0, p) == pytest.approx(value + grad)
 
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 5.0])
+    def test_value_piece_is_full_grid_formula_bit_for_bit(self, p, masked):
+        # 61 x 67 cells, so numpy's pairwise summation splits the sum
+        rng = np.random.default_rng(11)
+        geom = box_geometry((61, 67), -1.0, 1.0)
+        S1, S2 = (spectrogram(PhaseSpaceGrid(geom, rng.standard_normal(geom.extents)
+                                             + 1j * rng.standard_normal(geom.extents)))
+                  for _ in range(2))
+        mask = rng.random(geom.extents) < 0.4 if masked else None
+        value, _ = sobolev_diff_pieces(S1, S2, p, mask)
+        mag = np.abs(S1.values - S2.values)
+        if mask is not None:
+            mag = mag[mask]
+        assert value == float(np.sum(mag ** p) * geom.cell_volume) ** (1.0 / p)
+
     def test_sobolev_zero_for_identical_fields(self):
         S1 = spectrogram(gaussian_field(n=33))
         assert sobolev_diff_norm(S1, S1, 1.5) == 0.0

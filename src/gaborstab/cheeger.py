@@ -29,6 +29,10 @@ MASSIVE_COMPONENT_FRACTION = 1e-9
 ORACLE_CELL_LIMIT = 20
 LANCZOS_TOL = 1e-8
 LANCZOS_ITER_CAP = 500
+# The Krylov basis keeps one float64 row of n entries per Lanczos step; a
+# solve that would need more rows than this budget holds stops with a
+# ConvergenceError instead of running the machine out of memory.
+LANCZOS_BASIS_BYTES = 1 << 30
 # Prefix cuts whose light side is below this fraction of the total mass are
 # excluded from the sweep argmin: their masses and cut weights drown in
 # float64 accumulation noise, and a genuinely near-zero Cheeger ratio can
@@ -304,7 +308,16 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
     if seed_norm <= 1e-14 * np.linalg.norm(np.sqrt(masses)):
         raise ValueError("seed vector degenerates after deflation")
     cap = min(n - 1, LANCZOS_ITER_CAP) if max_iter is None else int(max_iter)
-    basis = np.empty((cap + 1, n))
+    rows = min(cap + 1, LANCZOS_BASIS_BYTES // (8 * n))
+
+    def over_budget(k: int) -> ConvergenceError:
+        return ConvergenceError(
+            f"Fiedler iteration stopped after k = {k} steps on n = {n} vertices: "
+            f"its Krylov basis would exceed the {LANCZOS_BASIS_BYTES}-byte budget")
+
+    if rows < 1:
+        raise over_budget(0)
+    basis = np.empty((rows, n))
     basis[0] = seed / seed_norm
     alphas: list[float] = []
     betas: list[float] = []
@@ -340,6 +353,8 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
             raise ConvergenceError(
                 f"Fiedler iteration did not converge in {k} steps: "
                 f"residual {residual:.3e} exceeds {tol * sigma:.3e}")
+        if k >= rows:
+            raise over_budget(k)
         betas.append(beta)
         basis[k] = w / beta
     y = basis[:k].T @ ritz

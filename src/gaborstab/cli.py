@@ -170,12 +170,18 @@ def _out_path(out_dir: str, name, context: str) -> str:
     return path
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Run write(fh) on a temp file beside path, then rename it into place.
+
+    The temp file is written through its mkstemp descriptor: reopening it
+    with "wb" would truncate it, and some filesystems (ext4) then flush the
+    whole file at close.
+    """
     parent = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -185,7 +191,7 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def _write_json(path: str, obj) -> None:
     payload = json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
-    _atomic_write_bytes(path, payload.encode("utf-8"))
+    _atomic_write(path, lambda fh: fh.write(payload.encode("utf-8")))
 
 
 def _csv_cell(value) -> str:
@@ -197,22 +203,14 @@ def _csv_cell(value) -> str:
 def _write_csv(path: str, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    _atomic_write(path, lambda fh: fh.write(payload))
 
 
 def _write_grid_atomic(path: str, geometry, values) -> None:
-    from .grids import write_grid
+    from .grids import write_grid_to
 
-    parent = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-    os.close(fd)
-    try:
-        write_grid(tmp, geometry, values)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, lambda fh: write_grid_to(fh, geometry, values))
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,10 @@ def log_derivative_field(G: EntireFunctionSpec, geometry: GridGeometry | None = 
 
 
 def max_admissible_p(d: int) -> float:
+    """Upper end 1 + 1/(2d-1) of the exponents p admitted in dimension d.
+
+    The log-derivative and the stability report share this limit.
+    """
     return 1.0 + 1.0 / (2.0 * d - 1.0)
 
 

@@ -3,58 +3,110 @@
 Central differences everywhere both neighbors exist (inside the grid and
 inside the mask); one-sided differences where only one neighbor exists;
 zero where a cell has no neighbor along an axis.
+
+The stencil runs on the mask cells only, packed in row-major order: the
+neighbors of a cell along axis a sit at flat-index offsets of +-stride(a).
+``MaskCells`` evaluates it there, and ``gradient`` scatters the same
+per-axis derivatives into full grids, so both give identical values at
+every mask cell.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cached_property
 
 import numpy as np
 
 from .grids import GridGeometry
 
 
-def _shift(values: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
-    """values shifted so out[i] = values[i + step] along axis, padded with fill."""
-    out = np.full_like(values, fill)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step == 1:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    elif step == -1:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-    else:
-        raise ValueError("step must be +1 or -1")
-    out[tuple(dst)] = values[tuple(src)]
-    return out
+class MaskCells:
+    """The cells of a mask (every cell without one), packed in row-major order.
+
+    ``flat_index`` holds their flat indices and ``index`` their
+    multi-indices, one array per axis.  ``pack`` and ``gradient_norm``
+    return 1-d arrays in the same cell order, equal bit for bit to
+    ``values[mask]`` and ``gradient_norm(gradient(values, geometry,
+    mask))[mask]``.  The multi-indices and the neighbor tables are built on
+    first use and kept, so every field differentiated through one instance
+    shares them.
+    """
+
+    def __init__(self, geometry: GridGeometry, mask: np.ndarray | None = None):
+        if mask is None:
+            mask = np.ones(geometry.extents, dtype=bool)
+        else:
+            # A copy: the neighbor tables are built from it later.
+            mask = np.array(mask, dtype=bool)
+            if mask.shape != geometry.extents:
+                raise ValueError("mask shape does not match grid extents")
+        self.geometry = geometry
+        self.mask = mask
+        self.flat_index = np.flatnonzero(mask)
+
+    @cached_property
+    def index(self) -> tuple[np.ndarray, ...]:
+        return np.unravel_index(self.flat_index, self.geometry.extents)
+
+    def _flat(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        if values.shape != self.geometry.extents:
+            raise ValueError("value array shape does not match grid extents")
+        return values.ravel()
+
+    def pack(self, values: np.ndarray) -> np.ndarray:
+        """The values at the cells."""
+        return self._flat(values).take(self.flat_index)
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        # Per axis: the flat stride and whether the +1 / -1 neighbor is a
+        # mask cell.  Clipped offsets stay in range; the axis bounds mask
+        # them out.
+        flat, cells = self.mask.ravel(), self.flat_index
+        out = []
+        for axis, n in enumerate(self.geometry.extents):
+            stride = math.prod(self.geometry.extents[axis + 1:])
+            has_p = (self.index[axis] < n - 1) & flat.take(cells + stride, mode="clip")
+            has_m = (self.index[axis] > 0) & flat.take(cells - stride, mode="clip")
+            out.append((stride, has_p, has_m))
+        return tuple(out)
+
+    def derivatives(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per-axis first derivatives at the cells."""
+        flat, cells = self._flat(values), self.flat_index
+        v = flat.take(cells)
+        dtype = flat.dtype if np.iscomplexobj(flat) else float
+        grads = []
+        for (stride, has_p, has_m), h in zip(self._neighbors, self.geometry.spacing):
+            vp = flat.take(cells + stride, mode="clip")
+            vm = flat.take(cells - stride, mode="clip")
+            central = (vp - vm) / (2.0 * h)
+            forward = (vp - v) / h
+            backward = (v - vm) / h
+            g = np.where(has_p & has_m, central,
+                         np.where(has_p, forward, np.where(has_m, backward, 0)))
+            grads.append(g.astype(dtype, copy=False))
+        return grads
+
+    def gradient_norm(self, values: np.ndarray) -> np.ndarray:
+        """|grad v| at the cells."""
+        return gradient_norm(self.derivatives(values))
 
 
 def gradient(values: np.ndarray, geometry: GridGeometry,
              mask: np.ndarray | None = None) -> list[np.ndarray]:
-    """Per-axis first derivatives; central inside, one-sided at mask/grid edges."""
-    values = np.asarray(values)
-    if values.shape != geometry.extents:
-        raise ValueError("value array shape does not match grid extents")
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise ValueError("mask shape does not match grid extents")
+    """Per-axis first derivatives; central inside, one-sided at mask/grid edges.
+
+    Cells outside the mask get 0.
+    """
+    cells = MaskCells(geometry, mask)
     grads = []
-    for axis in range(geometry.rank):
-        h = geometry.spacing[axis]
-        vp = _shift(values, axis, +1, 0)
-        vm = _shift(values, axis, -1, 0)
-        has_p = _shift(mask, axis, +1, False)
-        has_m = _shift(mask, axis, -1, False)
-        central = (vp - vm) / (2.0 * h)
-        forward = (vp - values) / h
-        backward = (values - vm) / h
-        g = np.where(has_p & has_m, central,
-                     np.where(has_p, forward, np.where(has_m, backward, 0)))
-        g = np.where(mask, g, 0)
-        grads.append(g.astype(values.dtype if np.iscomplexobj(values) else float))
+    for g in cells.derivatives(values):
+        full = np.zeros(geometry.extents, dtype=g.dtype)
+        np.put(full, cells.flat_index, g)
+        grads.append(full)
     return grads
 
 

@@ -233,24 +233,28 @@ _HEAD = struct.Struct("<4sIBB")
 _AXIS = struct.Struct("<Qdd")
 
 
-def write_grid(path, geometry: GridGeometry, values: np.ndarray) -> None:
-    """Write a real or complex grid to a GGR1 file."""
+def write_grid_to(fh, geometry: GridGeometry, values: np.ndarray) -> None:
+    """Encode a real or complex grid as GGR1 bytes into an open binary file."""
     arr = np.asarray(values)
     if arr.shape != geometry.extents:
         raise ValueError("value array shape does not match grid extents")
     if np.iscomplexobj(arr):
         dtype_code = _DTYPE_COMPLEX
-        payload = np.ascontiguousarray(arr, dtype="<c16").tobytes()
+        payload = np.ascontiguousarray(arr, dtype="<c16")
     else:
         dtype_code = _DTYPE_REAL
-        payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    blob = bytearray()
-    blob += _HEAD.pack(GRID_MAGIC, GRID_VERSION, geometry.rank, dtype_code)
+        payload = np.ascontiguousarray(arr, dtype="<f8")
+    head = [_HEAD.pack(GRID_MAGIC, GRID_VERSION, geometry.rank, dtype_code)]
     for a in range(geometry.rank):
-        blob += _AXIS.pack(geometry.extents[a], geometry.spacing[a], geometry.origin[a])
-    blob += payload
+        head.append(_AXIS.pack(geometry.extents[a], geometry.spacing[a], geometry.origin[a]))
+    fh.write(b"".join(head))
+    fh.write(memoryview(payload).cast("B"))
+
+
+def write_grid(path, geometry: GridGeometry, values: np.ndarray) -> None:
+    """Write a real or complex grid to a GGR1 file."""
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        write_grid_to(fh, geometry, values)
 
 
 def read_grid(path) -> tuple[GridGeometry, np.ndarray]:

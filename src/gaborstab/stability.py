@@ -25,6 +25,7 @@ import numpy as np
 
 from . import fdiff
 from .cheeger import ACTIVE_THRESHOLD, sweep_cut_cheeger, weight_from_spectrogram
+from .entire import max_admissible_p as max_report_p
 from .errors import AdmissibilityError
 from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
 from .grids import DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry
@@ -39,10 +40,6 @@ DEFAULT_CHEEGER_COARSEN = 2
 # ---------------------------------------------------------------------------
 # Admissibility
 # ---------------------------------------------------------------------------
-
-
-def max_report_p(d: int) -> float:
-    return 1.0 + 1.0 / (2.0 * d - 1.0)
 
 
 def min_report_q(p: float, d: int) -> float:
@@ -70,18 +67,37 @@ def check_admissible(p: float, q: float, d: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lp_norm(values: np.ndarray, geometry: GridGeometry, p: float,
-             mask: np.ndarray | None) -> float:
-    mag = np.abs(values if mask is None else values[mask])
-    return float(np.sum(mag ** p) * geometry.cell_volume) ** (1.0 / p)
+def _cells(geometry: GridGeometry,
+           mask: np.ndarray | fdiff.MaskCells | None) -> fdiff.MaskCells:
+    """The cells of Omega: a bool mask (None for the whole grid) or a MaskCells.
+
+    A report builds one MaskCells and passes it to every norm term, so its
+    neighbor tables are built once.
+    """
+    if isinstance(mask, fdiff.MaskCells):
+        if mask.geometry != geometry:
+            raise ValueError("mask cells belong to another grid")
+        return mask
+    return fdiff.MaskCells(geometry, mask)
 
 
-def _distance_sq_to(geometry: GridGeometry, z0) -> np.ndarray:
+def _lp_norm(packed: np.ndarray, geometry: GridGeometry, p: float) -> float:
+    """L^p quadrature over cells already packed, e.g. by ``fdiff.MaskCells``."""
+    return float(np.sum(np.abs(packed) ** p) * geometry.cell_volume) ** (1.0 / p)
+
+
+def _distance_sq_to(geometry: GridGeometry, z0,
+                    index: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """|z - z0|^2 over the grid, or at the cells of a per-axis multi-index."""
     z0 = np.asarray(z0, float)
     if z0.shape != (geometry.rank,):
         raise ValueError("z0 must have one coordinate per grid axis")
-    coords = geometry.coordinate_arrays()
-    r2 = np.zeros(geometry.extents)
+    if index is None:
+        coords = geometry.coordinate_arrays()
+        r2 = np.zeros(geometry.extents)
+    else:
+        coords = [geometry.axis_coordinates(a)[i] for a, i in enumerate(index)]
+        r2 = np.zeros(index[0].shape)
     for a in range(geometry.rank):
         r2 = r2 + (coords[a] - z0[a]) ** 2
     return r2
@@ -213,7 +229,8 @@ def _check_pair(S1: Spectrogram, S2: Spectrogram) -> None:
 
 
 def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
-                        mask: np.ndarray | None = None) -> tuple[float, float]:
+                        mask: np.ndarray | fdiff.MaskCells | None = None
+                        ) -> tuple[float, float]:
     """(value, gradient) L^p norms of the spectrogram difference.
 
     Gradients are mask-aware central differences, one-sided at the mask
@@ -223,20 +240,21 @@ def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
     if not np.isfinite(p) or p < 1.0:
         raise AdmissibilityError(f"p = {p} must be >= 1")
     geom = S1.geometry
+    cells = _cells(geom, mask)
     diff = S1.values - S2.values
-    grad = fdiff.gradient_norm(fdiff.gradient(diff, geom, mask))
-    return (_lp_norm(diff, geom, p, mask), _lp_norm(grad, geom, p, mask))
+    return (_lp_norm(cells.pack(diff), geom, p),
+            _lp_norm(cells.gradient_norm(diff), geom, p))
 
 
 def sobolev_diff_norm(S1: Spectrogram, S2: Spectrogram, p: float,
-                      mask: np.ndarray | None = None) -> float:
+                      mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
     """W^{1,p}(Omega) norm of |Gf| - |Gg|: value plus gradient L^p norms."""
     value, grad = sobolev_diff_pieces(S1, S2, p, mask)
     return value + grad
 
 
 def weighted_lq_diff_norm(S1: Spectrogram, S2: Spectrogram, q: float, z0,
-                          mask: np.ndarray | None = None,
+                          mask: np.ndarray | fdiff.MaskCells | None = None,
                           p: float | None = None) -> float:
     """L^q norm of (1 + |z - z0|^{2d+2}) (|Gf| - |Gg|) over Omega.
 
@@ -250,8 +268,9 @@ def weighted_lq_diff_norm(S1: Spectrogram, S2: Spectrogram, q: float, z0,
         check_admissible(p, q, d)
     elif not np.isfinite(q) or q < 1.0:
         raise AdmissibilityError(f"q = {q} must be finite and >= 1")
-    weight = 1.0 + _distance_sq_to(geom, z0) ** (d + 1)
-    return _lp_norm(weight * (S1.values - S2.values), geom, q, mask)
+    cells = _cells(geom, mask)
+    weight = 1.0 + _distance_sq_to(geom, z0, cells.index) ** (d + 1)
+    return _lp_norm(weight * (cells.pack(S1.values) - cells.pack(S2.values)), geom, q)
 
 
 class LogDerivTerm(NamedTuple):
@@ -260,7 +279,7 @@ class LogDerivTerm(NamedTuple):
 
 
 def logderiv_term(S1: Spectrogram, S2: Spectrogram, p: float,
-                  mask: np.ndarray | None = None) -> LogDerivTerm:
+                  mask: np.ndarray | fdiff.MaskCells | None = None) -> LogDerivTerm:
     """L^p norm of (grad |Gf| / |Gf|) (|Gf| - |Gg|) over the included cells.
 
     Cells with |Gf| below 1e-12 of its maximum are excluded from the
@@ -270,35 +289,38 @@ def logderiv_term(S1: Spectrogram, S2: Spectrogram, p: float,
     if not np.isfinite(p) or p < 1.0:
         raise AdmissibilityError(f"p = {p} must be >= 1")
     geom = S1.geometry
-    base = np.ones(geom.extents, bool) if mask is None else np.asarray(mask, bool)
     peak = float(S1.values.max())
     if peak <= 0:
         raise ValueError("reference spectrogram is identically zero")
-    included = base & (S1.values > LOGDERIV_EXCLUSION * peak)
-    total = float(S1.values[base].sum())
-    excluded_mass = float(S1.values[base & ~included].sum())
-    grad = fdiff.gradient_norm(fdiff.gradient(S1.values, geom, included))
-    field = np.zeros(geom.extents)
-    field[included] = (grad[included] / S1.values[included]
-                       * (S1.values - S2.values)[included])
-    value = _lp_norm(field, geom, p, included)
+    cells = _cells(geom, mask)
+    s1, s2 = cells.pack(S1.values), cells.pack(S2.values)
+    keep = s1 > LOGDERIV_EXCLUSION * peak
+    total = float(s1.sum())
+    excluded_mass = float(s1[~keep].sum())
+    if not keep.all():
+        # The stencil runs on the included cells only.
+        included = np.zeros(geom.extents, bool)
+        np.put(included, cells.flat_index[keep], True)
+        cells, s1, s2 = fdiff.MaskCells(geom, included), s1[keep], s2[keep]
+    value = _lp_norm(cells.gradient_norm(S1.values) / s1 * (s1 - s2), geom, p)
     fraction = excluded_mass / total if total > 0 else 0.0
     return LogDerivTerm(value=value, excluded_mass_fraction=fraction)
 
 
 def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
-          mask: np.ndarray | None = None) -> float:
+          mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
     """Noise-space norm: W^{1,p}(Omega) plus the weighted L^q norm."""
     d = geometry.rank // 2
     check_admissible(p, q, d)
     field = np.asarray(field, float)
     if field.shape != geometry.extents:
         raise ValueError("field shape does not match grid extents")
-    grad = fdiff.gradient_norm(fdiff.gradient(field, geometry, mask))
-    weight = 1.0 + _distance_sq_to(geometry, z0) ** (d + 1)
-    return (_lp_norm(field, geometry, p, mask)
-            + _lp_norm(grad, geometry, p, mask)
-            + _lp_norm(weight * field, geometry, q, mask))
+    cells = _cells(geometry, mask)
+    weight = 1.0 + _distance_sq_to(geometry, z0, cells.index) ** (d + 1)
+    values = cells.pack(field)
+    return (_lp_norm(values, geometry, p)
+            + _lp_norm(cells.gradient_norm(field), geometry, p)
+            + _lp_norm(weight * values, geometry, q))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +456,9 @@ def cheeger_route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
     S1 = spectrogram(F1)
     S2 = spectrogram(F2)
     lhs = align_phase_global(F1, F2, p, mask=mask).residual
-    value, grad = sobolev_diff_pieces(S1, S2, p, mask)
-    ld = logderiv_term(S1, S2, p, mask)
+    cells = fdiff.MaskCells(F1.geometry, mask)
+    value, grad = sobolev_diff_pieces(S1, S2, p, cells)
+    ld = logderiv_term(S1, S2, p, cells)
     factor = math.inf if h == 0.0 else 2.0 ** 4.5 / h
     rhs = value + factor * (grad + ld.value)
     return CheegerRouteCheck(lhs=lhs, value_term=value, gradient_term=grad,
@@ -550,10 +573,11 @@ def stability_report(f: SignalGrid, g: SignalGrid, p: float, q: float,
     wgrid = weight_from_spectrogram(S1, power=p).coarsen(cheeger_coarsen)
     est = sweep_cut_cheeger(wgrid)
     h = est.h
-    value, grad = sobolev_diff_pieces(S1, S2, p, mask)
+    cells = fdiff.MaskCells(pg, mask)
+    value, grad = sobolev_diff_pieces(S1, S2, p, cells)
     sobolev = value + grad
-    weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=mask)
-    ld = logderiv_term(S1, S2, p, mask)
+    weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)
+    ld = logderiv_term(S1, S2, p, cells)
     cheeger_factor = math.inf if h == 0.0 else 2.0 ** 4.5 / h
     rhs_cheeger = value + cheeger_factor * (grad + ld.value)
     shape_factor = math.inf if h == 0.0 else 1.0 + 1.0 / h
@@ -583,9 +607,9 @@ def stability_report(f: SignalGrid, g: SignalGrid, p: float, q: float,
     if noise is not None:
         if noise.geometry != pg:
             raise ValueError("noise field must live on the phase-space grid")
-        gamma_dnorm = dnorm(noise.values, pg, p, q, z0, mask=mask)
+        gamma_dnorm = dnorm(noise.values, pg, p, q, z0, mask=cells)
         achieved = S1.values + noise.values - S2.values
-        epsilon = dnorm(achieved, pg, p, q, z0, mask=mask)
+        epsilon = dnorm(achieved, pg, p, q, z0, mask=cells)
         report["noise_epsilon"] = epsilon
         report["noise_gamma_dnorm"] = gamma_dnorm
         report["noise_bound"] = shape_factor * (epsilon + gamma_dnorm)
@@ -647,8 +671,9 @@ def instability_sweep(T_values, p: float = 1.0, q: float = 3.0,
         z0 = S1.argmax_location
         lhs = align_phase_global(F1, F2, p, mask=mask).residual
         est = sweep_cut_cheeger(weight_from_spectrogram(S1, power=p).coarsen(cheeger_coarsen))
-        sobolev = sobolev_diff_norm(S1, S2, p, mask)
-        weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=mask)
+        cells = fdiff.MaskCells(pg, mask)
+        sobolev = sobolev_diff_norm(S1, S2, p, cells)
+        weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)
         rows.append(InstabilityRow(
             T=T, h=est.h, lhs=lhs, sobolev=sobolev, weighted=weighted,
             ratio=_finite_ratio(lhs, sobolev + weighted)))

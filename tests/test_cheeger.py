@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gaborstab import cheeger
 from gaborstab.cheeger import (
     ORACLE_CELL_LIMIT,
     CheegerEstimate,
@@ -205,6 +206,30 @@ class TestFiedler:
         g = build_weight_graph(unit_grid((6, 6), values=rng.uniform(0.1, 2.0, (6, 6))))
         with pytest.raises(ConvergenceError):
             fiedler_vector(g, max_iter=2)
+
+
+    def test_basis_budget_raises_with_budget_n_and_k(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        g = build_weight_graph(unit_grid((6, 6), values=rng.uniform(0.1, 2.0, (6, 6))))
+        n = g.num_vertices
+        monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES", 3 * n * 8)
+        with pytest.raises(ConvergenceError, match=f"{3 * n * 8}-byte budget") as exc:
+            fiedler_vector(g)
+        assert f"k = 3 steps on n = {n} vertices" in str(exc.value)
+        monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES", 8 * n - 1)
+        with pytest.raises(ConvergenceError, match=f"k = 0 steps on n = {n}"):
+            fiedler_vector(g)
+
+    def test_budget_that_fits_the_solve_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        g = build_weight_graph(unit_grid((7, 6), values=rng.uniform(0.1, 2.0, (7, 6))))
+        free = fiedler_vector(g)
+        monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES",
+                            (free.iterations + 1) * g.num_vertices * 8)
+        tight = fiedler_vector(g)
+        assert (tight.value, tight.iterations, tight.residual) == (
+            free.value, free.iterations, free.residual)
+        assert np.array_equal(tight.vector, free.vector)
 
 
 class TestCuts:

@@ -108,6 +108,38 @@ class TestGen:
         assert leftovers == []
 
 
+class TestGridArtifacts:
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_artifact_bytes_equal_write_grid(self, tmp_path, is_complex):
+        rng = np.random.default_rng(2)
+        geom = box_geometry((5, 4, 3), -1.0, 1.0)
+        values = rng.standard_normal(geom.extents)
+        if is_complex:
+            values = values + 1j * rng.standard_normal(geom.extents)
+        cli._write_grid_atomic(str(tmp_path / "cli.ggr"), geom, values)
+        write_grid(str(tmp_path / "lib.ggr"), geom, values)
+        assert (tmp_path / "cli.ggr").read_bytes() == (tmp_path / "lib.ggr").read_bytes()
+
+    def test_failing_write_leaves_no_temp_file_and_keeps_the_old_artifact(
+            self, tmp_path, monkeypatch):
+        from gaborstab import grids
+
+        geom = box_geometry((4, 4), -1.0, 1.0)
+        path = str(tmp_path / "a.ggr")
+        cli._write_grid_atomic(path, geom, np.ones((4, 4)))
+        before = (tmp_path / "a.ggr").read_bytes()
+
+        def broken(fh, geometry, values):
+            fh.write(b"GGR1 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(grids, "write_grid_to", broken)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_grid_atomic(path, geom, np.zeros((4, 4)))
+        assert os.listdir(tmp_path) == ["a.ggr"]
+        assert (tmp_path / "a.ggr").read_bytes() == before
+
+
 class TestGabor:
     def test_direct_inline_signal_matches_library(self, tmp_path):
         cfg = write_cfg(tmp_path, "gabor.json", {
@@ -584,6 +616,21 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "cheeger.json", {"output": "h.json"})
         assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_CONVERGENCE
         assert "non-convergence" in capsys.readouterr().err
+
+    def test_lanczos_basis_budget_exit_4(self, tmp_path, monkeypatch, capsys):
+        from gaborstab import cheeger
+
+        monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES", 4096)
+        cfg = write_cfg(tmp_path, "cheeger.json", {
+            "weight": {"kind": "gaussian",
+                       "geometry": {"extents": [17, 17], "lo": -4.0, "hi": 4.0}},
+            "coarsen": 1,
+            "output": "h.json",
+        })
+        assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "non-convergence" in err and "4096-byte budget" in err
+        assert not (tmp_path / "h.json").exists()
 
     def test_run_config_rejects_unknown_command(self):
         with pytest.raises(cli.ConfigError, match="unknown command"):

@@ -1,0 +1,173 @@
+"""Mask-aware finite differences: stencil choice, dtypes, and the packed path.
+
+The reference stencil below differentiates the whole grid from shifted
+copies of the values and the mask; the packed path must match it bit for
+bit at every mask cell.
+"""
+
+import numpy as np
+import pytest
+
+from gaborstab import fdiff
+from gaborstab.grids import GridGeometry, box_geometry
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def _shift(values, axis, step, fill):
+    out = np.full_like(values, fill)
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    if step == 1:
+        src[axis], dst[axis] = slice(1, None), slice(None, -1)
+    else:
+        src[axis], dst[axis] = slice(None, -1), slice(1, None)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def reference_gradient(values, geometry, mask=None):
+    """The full-grid stencil built from shifted copies of values and mask."""
+    values = np.asarray(values)
+    mask = np.ones(values.shape, bool) if mask is None else np.asarray(mask, bool)
+    grads = []
+    for axis in range(geometry.rank):
+        h = geometry.spacing[axis]
+        vp, vm = _shift(values, axis, +1, 0), _shift(values, axis, -1, 0)
+        has_p, has_m = _shift(mask, axis, +1, False), _shift(mask, axis, -1, False)
+        central = (vp - vm) / (2.0 * h)
+        forward = (vp - values) / h
+        backward = (values - vm) / h
+        g = np.where(has_p & has_m, central,
+                     np.where(has_p, forward, np.where(has_m, backward, 0)))
+        g = np.where(mask, g, 0)
+        grads.append(g.astype(values.dtype if np.iscomplexobj(values) else float))
+    return grads
+
+
+class TestStencil:
+    def test_affine_field_is_exact_wherever_a_neighbor_exists(self):
+        geom = box_geometry((9, 7), -1.0, 1.0)
+        x, y = geom.coordinate_arrays()
+        v = 2.5 * x - 0.75 * y + 1.0 + 0.0 * x * y
+        mask = np.ones(geom.extents, bool)
+        mask[3:5, 2:4] = False
+        gx, gy = fdiff.gradient(v, geom, mask)
+        assert np.allclose(gx[mask], 2.5, rtol=0, atol=1e-12)
+        assert np.allclose(gy[mask], -0.75, rtol=0, atol=1e-12)
+        assert not gx[~mask].any() and not gy[~mask].any()
+
+    def test_central_inside_one_sided_at_box_and_mask_edges(self):
+        # for a x^2 + b x the central difference is exact; forward and
+        # backward differences are off by +a h and -a h
+        geom = box_geometry((11, 5), -1.0, 1.0)
+        a, b = 0.75, -1.5
+        h = geom.spacing[0]
+        x, y = geom.coordinate_arrays()
+        v = a * x ** 2 + b * x + 0.25 * y
+        mask = np.ones(geom.extents, bool)
+        mask[6, :] = False
+        gx, _ = fdiff.gradient(v, geom, mask)
+        exact = np.broadcast_to(2 * a * x + b, geom.extents)
+        central = [1, 2, 3, 4, 8, 9]
+        assert np.allclose(gx[central], exact[central], atol=1e-12)
+        for row, offset in ((0, a * h), (7, a * h), (5, -a * h), (10, -a * h)):
+            assert np.allclose(gx[row], exact[row] + offset, atol=1e-12)
+        assert not gx[6].any()
+
+    def test_isolated_cells_get_zero(self):
+        geom = box_geometry((5, 5), 0.0, 1.0)
+        v = np.arange(25.0).reshape(5, 5)
+        mask = np.zeros((5, 5), bool)
+        mask[0, 0] = mask[2, 2] = mask[4, 1] = True
+        for g in fdiff.gradient(v, geom, mask):
+            assert not g.any()
+        assert not fdiff.MaskCells(geom, mask).gradient_norm(v).any()
+
+    def test_axis_of_one_sample_has_no_neighbors(self):
+        geom = GridGeometry((1, 4), (1.0, 0.5), (0.0, 0.0))
+        g0, g1 = fdiff.gradient(np.arange(4.0).reshape(1, 4), geom)
+        assert not g0.any()
+        assert np.allclose(g1, 2.0)
+
+    @pytest.mark.parametrize("dtype, out", [(np.complex128, np.complex128),
+                                            (np.complex64, np.complex64),
+                                            (np.float32, np.float64),
+                                            (np.int64, np.float64)])
+    def test_dtype(self, dtype, out):
+        geom = box_geometry((6, 5), -1.0, 1.0)
+        v = (np.arange(30).reshape(6, 5) * (1 + 1j if np.dtype(dtype).kind == "c" else 1))
+        for g in fdiff.gradient(v.astype(dtype), geom):
+            assert g.dtype == out
+        assert fdiff.MaskCells(geom).gradient_norm(v.astype(dtype)).dtype == np.float64
+
+    def test_complex_field_differentiates_both_parts(self):
+        geom = box_geometry((8, 6), -1.0, 1.0)
+        x, y = geom.coordinate_arrays()
+        v = (1.5 - 2.0j) * x + 0.5j * y + 0.0 * x * y
+        gx, gy = fdiff.gradient(v, geom)
+        assert np.allclose(gx, 1.5 - 2.0j) and np.allclose(gy, 0.5j)
+
+    def test_shape_mismatches_raise(self):
+        geom = box_geometry((6, 5), -1.0, 1.0)
+        cells = fdiff.MaskCells(geom)
+        for call in (lambda v: fdiff.gradient(v, geom), cells.pack, cells.gradient_norm):
+            with pytest.raises(ValueError, match="value array shape"):
+                call(np.zeros((5, 6)))
+        with pytest.raises(ValueError, match="mask shape"):
+            fdiff.gradient(np.zeros((6, 5)), geom, np.ones((6, 4), bool))
+        with pytest.raises(ValueError, match="mask shape"):
+            fdiff.MaskCells(geom, np.ones((5, 6), bool))
+
+
+class TestPackedPath:
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_matches_full_grid_reference(self, masked):
+        rng = np.random.default_rng(5)
+        geom = GridGeometry((7, 5, 6, 4), (0.5, 0.25, 1.0, 0.125), (0.0,) * 4)
+        v = rng.standard_normal(geom.extents) + 1j * rng.standard_normal(geom.extents)
+        mask = rng.random(geom.extents) < 0.5 if masked else None
+        for got, want in zip(fdiff.gradient(v, geom, mask), reference_gradient(v, geom, mask)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        full = fdiff.gradient_norm(reference_gradient(v, geom, mask))
+        packed = fdiff.MaskCells(geom, mask).gradient_norm(v)
+        assert np.array_equal(packed, full.ravel() if mask is None else full[mask])
+
+    def test_pack_and_index_follow_row_major_order(self):
+        rng = np.random.default_rng(6)
+        geom = box_geometry((5, 4, 3), -1.0, 1.0)
+        v = rng.standard_normal(geom.extents)
+        mask = rng.random(geom.extents) < 0.5
+        cells = fdiff.MaskCells(geom, mask)
+        assert np.array_equal(cells.pack(v), v[mask])
+        for got, want in zip(cells.index, np.nonzero(mask)):
+            assert np.array_equal(got, want)
+
+    def test_later_edits_of_the_mask_do_not_reach_the_tables(self):
+        geom = box_geometry((6, 6), -1.0, 1.0)
+        v = np.arange(36.0).reshape(6, 6) ** 2
+        mask = np.ones((6, 6), bool)
+        mask[2, :] = False
+        cells = fdiff.MaskCells(geom, mask)
+        want = fdiff.gradient_norm(reference_gradient(v, geom, mask))[mask]
+        mask[:] = True
+        assert np.array_equal(cells.gradient_norm(v), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.sampled_from([1, 2, 4]),
+       density=st.floats(0.0, 1.0), is_complex=st.booleans())
+def test_packed_norm_equals_reference_at_mask_cells(seed, rank, density, is_complex):
+    rng = np.random.default_rng(seed)
+    extents = tuple(int(n) for n in rng.integers(1, 9 if rank < 4 else 5, rank))
+    geom = GridGeometry(extents, tuple(rng.uniform(0.1, 2.0, rank)), (0.0,) * rank)
+    v = rng.standard_normal(extents)
+    if is_complex:
+        v = v + 1j * rng.standard_normal(extents)
+    mask = rng.random(extents) < density
+    want = fdiff.gradient_norm(reference_gradient(v, geom, mask))[mask]
+    got = fdiff.MaskCells(geom, mask).gradient_norm(v)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    for g, r in zip(fdiff.gradient(v, geom, mask), reference_gradient(v, geom, mask)):
+        assert g.dtype == r.dtype and np.array_equal(g, r)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaborstab import fdiff
 from gaborstab.errors import AdmissibilityError
 from gaborstab.gabor import gabor_transform, spectrogram
 from gaborstab.grids import DomainPartition, PhaseSpaceGrid, box_geometry
@@ -265,6 +266,97 @@ class TestNormTerms:
         if mask is not None:
             mag = mag[mask]
         assert value == float(np.sum(mag ** p) * geom.cell_volume) ** (1.0 / p)
+
+    # The norm terms evaluate on the packed mask cells; each must equal its
+    # full-grid formula (differentiate, weight and mask the whole grid) bit
+    # for bit.  61 x 67 cells, so numpy's pairwise summation splits the sums.
+
+    @staticmethod
+    def full_grid_lp(values, geom, p, mask):
+        mag = np.abs(values)
+        if mask is not None:
+            mag = mag[mask]
+        return float(np.sum(mag ** p) * geom.cell_volume) ** (1.0 / p)
+
+    @staticmethod
+    def random_case(masked, seed=11):
+        rng = np.random.default_rng(seed)
+        geom = box_geometry((61, 67), -1.0, 1.0)
+        S1, S2 = (spectrogram(PhaseSpaceGrid(geom, rng.standard_normal(geom.extents)
+                                             + 1j * rng.standard_normal(geom.extents)))
+                  for _ in range(2))
+        mask = rng.random(geom.extents) < 0.4 if masked else None
+        return geom, S1, S2, mask
+
+    @staticmethod
+    def full_grid_weight(geom, z0):
+        r2 = np.zeros(geom.extents)
+        for c, z in zip(geom.coordinate_arrays(), z0):
+            r2 = r2 + (c - z) ** 2
+        return 1.0 + r2 ** (geom.rank // 2 + 1)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_gradient_piece_is_full_grid_formula_bit_for_bit(self, p, masked):
+        geom, S1, S2, mask = self.random_case(masked)
+        _, grad = sobolev_diff_pieces(S1, S2, p, mask)
+        full = fdiff.gradient_norm(fdiff.gradient(S1.values - S2.values, geom, mask))
+        assert grad == self.full_grid_lp(full, geom, p, mask)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("q", [1.0, 3.5])
+    def test_weighted_norm_is_full_grid_formula_bit_for_bit(self, q, masked):
+        geom, S1, S2, mask = self.random_case(masked)
+        z0 = (0.25, -0.5)
+        got = weighted_lq_diff_norm(S1, S2, q, z0, mask)
+        weight = self.full_grid_weight(geom, z0)
+        assert got == self.full_grid_lp(weight * (S1.values - S2.values), geom, q, mask)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_logderiv_is_full_grid_formula_bit_for_bit(self, p, masked):
+        geom, S1, S2, mask = self.random_case(masked)
+        # push some cells below the exclusion threshold
+        vals = S1.values.copy()
+        vals[::7, ::5] = 1e-14 * vals.max()
+        S1 = spectrogram(PhaseSpaceGrid(geom, vals))
+        got = logderiv_term(S1, S2, p, mask)
+        base = np.ones(geom.extents, bool) if mask is None else mask
+        included = base & (S1.values > 1e-12 * S1.values.max())
+        assert 0 < included.sum() < base.sum()
+        grad = fdiff.gradient_norm(fdiff.gradient(S1.values, geom, included))
+        field = np.zeros(geom.extents)
+        field[included] = (grad[included] / S1.values[included]
+                           * (S1.values - S2.values)[included])
+        assert got.value == self.full_grid_lp(field, geom, p, included)
+        excluded = float(S1.values[base & ~included].sum()) / float(S1.values[base].sum())
+        assert got.excluded_mass_fraction == excluded
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_dnorm_is_full_grid_formula_bit_for_bit(self, masked):
+        geom, S1, S2, mask = self.random_case(masked)
+        field = S1.values - S2.values
+        z0 = (-0.5, 0.125)
+        got = dnorm(field, geom, 1.2, 3.5, z0, mask)
+        grad = fdiff.gradient_norm(fdiff.gradient(field, geom, mask))
+        weight = self.full_grid_weight(geom, z0)
+        assert got == (self.full_grid_lp(field, geom, 1.2, mask)
+                       + self.full_grid_lp(grad, geom, 1.2, mask)
+                       + self.full_grid_lp(weight * field, geom, 3.5, mask))
+
+    def test_shared_mask_cells_give_the_mask_results(self):
+        geom, S1, S2, mask = self.random_case(True)
+        cells = fdiff.MaskCells(geom, mask)
+        z0 = (0.25, -0.5)
+        terms = (lambda m: sobolev_diff_pieces(S1, S2, 1.5, m),
+                 lambda m: weighted_lq_diff_norm(S1, S2, 3.5, z0, m),
+                 lambda m: logderiv_term(S1, S2, 1.5, m),
+                 lambda m: dnorm(S1.values - S2.values, geom, 1.2, 3.5, z0, m))
+        for term in terms:
+            assert term(cells) == term(mask)
+        other = fdiff.MaskCells(box_geometry((61, 67), -2.0, 2.0), mask)
+        with pytest.raises(ValueError, match="another grid"):
+            sobolev_diff_pieces(S1, S2, 1.0, other)
 
     def test_sobolev_zero_for_identical_fields(self):
         S1 = spectrogram(gaussian_field(n=33))

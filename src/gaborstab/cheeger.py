@@ -472,7 +472,7 @@ def sweep_cut_cheeger(w: WeightGrid) -> CheegerEstimate:
         satellite_mass = float(graph.masses[~keep].sum())
     fied = fiedler_vector(sub)
     order = np.argsort(fied.vector, kind="stable")
-    size, _, _ = _sweep_prefix_cuts_full(sub, satellite_mass, order)
+    size = _sweep_prefix_cuts_full(sub, satellite_mass, order)
     left = np.zeros(n, dtype=bool)
     left[old[order[:size]]] = True
     cut = evaluate_cut(graph, left)
@@ -482,8 +482,8 @@ def sweep_cut_cheeger(w: WeightGrid) -> CheegerEstimate:
 
 
 def _sweep_prefix_cuts_full(sub: WeightGraph, satellite_mass: float,
-                            order: np.ndarray) -> tuple[int, float, np.ndarray]:
-    """Prefix cuts of the component sweep, evaluated against the full grid.
+                            order: np.ndarray) -> int:
+    """Size of the best prefix cut of the component sweep, against the full grid.
 
     Dropped satellite components sit on the complement side of every prefix,
     so cut weights live inside the swept component while the complement mass
@@ -506,9 +506,7 @@ def _sweep_prefix_cuts_full(sub: WeightGraph, satellite_mass: float,
         resolvable = min_mass > 0
     if not resolvable.any():
         raise ValueError("every prefix cut has a massless side")
-    masked = np.where(resolvable, ratios, math.inf)
-    best = int(np.argmin(masked))
-    return best + 1, float(masked[best]), ratios
+    return int(np.argmin(np.where(resolvable, ratios, math.inf))) + 1
 
 
 def _prefix_cut_weights(graph: WeightGraph, order: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ identical configs and seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -49,6 +50,16 @@ class ConfigError(ValueError):
     """A config file that cannot be interpreted; maps to exit code 2."""
 
 
+# Checked in order: AdmissibilityError and GridFormatError are ValueErrors,
+# like ConfigError, so the plain ValueError comes last.
+_FAILURE_CLASSES = (
+    (AdmissibilityError, EXIT_ADMISSIBILITY, "inadmissible exponents"),
+    (ConvergenceError, EXIT_CONVERGENCE, "non-convergence"),
+    ((GridFormatError, OSError), EXIT_IO, "I/O failure"),
+    (ValueError, EXIT_CONFIG, "config error"),
+)
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
@@ -73,20 +84,51 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
+@contextlib.contextmanager
+def _config_errors(context: str):
+    """Report a library ValueError as a ConfigError prefixed with the context.
+
+    ConfigError and GridFormatError pass through unchanged: the first
+    already names its context, the second maps to the I/O exit code.
+    """
+    try:
+        yield
+    except (ConfigError, GridFormatError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_float(value, context: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_int(value, context: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(
+            f"{context}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _as_float_list(value, context: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return [float(value)]
-    if isinstance(value, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+    if isinstance(value, list) and all(_is_number(v) for v in value):
         return [float(v) for v in value]
     raise ConfigError(f"{context}: expected a number or list of numbers")
 
 
 def _as_complex(value, context: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
         return complex(value[0], value[1])
     raise ConfigError(f"{context}: expected a real number or [re, im] pair")
 
@@ -97,17 +139,15 @@ def _geometry_from(block, context: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: geometry must be an object")
     extents = _require(block, "extents", context)
-    if not (isinstance(extents, list) and extents
-            and all(isinstance(n, int) and not isinstance(n, bool) for n in extents)):
+    if not (isinstance(extents, list) and extents):
         raise ConfigError(f"{context}: extents must be a list of integers")
+    extents = tuple(_as_int(n, f"{context}.extents", 1) for n in extents)
     lo = _as_float_list(_require(block, "lo", context), f"{context}.lo")
     hi = _as_float_list(_require(block, "hi", context), f"{context}.hi")
-    try:
-        return box_geometry(tuple(extents),
+    with _config_errors(context):
+        return box_geometry(extents,
                             lo[0] if len(lo) == 1 else tuple(lo),
                             hi[0] if len(hi) == 1 else tuple(hi))
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _signal_from(block, geometry, context: str):
@@ -117,7 +157,7 @@ def _signal_from(block, geometry, context: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: signal must be an object")
     kind = _require(block, "kind", context)
-    try:
+    with _config_errors(context):
         if kind == "gaussian":
             return make_analytic(gaussian_spec(geometry.rank), geometry)
         if kind == "shifted-gaussian":
@@ -129,21 +169,15 @@ def _signal_from(block, geometry, context: str):
             f1 = _as_float_list(_require(block, "frequency1", context), f"{context}.frequency1")
             c2 = _as_float_list(_require(block, "center2", context), f"{context}.center2")
             f2 = _as_float_list(_require(block, "frequency2", context), f"{context}.frequency2")
-            sign = block.get("sign", 1)
+            sign = _as_int(block.get("sign", 1), f"{context}.sign", -1)
             if sign not in (1, -1):
                 raise ConfigError(f"{context}: sign must be 1 or -1")
             return make_analytic(
                 two_bump_spec(tuple(c1), tuple(f1), tuple(c2), tuple(f2), sign=sign),
                 geometry)
         if kind == "hermite":
-            k = _require(block, "k", context)
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ConfigError(f"{context}: k must be a nonnegative integer")
-            return hermite_gaussian(k, geometry)
-    except (ConfigError, GridFormatError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+            return hermite_gaussian(_as_int(_require(block, "k", context), f"{context}.k", 0),
+                                    geometry)
     raise ConfigError(f"{context}: unknown signal kind '{kind}'")
 
 
@@ -272,32 +306,21 @@ def _weight_from_config(block, context: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: weight must be an object")
     kind = _require(block, "kind", context)
-    try:
-        if kind == "spectrogram-file":
-            geom, values = read_grid(_input_path(_require(block, "input", context),
-                                                 f"{context}.input"))
-            if np.iscomplexobj(values):
-                raise ConfigError(f"{context}: spectrogram grids must be real")
-            S = spectrogram(PhaseSpaceGrid(geometry=geom, values=values.astype(np.complex128)))
-            power = float(block.get("power", 1.0))
-            threshold = float(block.get("threshold", 1e-9))
-            return weight_from_spectrogram(S, power=power, threshold=threshold)
+    with _config_errors(context):
         if kind == "gaussian":
             geom = _geometry_from(_require(block, "geometry", context), f"{context}.geometry")
-            r2 = np.zeros(geom.extents)
-            for a, c in enumerate(geom.coordinate_arrays()):
-                r2 = r2 + c ** 2
-            return WeightGrid(geometry=geom, values=np.exp(-np.pi * r2 / 2.0))
-        if kind == "grid-file":
+            return WeightGrid(geometry=geom, values=np.exp(-np.pi * geom.distance_sq() / 2.0))
+        if kind in ("spectrogram-file", "grid-file"):
             geom, values = read_grid(_input_path(_require(block, "input", context),
                                                  f"{context}.input"))
             if np.iscomplexobj(values):
-                raise ConfigError(f"{context}: weight grids must be real")
-            return WeightGrid(geometry=geom, values=values)
-    except (ConfigError, GridFormatError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+                raise ConfigError(f"{context}: {kind} input must be real")
+            if kind == "grid-file":
+                return WeightGrid(geometry=geom, values=values)
+            S = spectrogram(PhaseSpaceGrid(geometry=geom, values=values.astype(np.complex128)))
+            opts = {key: _as_float(block[key], f"{context}.{key}")
+                    for key in ("power", "threshold") if key in block}
+            return weight_from_spectrogram(S, **opts)
     raise ConfigError(f"{context}: unknown weight kind '{kind}'")
 
 
@@ -305,9 +328,7 @@ def _run_cheeger(cfg: dict, out_dir: str, seed) -> list[str]:
     from .cheeger import sweep_cut_cheeger
 
     w = _weight_from_config(_require(cfg, "weight", "cheeger"), "cheeger.weight")
-    coarsen = cfg.get("coarsen", 1)
-    if not isinstance(coarsen, int) or isinstance(coarsen, bool) or coarsen < 1:
-        raise ConfigError("cheeger.coarsen: expected a positive integer")
+    coarsen = _as_int(cfg.get("coarsen", 1), "cheeger.coarsen", 1)
     if coarsen > 1:
         w = w.coarsen(coarsen)
     est = sweep_cut_cheeger(w)
@@ -337,7 +358,7 @@ def _entire_function_from(block, context: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: function must be an object")
     kind = _require(block, "kind", context)
-    try:
+    with _config_errors(context):
         if kind == "polynomial":
             coeffs = _require(block, "coefficients", context)
             if not isinstance(coeffs, list) or not coeffs:
@@ -354,10 +375,6 @@ def _entire_function_from(block, context: str):
             F = read_phase_grid(_input_path(_require(block, "input", context),
                                             f"{context}.input"))
             return lifted_spec(entire_lift(F))
-    except (ConfigError, GridFormatError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: unknown function kind '{kind}'")
 
 
@@ -369,7 +386,7 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
     radii = _as_float_list(_require(cfg, "radii", "entire"), "entire.radii")
     if any(r <= 0 for r in radii) or sorted(radii) != radii:
         raise ConfigError("entire.radii: expected positive increasing radii")
-    p = float(cfg.get("p", 1.0))
+    p = _as_float(cfg.get("p", 1.0), "entire.p")
     d = G.dimension
 
     geometry = None
@@ -386,12 +403,10 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
     growth = None
     coeff = exponent = None
     if "alpha" in cfg or "beta" in cfg:
-        alpha = float(_require(cfg, "alpha", "entire"))
-        beta = float(_require(cfg, "beta", "entire"))
-        try:
+        alpha = _as_float(_require(cfg, "alpha", "entire"), "entire.alpha")
+        beta = _as_float(_require(cfg, "beta", "entire"), "entire.beta")
+        with _config_errors("entire"):
             gspec = GrowthClassSpec(alpha=alpha, beta=beta)
-        except ValueError as exc:
-            raise ConfigError(f"entire: {exc}") from exc
         growth = growth_class_check(G, gspec, radii)
         coeff, exponent = ball_norm_bound_coefficient(gspec, d)
 
@@ -409,8 +424,8 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
             "norms": list(table.norms),
         }
         if growth is not None:
-            report["alpha"] = float(cfg["alpha"])
-            report["beta"] = float(cfg["beta"])
+            report["alpha"] = alpha
+            report["beta"] = beta
             report["growth_member"] = growth.member
             report["worst_margin"] = growth.worst_margin
         rpath = _out_path(out_dir, cfg["report_output"], "entire.report_output")
@@ -428,29 +443,20 @@ def _noise_from(block, geometry, seed, context: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: noise must be an object")
     kind = _require(block, "kind", context)
-    try:
+    with _config_errors(context):
         if kind == "gaussian-bump":
-            amplitude = float(_require(block, "amplitude", context))
-            width = float(_require(block, "width", context))
+            amplitude = _as_float(_require(block, "amplitude", context), f"{context}.amplitude")
+            width = _as_float(_require(block, "width", context), f"{context}.width")
             center = block.get("center")
             if center is not None:
                 center = _as_float_list(center, f"{context}.center")
             return noise_gaussian_bump(geometry, amplitude, width, center)
         if kind == "band-limited":
-            amplitude = float(_require(block, "amplitude", context))
-            cutoff = _require(block, "cutoff", context)
-            if not isinstance(cutoff, int) or isinstance(cutoff, bool):
-                raise ConfigError(f"{context}: cutoff must be an integer")
-            use_seed = seed if seed is not None else block.get("seed")
-            if not isinstance(use_seed, int) or isinstance(use_seed, bool) or use_seed < 0:
-                raise ConfigError(
-                    f"{context}: band-limited noise needs a nonnegative integer seed "
-                    "(config 'seed' or --seed)")
+            amplitude = _as_float(_require(block, "amplitude", context), f"{context}.amplitude")
+            cutoff = _as_int(_require(block, "cutoff", context), f"{context}.cutoff", 1)
+            use_seed = _as_int(seed if seed is not None else block.get("seed"),
+                               f"{context}.seed (config 'seed' or --seed)", 0)
             return noise_band_limited(geometry, amplitude, cutoff, use_seed)
-    except (ConfigError, GridFormatError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: unknown noise kind '{kind}'")
 
 
@@ -470,9 +476,8 @@ def _stability_pair(cfg: dict, context: str):
                                     f"{context}.pair.g_input"))
         return f, g
     if kind == "instability":
-        T = float(_require(block, "T", f"{context}.pair"))
-        d = block.get("d", 1)
-        if d != 1:
+        T = _as_float(_require(block, "T", f"{context}.pair"), f"{context}.pair.T")
+        if _as_int(block.get("d", 1), f"{context}.pair.d", 1) != 1:
             raise ConfigError(f"{context}.pair: the instability pair is implemented for d=1")
         if "signal_geometry" in cfg:
             sg = _geometry_from(cfg["signal_geometry"], f"{context}.signal_geometry")
@@ -480,17 +485,13 @@ def _stability_pair(cfg: dict, context: str):
             half = T / 2.0 + 5.0
             n = int(round(2 * half * 32)) + 1
             sg = box_geometry((n,), -half, half)
-        try:
+        with _config_errors(f"{context}.pair"):
             return make_instability_pair(1, T, sg)
-        except ValueError as exc:
-            raise ConfigError(f"{context}.pair: {exc}") from exc
     if kind == "gaussian-hermite":
         from .grids import SignalGrid
 
-        k = _require(block, "k", f"{context}.pair")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ConfigError(f"{context}.pair: k must be a nonnegative integer")
-        amplitude = float(block.get("amplitude", 0.01))
+        k = _as_int(_require(block, "k", f"{context}.pair"), f"{context}.pair.k", 0)
+        amplitude = _as_float(block.get("amplitude", 0.01), f"{context}.pair.amplitude")
         if "signal_geometry" in cfg:
             sg = _geometry_from(cfg["signal_geometry"], f"{context}.signal_geometry")
         else:
@@ -503,11 +504,9 @@ def _stability_pair(cfg: dict, context: str):
 
 
 def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
-    from .stability import instability_sweep, stability_report
+    from .stability import DEFAULT_CHEEGER_COARSEN, instability_sweep, stability_report
 
-    coarsen = cfg.get("coarsen", 2)
-    if not isinstance(coarsen, int) or isinstance(coarsen, bool) or coarsen < 1:
-        raise ConfigError("stability.coarsen: expected a positive integer")
+    coarsen = _as_int(cfg.get("coarsen", DEFAULT_CHEEGER_COARSEN), "stability.coarsen", 1)
 
     if "sweep" in cfg:
         sw = cfg["sweep"]
@@ -515,11 +514,12 @@ def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
             raise ConfigError("stability.sweep: must be an object")
         T_values = _as_float_list(_require(sw, "T_values", "stability.sweep"),
                                   "stability.sweep.T_values")
-        p = float(cfg.get("p", 1.0))
-        q = float(cfg.get("q", 3.0))
-        spacing = float(sw.get("spacing", 1.0 / 16.0))
-        rows = instability_sweep(T_values, p=p, q=q, spacing=spacing,
-                                 cheeger_coarsen=coarsen)
+        # Keys left out take instability_sweep's defaults.
+        opts = {key: _as_float(block[key], f"{context}.{key}")
+                for block, context, key in ((cfg, "stability", "p"), (cfg, "stability", "q"),
+                                            (sw, "stability.sweep", "spacing"))
+                if key in block}
+        rows = instability_sweep(T_values, cheeger_coarsen=coarsen, **opts)
         path = _out_path(out_dir, _require(sw, "output", "stability.sweep"),
                          "stability.sweep.output")
         _write_csv(path, "T,h,lhs,sobolev,weighted,ratio",
@@ -528,9 +528,8 @@ def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
                 f"ratio {rows[0].ratio!r} -> {rows[-1].ratio!r})"]
 
     f, g = _stability_pair(cfg, "stability")
-    p = float(_require(cfg, "p", "stability"))
-    q = float(_require(cfg, "q", "stability"))
-    pg = None
+    p = _as_float(_require(cfg, "p", "stability"), "stability.p")
+    q = _as_float(_require(cfg, "q", "stability"), "stability.q")
     if "phase_geometry" in cfg:
         pg = _geometry_from(cfg["phase_geometry"], "stability.phase_geometry")
     else:
@@ -544,10 +543,12 @@ def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
         pblock = cfg["partition"]
         if not isinstance(pblock, dict):
             raise ConfigError("stability.partition: must be an object")
-        axis = _require(pblock, "axis", "stability.partition")
-        if not isinstance(axis, int) or isinstance(axis, bool) or not 0 <= axis < pg.rank:
+        axis = _as_int(_require(pblock, "axis", "stability.partition"),
+                       "stability.partition.axis", 0)
+        if axis >= pg.rank:
             raise ConfigError("stability.partition: axis out of range")
-        threshold = float(_require(pblock, "threshold", "stability.partition"))
+        threshold = _as_float(_require(pblock, "threshold", "stability.partition"),
+                              "stability.partition.threshold")
         partition = DomainPartition.split_along_axis(pg, axis, threshold)
 
     noise = None
@@ -638,22 +639,11 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         summaries = run_config(args.command, cfg, args.out, args.seed)
-    except ConfigError as exc:
-        print(f"gaborstab: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # typed mapping below; keeps one exit per failure class
-        if isinstance(exc, AdmissibilityError):
-            print(f"gaborstab: inadmissible exponents: {exc}", file=sys.stderr)
-            return EXIT_ADMISSIBILITY
-        if isinstance(exc, ConvergenceError):
-            print(f"gaborstab: non-convergence: {exc}", file=sys.stderr)
-            return EXIT_CONVERGENCE
-        if isinstance(exc, GridFormatError) or isinstance(exc, OSError):
-            print(f"gaborstab: I/O failure: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if isinstance(exc, ValueError):
-            print(f"gaborstab: config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    except Exception as exc:  # one exit code per failure class, first match wins
+        for types, code, label in _FAILURE_CLASSES:
+            if isinstance(exc, types):
+                print(f"gaborstab: {label}: {exc}", file=sys.stderr)
+                return code
         raise
     for line in summaries:
         print(line)

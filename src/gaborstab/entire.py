@@ -171,14 +171,6 @@ class GrowthCheckResult:
         return min(self.margins)
 
 
-def _phase_radii_sq(geometry: GridGeometry) -> np.ndarray:
-    coords = geometry.coordinate_arrays()
-    r2 = np.zeros(geometry.extents)
-    for a in range(geometry.rank):
-        r2 = r2 + coords[a] ** 2
-    return r2
-
-
 def _check_ball_coverage(geometry: GridGeometry, r: float) -> None:
     for a in range(geometry.rank):
         if geometry.origin[a] > -r or geometry.axis_upper(a) < r:
@@ -201,7 +193,7 @@ def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec, radii,
     margins = []
     if G.kind == "lifted-gabor":
         geom = G.lift.geometry
-        r2 = _phase_radii_sq(geom)
+        r2 = geom.distance_sq()
         mod = np.abs(G.lift.lifted.values)
         for r in radii:
             _check_ball_coverage(geom, r)
@@ -356,7 +348,7 @@ def logderiv_ball_norms(G: EntireFunctionSpec, p: float, radii,
     geom = field.geometry
     for r in radii:
         _check_ball_coverage(geom, r)
-    r2 = _phase_radii_sq(geom)
+    r2 = geom.distance_sq()
     mag_p = np.where(field.included, field.magnitude ** p, 0.0)
     vol = geom.cell_volume
     norms = []

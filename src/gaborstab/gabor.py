@@ -167,10 +167,20 @@ def spectrogram(F: PhaseSpaceGrid) -> Spectrogram:
     return Spectrogram(geometry=F.geometry, values=mod, argmax_index=idx, argmax_location=loc)
 
 
+def _check_exponent(value: float, name: str = "p") -> None:
+    """Every L^p quadrature needs a finite exponent of at least 1."""
+    if not np.isfinite(value) or value < 1.0:
+        raise AdmissibilityError(f"{name} = {value} must be finite and >= 1")
+
+
+def _lp_norm(packed: np.ndarray, geometry: GridGeometry, p: float) -> float:
+    """L^p quadrature with cell-volume weights over values already selected."""
+    return float(np.sum(np.abs(packed) ** p) * geometry.cell_volume) ** (1.0 / p)
+
+
 def modulation_norm(F: PhaseSpaceGrid, p: float, mask=None) -> float:
     """Discrete L^p norm of a phase-space field with cell-volume weights."""
-    if not np.isfinite(p) or p < 1:
-        raise AdmissibilityError("modulation norm needs p >= 1")
+    _check_exponent(p)
     mod = np.abs(F.values)
     sel = active_mask(mask, F.geometry.extents)
     peak = float(mod.max())
@@ -178,9 +188,7 @@ def modulation_norm(F: PhaseSpaceGrid, p: float, mask=None) -> float:
         warnings.warn(
             "field exceeds 1e-9 of its peak at the phase-space boundary; "
             "the norm misses essential support", stacklevel=2)
-    if sel is not None:
-        mod = np.where(sel, mod, 0.0)
-    return float(np.sum(mod ** p) * F.geometry.cell_volume) ** (1.0 / p)
+    return _lp_norm(mod if sel is None else mod[sel], F.geometry, p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,11 +217,7 @@ class EntireLift:
         conj_vals = self.base.values
         for a in range(d):
             conj_vals = np.flip(conj_vals, axis=2 * a + 1)
-        coords = geom.coordinate_arrays()
-        r2 = np.zeros(geom.extents)
-        for a in range(geom.rank):
-            r2 = r2 + coords[a] ** 2
-        expected = np.abs(conj_vals) * np.exp(np.pi * r2 / 2.0)
+        expected = np.abs(conj_vals) * np.exp(np.pi * geom.distance_sq() / 2.0)
         got = np.abs(self.lifted.values)
         denom = np.maximum(expected, np.max(expected) * 1e-300 + np.finfo(float).tiny)
         rel = np.abs(got - expected) / denom
@@ -246,14 +250,10 @@ def entire_lift(F: PhaseSpaceGrid) -> EntireLift:
     for a in range(d):
         vals = np.flip(vals, axis=2 * a + 1)
     coords = geom.coordinate_arrays()
-    r2 = np.zeros(geom.extents)
     xy = np.zeros(geom.extents)
     for a in range(d):
-        x = coords[2 * a]
-        y = coords[2 * a + 1]
-        r2 = r2 + x ** 2 + y ** 2
-        xy = xy + x * y
-    eta = np.exp(np.pi * r2 / 2.0) * np.exp(-1j * np.pi * xy)
+        xy = xy + coords[2 * a] * coords[2 * a + 1]
+    eta = np.exp(np.pi * geom.distance_sq() / 2.0) * np.exp(-1j * np.pi * xy)
     lifted = PhaseSpaceGrid(geometry=geom, values=vals * eta)
     return EntireLift(base=F, lifted=lifted)
 

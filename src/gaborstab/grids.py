@@ -84,6 +84,22 @@ class GridGeometry:
             out.append(self.axis_coordinates(a).reshape(shape))
         return out
 
+    def distance_sq(self, center=None, index=None) -> np.ndarray:
+        """|z - center|^2 over the grid, or at the cells of a per-axis multi-index.
+
+        center defaults to the origin; index holds one integer array per
+        axis, as ``np.nonzero`` returns.
+        """
+        c = np.zeros(self.rank) if center is None else np.asarray(center, float)
+        if c.shape != (self.rank,):
+            raise ValueError("center must have one coordinate per grid axis")
+        if index is None:
+            coords = self.coordinate_arrays()
+        else:
+            coords = [self.axis_coordinates(a)[i] for a, i in enumerate(index)]
+        # One sum, axis by axis from 0, for both forms: they agree bit for bit.
+        return sum((x - ca) ** 2 for x, ca in zip(coords, c))
+
     def index_coordinates(self, index: tuple[int, ...]) -> tuple[float, ...]:
         """Coordinates of the sample at a multi-index."""
         if len(index) != self.rank:

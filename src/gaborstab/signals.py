@@ -100,12 +100,10 @@ def two_bump_spec(center1, frequency1, center2, frequency2, sign: int = 1,
 def _bump_values(geometry: GridGeometry, a, b) -> np.ndarray:
     """Samples of e^{2 pi i b.t} e^{-pi |t-a|^2} on the grid."""
     coords = geometry.coordinate_arrays()
-    quad = np.zeros(geometry.extents, dtype=float)
     phase = np.zeros(geometry.extents, dtype=float)
     for axis in range(geometry.rank):
-        quad = quad + (coords[axis] - a[axis]) ** 2
         phase = phase + b[axis] * coords[axis]
-    return np.exp(-np.pi * quad) * np.exp(2j * np.pi * phase)
+    return np.exp(-np.pi * geometry.distance_sq(a)) * np.exp(2j * np.pi * phase)
 
 
 def make_gaussian(d: int, geometry: GridGeometry) -> SignalGrid:
@@ -155,11 +153,10 @@ def hermite_gaussian(k: int, geometry: GridGeometry) -> SignalGrid:
 
 
 def _bump_transform(geometry: GridGeometry, a, b) -> np.ndarray:
-    d = geometry.rank // 2
+    coords = geometry.coordinate_arrays()
     out = None
-    for axis in range(d):
-        x = geometry.coordinate_arrays()[2 * axis]
-        y = geometry.coordinate_arrays()[2 * axis + 1]
+    for axis in range(geometry.rank // 2):
+        x, y = coords[2 * axis], coords[2 * axis + 1]
         factor = (2.0 ** -0.5) * np.exp(-np.pi * ((x - a[axis]) ** 2 + (y - b[axis]) ** 2) / 2.0)
         factor = factor * np.exp(1j * np.pi * (a[axis] + x) * (b[axis] - y))
         out = factor if out is None else out * factor
@@ -170,9 +167,7 @@ def analytic_gabor_transform(spec: AnalyticSignalSpec, phase_geometry: GridGeome
     """Closed-form Gabor transform of an analytic signal on a phase-space grid."""
     if phase_geometry.rank != 2 * spec.dimension:
         raise ValueError("phase geometry rank must be twice the signal dimension")
-    if spec.kind in ("gaussian", "shifted-gaussian"):
-        values = _bump_transform(phase_geometry, spec.center, spec.frequency)
-    else:
-        values = _bump_transform(phase_geometry, spec.center, spec.frequency)
+    values = _bump_transform(phase_geometry, spec.center, spec.frequency)
+    if spec.kind == "two-bump":
         values = values + spec.sign * _bump_transform(phase_geometry, spec.center2, spec.frequency2)
     return PhaseSpaceGrid(geometry=phase_geometry, values=values)

@@ -18,18 +18,19 @@ while every right-hand term collapses with h as the two bumps disconnect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fdiff
 from .cheeger import ACTIVE_THRESHOLD, sweep_cut_cheeger, weight_from_spectrogram
-from .entire import max_admissible_p as max_report_p
+from .entire import check_logderiv_exponent, max_admissible_p as max_report_p
 from .errors import AdmissibilityError
-from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
+from .gabor import (Spectrogram, _boundary_max, _check_exponent, _lp_norm, gabor_transform,
+                    spectrogram)
 from .grids import DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry
-from .signals import make_analytic, two_bump_spec
+from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
 
 LOGDERIV_EXCLUSION = 1e-12
 COARSE_SCAN_POINTS = 64
@@ -53,9 +54,7 @@ def check_admissible(p: float, q: float, d: int) -> None:
     """
     if d < 1:
         raise AdmissibilityError("dimension must be at least 1")
-    if not np.isfinite(p) or p < 1.0 or p >= max_report_p(d):
-        raise AdmissibilityError(
-            f"p = {p} outside [1, {max_report_p(d)}) for d = {d}")
+    check_logderiv_exponent(p, d)
     qmin = min_report_q(p, d)
     if not np.isfinite(q) or q <= qmin:
         raise AdmissibilityError(
@@ -63,7 +62,7 @@ def check_admissible(p: float, q: float, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# L^p quadrature helpers
+# The cells of Omega
 # ---------------------------------------------------------------------------
 
 
@@ -79,28 +78,6 @@ def _cells(geometry: GridGeometry,
             raise ValueError("mask cells belong to another grid")
         return mask
     return fdiff.MaskCells(geometry, mask)
-
-
-def _lp_norm(packed: np.ndarray, geometry: GridGeometry, p: float) -> float:
-    """L^p quadrature over cells already packed, e.g. by ``fdiff.MaskCells``."""
-    return float(np.sum(np.abs(packed) ** p) * geometry.cell_volume) ** (1.0 / p)
-
-
-def _distance_sq_to(geometry: GridGeometry, z0,
-                    index: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """|z - z0|^2 over the grid, or at the cells of a per-axis multi-index."""
-    z0 = np.asarray(z0, float)
-    if z0.shape != (geometry.rank,):
-        raise ValueError("z0 must have one coordinate per grid axis")
-    if index is None:
-        coords = geometry.coordinate_arrays()
-        r2 = np.zeros(geometry.extents)
-    else:
-        coords = [geometry.axis_coordinates(a)[i] for a, i in enumerate(index)]
-        r2 = np.zeros(index[0].shape)
-    for a in range(geometry.rank):
-        r2 = r2 + (coords[a] - z0[a]) ** 2
-    return r2
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +111,7 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
     """
     if F1.geometry != F2.geometry:
         raise ValueError("phase-space grids must share one geometry")
-    if not np.isfinite(p) or p < 1.0:
-        raise AdmissibilityError(f"p = {p} must be >= 1")
+    _check_exponent(p)
     geom = F1.geometry
     v1, v2 = F1.values, F2.values
     if mask is None:
@@ -237,8 +213,7 @@ def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
     boundary.
     """
     _check_pair(S1, S2)
-    if not np.isfinite(p) or p < 1.0:
-        raise AdmissibilityError(f"p = {p} must be >= 1")
+    _check_exponent(p)
     geom = S1.geometry
     cells = _cells(geom, mask)
     diff = S1.values - S2.values
@@ -266,10 +241,10 @@ def weighted_lq_diff_norm(S1: Spectrogram, S2: Spectrogram, q: float, z0,
     d = geom.rank // 2
     if p is not None:
         check_admissible(p, q, d)
-    elif not np.isfinite(q) or q < 1.0:
-        raise AdmissibilityError(f"q = {q} must be finite and >= 1")
+    else:
+        _check_exponent(q, "q")
     cells = _cells(geom, mask)
-    weight = 1.0 + _distance_sq_to(geom, z0, cells.index) ** (d + 1)
+    weight = 1.0 + geom.distance_sq(z0, cells.index) ** (d + 1)
     return _lp_norm(weight * (cells.pack(S1.values) - cells.pack(S2.values)), geom, q)
 
 
@@ -286,8 +261,7 @@ def logderiv_term(S1: Spectrogram, S2: Spectrogram, p: float,
     quadrature; the fraction of spectrogram mass they carry is reported.
     """
     _check_pair(S1, S2)
-    if not np.isfinite(p) or p < 1.0:
-        raise AdmissibilityError(f"p = {p} must be >= 1")
+    _check_exponent(p)
     geom = S1.geometry
     peak = float(S1.values.max())
     if peak <= 0:
@@ -316,7 +290,7 @@ def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
     if field.shape != geometry.extents:
         raise ValueError("field shape does not match grid extents")
     cells = _cells(geometry, mask)
-    weight = 1.0 + _distance_sq_to(geometry, z0, cells.index) ** (d + 1)
+    weight = 1.0 + geometry.distance_sq(z0, cells.index) ** (d + 1)
     values = cells.pack(field)
     return (_lp_norm(values, geometry, p)
             + _lp_norm(cells.gradient_norm(field), geometry, p)
@@ -330,15 +304,10 @@ def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
 
 @dataclass(frozen=True, slots=True)
 class NoiseSpec:
-    """A smooth real perturbation of the spectrogram on Omega.
-
-    dnorm_value caches the noise-space norm once a report computes it with
-    its own (p, q, z0, Omega); it is None until then.
-    """
+    """A smooth real perturbation of the spectrogram on Omega."""
 
     values: np.ndarray
     geometry: GridGeometry
-    dnorm_value: float | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, float)
@@ -354,8 +323,7 @@ def noise_gaussian_bump(geometry: GridGeometry, amplitude: float, width: float,
     """Gaussian bump amplitude * e^{-|z-c|^2 / (2 width^2)}."""
     if width <= 0:
         raise ValueError("width must be positive")
-    c = np.zeros(geometry.rank) if center is None else np.asarray(center, float)
-    r2 = _distance_sq_to(geometry, c)
+    r2 = geometry.distance_sq(center)
     return NoiseSpec(values=float(amplitude) * np.exp(-r2 / (2.0 * width * width)),
                      geometry=geometry)
 
@@ -390,6 +358,13 @@ def noise_band_limited(geometry: GridGeometry, amplitude: float, cutoff: int,
 # ---------------------------------------------------------------------------
 
 
+def _instability_specs(T: float, d: int) -> list[AnalyticSignalSpec]:
+    """f_plus/minus = f_1 +- f_2: unit Gaussians at -T/2 and +T/2 on axis 0."""
+    c1 = (-T / 2.0,) + (0.0,) * (d - 1)
+    c2 = (+T / 2.0,) + (0.0,) * (d - 1)
+    return [two_bump_spec(c1, (0.0,) * d, c2, (0.0,) * d, sign=s) for s in (+1, -1)]
+
+
 def make_instability_pair(d: int, T: float, geometry: GridGeometry) -> tuple[SignalGrid, SignalGrid]:
     """f_plus/minus = f_1 +- f_2: unit Gaussians at -T/2 and +T/2 on axis 0.
 
@@ -400,11 +375,7 @@ def make_instability_pair(d: int, T: float, geometry: GridGeometry) -> tuple[Sig
         raise ValueError("separation T must be positive")
     if geometry.rank != d:
         raise ValueError("geometry rank must equal the signal dimension")
-    c1 = tuple([-T / 2.0] + [0.0] * (d - 1))
-    c2 = tuple([+T / 2.0] + [0.0] * (d - 1))
-    zero = (0.0,) * d
-    f_plus = make_analytic(two_bump_spec(c1, zero, c2, zero, sign=+1), geometry)
-    f_minus = make_analytic(two_bump_spec(c1, zero, c2, zero, sign=-1), geometry)
+    f_plus, f_minus = (make_analytic(spec, geometry) for spec in _instability_specs(T, d))
     peak = float(np.abs(f_plus.values).max())
     for grid in (f_plus, f_minus):
         edge = _boundary_max(grid.values)
@@ -437,9 +408,7 @@ class CheegerRouteCheck:
 
     @property
     def slack(self) -> float:
-        if self.rhs == 0.0:
-            return math.inf if self.lhs > 0 else 0.0
-        return self.lhs / self.rhs
+        return _finite_ratio(self.lhs, self.rhs)
 
 
 def cheeger_route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
@@ -453,16 +422,20 @@ def cheeger_route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         raise AdmissibilityError(f"the Cheeger-route bound needs 1 <= p <= 2, got {p}")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    S1 = spectrogram(F1)
-    S2 = spectrogram(F2)
-    lhs = align_phase_global(F1, F2, p, mask=mask).residual
-    cells = fdiff.MaskCells(F1.geometry, mask)
+    return _route_terms(F1, F2, spectrogram(F1), spectrogram(F2), p,
+                        fdiff.MaskCells(F1.geometry, mask), h)
+
+
+def _route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, S1: Spectrogram,
+                 S2: Spectrogram, p: float, cells: fdiff.MaskCells,
+                 h: float) -> CheegerRouteCheck:
+    """The aligned distance and the Cheeger-route terms on the cells of Omega."""
+    lhs = align_phase_global(F1, F2, p, mask=cells.mask).residual
     value, grad = sobolev_diff_pieces(S1, S2, p, cells)
     ld = logderiv_term(S1, S2, p, cells)
     factor = math.inf if h == 0.0 else 2.0 ** 4.5 / h
-    rhs = value + factor * (grad + ld.value)
     return CheegerRouteCheck(lhs=lhs, value_term=value, gradient_term=grad,
-                             logderiv=ld, h=h, rhs=rhs)
+                             logderiv=ld, h=h, rhs=value + factor * (grad + ld.value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,32 +467,12 @@ class StabilityReport:
     noise_bound: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "p": self.p, "q": self.q, "d": self.d,
-            "lhs": self.lhs,
-            "h_upper": self.h_upper,
-            "fiedler_value": self.fiedler_value,
-            "disconnected": self.disconnected,
-            "z0": list(self.z0),
-            "value_term": self.value_term,
-            "gradient_term": self.gradient_term,
-            "sobolev_term": self.sobolev_term,
-            "weighted_term": self.weighted_term,
-            "logderiv_term": self.logderiv_term,
-            "logderiv_excluded_mass": self.logderiv_excluded_mass,
-            "rhs_cheeger_route": self.rhs_cheeger_route,
-            "rhs_weighted_shape": self.rhs_weighted_shape,
-            "ratio": self.ratio,
-        }
-        if self.h_oracle is not None:
-            out["h_oracle"] = self.h_oracle
-        if self.multicomponent_residual is not None:
-            out["component_residuals"] = list(self.component_residuals)
-            out["multicomponent_residual"] = self.multicomponent_residual
-        if self.noise_bound is not None:
-            out["noise_epsilon"] = self.noise_epsilon
-            out["noise_gamma_dnorm"] = self.noise_gamma_dnorm
-            out["noise_bound"] = self.noise_bound
+        """The fields as JSON values, leaving out the optional ones that are None."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -547,58 +500,63 @@ def stability_report(f: SignalGrid, g: SignalGrid, p: float, q: float,
                      cheeger_coarsen: int = DEFAULT_CHEEGER_COARSEN) -> StabilityReport:
     """Full stability comparison for the signal pair (f, g).
 
-    Computes both transforms, the active mask Omega = {|Gf| >= 1e-9 max},
-    z0 = argmax |Gf|, the Cheeger estimate of |Gf|^p on Omega (on a
-    block-coarsened grid for tractability), and every term of the two
-    right-hand sides.  With a partition, component-wise alignment is added;
-    with a NoiseSpec gamma, the achieved noise level
-    epsilon = dnorm(|Gf| + gamma - |Gg|) and the noise bound
-    (1 + h^{-1}) (epsilon + dnorm(gamma)) are added.
+    Computes both transforms on the phase grid (the desk-scale default
+    for the signal dimension when none is given) and assembles every term
+    from them.
     """
     if f.geometry != g.geometry:
         raise ValueError("signals must share one geometry")
     d = f.geometry.rank
     check_admissible(p, q, d)
     pg = default_phase_geometry(d) if phase_geometry is None else phase_geometry
-    F1 = gabor_transform(f, pg)
-    F2 = gabor_transform(g, pg)
+    return _assemble_terms(gabor_transform(f, pg), gabor_transform(g, pg), p, q,
+                           partition, noise, cheeger_coarsen)
+
+
+def _assemble_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float, q: float,
+                    partition: DomainPartition | None, noise: NoiseSpec | None,
+                    cheeger_coarsen: int) -> StabilityReport:
+    """Every term of the stability comparison from the transforms of f and g.
+
+    Builds the active mask Omega = {|Gf| >= 1e-9 max}, z0 = argmax |Gf|,
+    the Cheeger estimate of |Gf|^p on Omega (on a block-coarsened grid for
+    tractability), and every term of the two right-hand sides.  With a
+    partition, component-wise alignment is added; with a NoiseSpec gamma,
+    the achieved noise level epsilon = dnorm(|Gf| + gamma - |Gg|) and the
+    noise bound (1 + h^{-1}) (epsilon + dnorm(gamma)) are added.
+    """
+    pg = F1.geometry
     S1 = spectrogram(F1)
     S2 = spectrogram(F2)
     peak = float(S1.values.max())
     if peak <= 0.0:
         raise ValueError("f has a zero spectrogram; the weight w = |Gf|^p is degenerate")
-    mask = S1.values >= ACTIVE_THRESHOLD * peak
     z0 = S1.argmax_location
-    lhs = align_phase_global(F1, F2, p, mask=mask).residual
-    wgrid = weight_from_spectrogram(S1, power=p).coarsen(cheeger_coarsen)
-    est = sweep_cut_cheeger(wgrid)
+    est = sweep_cut_cheeger(weight_from_spectrogram(S1, power=p).coarsen(cheeger_coarsen))
     h = est.h
-    cells = fdiff.MaskCells(pg, mask)
-    value, grad = sobolev_diff_pieces(S1, S2, p, cells)
-    sobolev = value + grad
+    cells = fdiff.MaskCells(pg, S1.values >= ACTIVE_THRESHOLD * peak)
+    route = _route_terms(F1, F2, S1, S2, p, cells, h)
+    sobolev = route.value_term + route.gradient_term
     weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)
-    ld = logderiv_term(S1, S2, p, cells)
-    cheeger_factor = math.inf if h == 0.0 else 2.0 ** 4.5 / h
-    rhs_cheeger = value + cheeger_factor * (grad + ld.value)
     shape_factor = math.inf if h == 0.0 else 1.0 + 1.0 / h
     rhs_shape = shape_factor * (sobolev + weighted)
     report = {
-        "p": float(p), "q": float(q), "d": d,
-        "lhs": lhs,
+        "p": float(p), "q": float(q), "d": pg.rank // 2,
+        "lhs": route.lhs,
         "h_upper": est.h_upper,
         "h_oracle": est.h_oracle,
         "fiedler_value": est.fiedler_value,
         "disconnected": est.disconnected,
         "z0": tuple(float(c) for c in z0),
-        "value_term": value,
-        "gradient_term": grad,
+        "value_term": route.value_term,
+        "gradient_term": route.gradient_term,
         "sobolev_term": sobolev,
         "weighted_term": weighted,
-        "logderiv_term": ld.value,
-        "logderiv_excluded_mass": ld.excluded_mass_fraction,
-        "rhs_cheeger_route": rhs_cheeger,
+        "logderiv_term": route.logderiv.value,
+        "logderiv_excluded_mass": route.logderiv.excluded_mass_fraction,
+        "rhs_cheeger_route": route.rhs,
         "rhs_weighted_shape": rhs_shape,
-        "ratio": _finite_ratio(lhs, rhs_shape),
+        "ratio": _finite_ratio(route.lhs, rhs_shape),
     }
     if partition is not None:
         multi = align_phase_multicomponent(F1, F2, p, partition)
@@ -639,6 +597,8 @@ class InstabilityRow:
 
 def sweep_phase_geometry(T: float, spacing: float = 1.0 / 16.0) -> GridGeometry:
     """Phase box wide enough for bumps at -+T/2: x in +-(T/2 + 4), y in +-4."""
+    if not spacing > 0.0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
     half = T / 2.0 + 4.0
     nx = int(round(2 * half / spacing)) + 1
     ny = int(round(8.0 / spacing)) + 1
@@ -660,21 +620,10 @@ def instability_sweep(T_values, p: float = 1.0, q: float = 3.0,
     for T in T_values:
         T = float(T)
         pg = sweep_phase_geometry(T, spacing)
-        c1, c2 = (-T / 2.0,), (+T / 2.0,)
-        plus = two_bump_spec(c1, (0.0,), c2, (0.0,), sign=+1)
-        minus = two_bump_spec(c1, (0.0,), c2, (0.0,), sign=-1)
-        F1 = analytic_gabor_transform(plus, pg)
-        F2 = analytic_gabor_transform(minus, pg)
-        S1 = spectrogram(F1)
-        S2 = spectrogram(F2)
-        mask = S1.values >= ACTIVE_THRESHOLD * float(S1.values.max())
-        z0 = S1.argmax_location
-        lhs = align_phase_global(F1, F2, p, mask=mask).residual
-        est = sweep_cut_cheeger(weight_from_spectrogram(S1, power=p).coarsen(cheeger_coarsen))
-        cells = fdiff.MaskCells(pg, mask)
-        sobolev = sobolev_diff_norm(S1, S2, p, cells)
-        weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)
+        F1, F2 = (analytic_gabor_transform(spec, pg) for spec in _instability_specs(T, 1))
+        r = _assemble_terms(F1, F2, p, q, None, None, cheeger_coarsen)
         rows.append(InstabilityRow(
-            T=T, h=est.h, lhs=lhs, sobolev=sobolev, weighted=weighted,
-            ratio=_finite_ratio(lhs, sobolev + weighted)))
+            T=T, h=r.h_upper if r.h_oracle is None else r.h_oracle, lhs=r.lhs,
+            sobolev=r.sobolev_term, weighted=r.weighted_term,
+            ratio=_finite_ratio(r.lhs, r.sobolev_term + r.weighted_term)))
     return rows

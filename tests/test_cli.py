@@ -54,7 +54,8 @@ def load_json(path):
 
 
 def read_csv(path):
-    lines = open(path, "r", encoding="utf-8").read().splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
@@ -635,6 +636,94 @@ class TestExitCodes:
     def test_run_config_rejects_unknown_command(self):
         with pytest.raises(cli.ConfigError, match="unknown command"):
             cli.run_config("transmogrify", {})
+
+
+STABILITY_REPORT_CFG = {
+    "pair": {"kind": "instability", "T": 2.0},
+    "signal_geometry": GEOM_1D,
+    "phase_geometry": PHASE_2D,
+    "p": 1.0,
+    "q": 3.0,
+    "coarsen": 2,
+    "partition": {"axis": 0, "threshold": 0.0},
+    "output": "report.json",
+}
+NUMBER_KEY_CASES = [
+    ("stability", STABILITY_REPORT_CFG, ("p",), "stability.p"),
+    ("stability", STABILITY_REPORT_CFG, ("q",), "stability.q"),
+    ("stability", STABILITY_REPORT_CFG, ("coarsen",), "stability.coarsen"),
+    ("stability", STABILITY_REPORT_CFG, ("pair", "T"), "stability.pair.T"),
+    ("stability", STABILITY_REPORT_CFG, ("partition", "threshold"),
+     "stability.partition.threshold"),
+    ("stability", {"p": 1.0, "q": 3.0, "sweep": {"T_values": [2.0], "spacing": 0.25,
+                                                 "output": "sweep.csv"}},
+     ("sweep", "spacing"), "stability.sweep.spacing"),
+    ("stability", {**STABILITY_REPORT_CFG,
+                   "noise": {"kind": "gaussian-bump", "amplitude": 0.01, "width": 1.0}},
+     ("noise", "width"), "stability.noise.width"),
+    ("stability", {**STABILITY_REPORT_CFG,
+                   "noise": {"kind": "band-limited", "amplitude": 0.001, "cutoff": 4,
+                             "seed": 11}},
+     ("noise", "amplitude"), "stability.noise.amplitude"),
+    ("stability", {**STABILITY_REPORT_CFG,
+                   "noise": {"kind": "band-limited", "amplitude": 0.001, "cutoff": 4,
+                             "seed": 11}},
+     ("noise", "cutoff"), "stability.noise.cutoff"),
+    ("stability", {**STABILITY_REPORT_CFG,
+                   "noise": {"kind": "band-limited", "amplitude": 0.001, "cutoff": 4,
+                             "seed": 11}},
+     ("noise", "seed"), "stability.noise.seed"),
+    ("entire", {"function": {"kind": "polynomial", "coefficients": [1, 0, -1]},
+                "p": 1.0, "alpha": 1.0, "beta": 2.0, "radii": [1.0], "output": "n.csv"},
+     ("p",), "entire.p"),
+    ("entire", {"function": {"kind": "polynomial", "coefficients": [1, 0, -1]},
+                "alpha": 1.0, "beta": 2.0, "radii": [1.0], "output": "n.csv"},
+     ("beta",), "entire.beta"),
+    ("entire", {"function": {"kind": "polynomial", "coefficients": [1, 0, -1]},
+                "alpha": 1.0, "beta": 2.0, "radii": [1.0], "output": "n.csv"},
+     ("alpha",), "entire.alpha"),
+    ("cheeger", {"weight": {"kind": "gaussian",
+                            "geometry": {"extents": [9, 9], "lo": -4.0, "hi": 4.0}},
+                 "coarsen": 1, "output": "h.json"},
+     ("coarsen",), "cheeger.coarsen"),
+]
+
+
+class TestConfigNumbers:
+    """A config number that is null, a list, a bool or a string exits 2."""
+
+    @pytest.mark.parametrize("bad", [None, [1.0], True, "1"],
+                             ids=["null", "list", "bool", "string"])
+    @pytest.mark.parametrize("command,base,path,context", NUMBER_KEY_CASES,
+                             ids=[f"{c[3]}" for c in NUMBER_KEY_CASES])
+    def test_non_number_exits_2_naming_the_key(self, tmp_path, capsys, command, base,
+                                               path, context, bad):
+        cfg = json.loads(json.dumps(base))
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = bad
+        assert run_main(command, write_cfg(tmp_path, "cfg.json", cfg),
+                        tmp_path) == cli.EXIT_CONFIG
+        assert context in capsys.readouterr().err
+
+    def test_zero_sweep_spacing_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "p": 1.0, "q": 3.0,
+            "sweep": {"T_values": [2.0], "spacing": 0, "output": "sweep.csv"}})
+        assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
+        assert "spacing must be positive" in capsys.readouterr().err
+
+    def test_sweep_defaults_come_from_the_library(self, tmp_path):
+        from gaborstab.stability import instability_sweep
+
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"sweep": {"T_values": [2.0], "output": "sweep.csv"}})
+        assert run_main("stability", cfg, tmp_path) == 0
+        _, rows = read_csv(str(tmp_path / "sweep.csv"))
+        (row,) = instability_sweep([2.0])
+        assert rows == [[repr(v) for v in (row.T, row.h, row.lhs, row.sobolev,
+                                           row.weighted, row.ratio)]]
 
 
 class TestThreads:

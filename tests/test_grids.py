@@ -49,6 +49,29 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             geom.index_coordinates((1,))
 
+    @pytest.mark.parametrize("extents", [(7,), (5, 6), (3, 4, 5), (3, 2, 4, 3)])
+    def test_distance_sq_equals_a_loop_over_cells(self, extents):
+        rng = np.random.default_rng(len(extents))
+        geom = GridGeometry(extents=extents, spacing=rng.uniform(0.1, 1.0, len(extents)),
+                            origin=rng.uniform(-2.0, 0.0, len(extents)))
+        center = rng.uniform(-1.0, 1.0, len(extents))
+        r2 = geom.distance_sq(center)
+        r2_origin = geom.distance_sq()
+        assert r2.shape == r2_origin.shape == extents
+        for idx in np.ndindex(*extents):
+            z = np.array(geom.index_coordinates(idx))
+            assert r2[idx] == pytest.approx(float(np.sum((z - center) ** 2)), rel=1e-14)
+            assert r2_origin[idx] == pytest.approx(float(np.sum(z ** 2)), rel=1e-14)
+        # The indexed form holds the full-grid values at the listed cells.
+        index = np.nonzero(rng.uniform(size=extents) < 0.4)
+        assert np.array_equal(geom.distance_sq(center, index), r2[index])
+
+    def test_distance_sq_rejects_a_center_of_the_wrong_length(self):
+        geom = box_geometry((3, 4), -1.0, 1.0)
+        for center in ((0.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]]):
+            with pytest.raises(ValueError, match="one coordinate per grid axis"):
+                geom.distance_sq(center)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -624,6 +624,33 @@ class TestInstabilitySweep:
         with pytest.raises(AdmissibilityError):
             instability_sweep([2.0], p=2.0, q=2.0)
 
+    def test_sweep_row_is_the_per_term_formula_bit_for_bit(self):
+        # The row read off the assembled report equals the terms computed
+        # one by one: closed forms -> Omega -> alignment -> norm terms.
+        from gaborstab.cheeger import sweep_cut_cheeger, weight_from_spectrogram
+
+        T, spacing = 3.0, 1.0 / 8.0
+        (row,) = instability_sweep([T], p=1.0, q=3.0, spacing=spacing)
+        pg = sweep_phase_geometry(T, spacing)
+        F1, F2 = (analytic_gabor_transform(
+            two_bump_spec((-T / 2.0,), (0.0,), (T / 2.0,), (0.0,), sign=s), pg)
+            for s in (+1, -1))
+        S1, S2 = spectrogram(F1), spectrogram(F2)
+        mask = S1.values >= 1e-9 * float(S1.values.max())
+        lhs = align_phase_global(F1, F2, 1.0, mask=mask).residual
+        h = sweep_cut_cheeger(weight_from_spectrogram(S1, power=1.0).coarsen(2)).h
+        cells = fdiff.MaskCells(pg, mask)
+        sobolev = sobolev_diff_norm(S1, S2, 1.0, cells)
+        weighted = weighted_lq_diff_norm(S1, S2, 3.0, S1.argmax_location, mask=cells)
+        assert (row.T, row.h, row.lhs, row.sobolev, row.weighted) == (
+            T, h, lhs, sobolev, weighted)
+        assert row.ratio == lhs / (sobolev + weighted)
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.125, math.nan])
+    def test_sweep_rejects_a_nonpositive_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            instability_sweep([2.0], spacing=spacing)
+
     def test_sweep_geometry_covers_bumps(self):
         pg = sweep_phase_geometry(6.0)
         assert pg.origin == (-7.0, -4.0)

@@ -13,6 +13,7 @@ h = 0 by construction; that case is detected and reported directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,14 +169,25 @@ class WeightGraph:
         return (np.bincount(self.edge_tail, weights=self.edge_weight, minlength=n)
                 + np.bincount(self.edge_head, weights=self.edge_weight, minlength=n))
 
-    def laplacian_matvec(self, v: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    def laplacian_operator(self, degrees: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> L v = degrees * v - A v, with A split into two CSR halves built once.
+
+        Row i of the tail half holds the edges with tail i, and row i of the
+        head half those with head i, each in edge order.  Every row sum of
+        A v then adds its products in edge order, the order in which
+        np.bincount over the edge list would add them.
+        """
         n = self.num_vertices
-        out = degrees * v
-        out -= np.bincount(self.edge_tail, weights=self.edge_weight * v[self.edge_head],
-                           minlength=n)
-        out -= np.bincount(self.edge_head, weights=self.edge_weight * v[self.edge_tail],
-                           minlength=n)
-        return out
+        tail_rows = _edge_ordered_csr(self.edge_tail, self.edge_head, self.edge_weight, n)
+        head_rows = _edge_ordered_csr(self.edge_head, self.edge_tail, self.edge_weight, n)
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return degrees * v - tail_rows @ v - head_rows @ v
+
+        return matvec
+
+    def laplacian_matvec(self, v: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+        return self.laplacian_operator(degrees)(v)
 
     def component_labels(self) -> tuple[int, np.ndarray]:
         # Zero-weight edges carry no boundary cost, so they must not merge
@@ -200,6 +212,19 @@ class WeightGraph:
                            edge_tail=renum[self.edge_tail[esel]],
                            edge_head=renum[self.edge_head[esel]],
                            edge_weight=self.edge_weight[esel]), old
+
+
+def _edge_ordered_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                      n: int) -> scipy.sparse.csr_array:
+    """n x n CSR matrix whose rows keep their entries in input order.
+
+    A stable argsort groups the entries by row.  The COO constructor would
+    sort each row by column, which reorders the row sums of a product.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return scipy.sparse.csr_array((data[order], cols[order], indptr), shape=(n, n))
 
 
 def build_weight_graph(w: WeightGrid) -> WeightGraph:
@@ -242,12 +267,19 @@ def build_weight_graph(w: WeightGrid) -> WeightGraph:
 
 @dataclass(frozen=True, slots=True)
 class FiedlerResult:
-    """Second generalized eigenpair of (L, M) plus convergence diagnostics."""
+    """Second generalized eigenpair of (L, M) plus convergence diagnostics.
+
+    residual is the Lanczos estimate beta * |last Ritz entry| that stopped
+    the iteration, absolute in the scale sigma of the shifted operator;
+    relative_residual = ||L u - value M u|| / (value ||M u||) is measured on
+    the returned pair (infinite when value <= 0).
+    """
 
     value: float
     vector: np.ndarray
     iterations: int
     residual: float
+    relative_residual: float
 
 
 def _lanczos_seed(n: int, scale: np.ndarray) -> np.ndarray:
@@ -258,6 +290,18 @@ def _lanczos_seed(n: int, scale: np.ndarray) -> np.ndarray:
     return scale * ramp
 
 
+def _top_ritz_residual(alphas: list[float], betas: list[float], beta: float) -> float:
+    """Residual estimate beta * |last entry| of the top Ritz vector alone.
+
+    One eigenpair of the tridiagonal matrix costs O(k), the full
+    eigensolve O(k^2) per step.
+    """
+    k = len(alphas)
+    _, vec = scipy.linalg.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas),
+                                           select="i", select_range=(k - 1, k - 1))
+    return beta * abs(float(vec[-1, 0]))
+
+
 def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
                    max_iter: int | None = None) -> FiedlerResult:
     """Eigenvector for the second-smallest eigenvalue of the weighted Laplacian.
@@ -266,8 +310,11 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
     form S = M^{-1/2} L M^{-1/2} with Lanczos iteration on sigma*I - S:
     the constant generalized eigenvector M^{1/2} 1 is deflated, every Krylov
     vector is reorthogonalized against all previous ones, and Ritz pairs come
-    from the tridiagonal eigensolve.  Deterministic: the seed is a fixed
-    centered index ramp.
+    from the tridiagonal eigensolve.  Each step screens for convergence with
+    the top Ritz pair alone; the full eigensolve runs only once that estimate
+    is within a factor 2 of the tolerance, and on any step where the
+    iteration must stop (breakdown, step cap or basis budget).
+    Deterministic: the seed is a fixed centered index ramp.
     """
     n = graph.num_vertices
     ncomp, _ = graph.component_labels()
@@ -285,9 +332,10 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
     masses[masses == 0.0] = 1e-12 * float(positive.min())
     inv_sqrt_m = 1.0 / np.sqrt(masses)
     degrees = graph.degrees()
+    laplacian = graph.laplacian_operator(degrees)
 
     def apply_s(v: np.ndarray) -> np.ndarray:
-        return inv_sqrt_m * graph.laplacian_matvec(inv_sqrt_m * v, degrees)
+        return inv_sqrt_m * laplacian(inv_sqrt_m * v)
 
     # Gershgorin upper bound for S: diag + absolute off-diagonal row sums.
     offdiag = graph.edge_weight * inv_sqrt_m[graph.edge_tail] * inv_sqrt_m[graph.edge_head]
@@ -340,15 +388,20 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
             coeffs = basis[: k + 1] @ w
             w -= basis[: k + 1].T @ coeffs
         beta = float(np.linalg.norm(w))
-        evals, evecs = scipy.linalg.eigh_tridiagonal(
-            np.asarray(alphas), np.asarray(betas))
-        top = int(np.argmax(evals))
-        theta = float(evals[top])
-        ritz = evecs[:, top]
-        residual = beta * abs(float(ritz[-1]))
         k += 1
-        if residual <= tol * sigma or beta <= 1e-14 * sigma:
-            break
+        exhausted = beta <= 1e-14 * sigma
+        if exhausted or k >= cap or k >= rows or _top_ritz_residual(
+                alphas, betas, beta) <= 2.0 * tol * sigma:
+            # The full eigensolve decides convergence and yields theta and
+            # the Ritz vector; the top pair alone only screens for it.
+            evals, evecs = scipy.linalg.eigh_tridiagonal(
+                np.asarray(alphas), np.asarray(betas))
+            top = int(np.argmax(evals))
+            theta = float(evals[top])
+            ritz = evecs[:, top]
+            residual = beta * abs(float(ritz[-1]))
+            if residual <= tol * sigma or exhausted:
+                break
         if k >= cap:
             raise ConvergenceError(
                 f"Fiedler iteration did not converge in {k} steps: "
@@ -362,8 +415,12 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
     u /= np.linalg.norm(u)
     if u[int(np.argmax(np.abs(u)))] < 0:
         u = -u
-    return FiedlerResult(value=float(sigma - theta), vector=u,
-                         iterations=k, residual=float(residual))
+    value = float(sigma - theta)
+    mu = masses * u
+    relative = (float(np.linalg.norm(laplacian(u) - value * mu))
+                / (value * float(np.linalg.norm(mu))) if value > 0 else math.inf)
+    return FiedlerResult(value=value, vector=u, iterations=k, residual=float(residual),
+                         relative_residual=relative)
 
 
 # ---------------------------------------------------------------------------

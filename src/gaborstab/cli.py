@@ -13,7 +13,8 @@ exponents, 4 numerical non-convergence, 5 I/O failure.
 
 Thread control: --threads (or the GGR_THREADS environment variable) is
 exported to the BLAS/OpenMP thread variables before numerical modules are
-imported, which is why all heavy imports in this module are local.  The
+imported, which is why all heavy imports in this module are local; main
+restores the caller's values of those variables when it returns.  The
 default is a single thread, which keeps reductions deterministic so that
 identical configs and seeds produce byte-identical outputs.
 """
@@ -463,7 +464,7 @@ def _noise_from(block, geometry, seed, context: str):
 def _stability_pair(cfg: dict, context: str):
     from .grids import box_geometry, read_signal
     from .signals import hermite_gaussian, make_analytic, gaussian_spec
-    from .stability import make_instability_pair
+    from .stability import instability_signal_geometry, make_instability_pair
 
     block = _require(cfg, "pair", context)
     if not isinstance(block, dict):
@@ -482,9 +483,8 @@ def _stability_pair(cfg: dict, context: str):
         if "signal_geometry" in cfg:
             sg = _geometry_from(cfg["signal_geometry"], f"{context}.signal_geometry")
         else:
-            half = T / 2.0 + 5.0
-            n = int(round(2 * half * 32)) + 1
-            sg = box_geometry((n,), -half, half)
+            with _config_errors(f"{context}.pair.T"):
+                sg = instability_signal_geometry(T)
         with _config_errors(f"{context}.pair"):
             return make_instability_pair(1, T, sg)
     if kind == "gaussian-hermite":
@@ -504,7 +504,8 @@ def _stability_pair(cfg: dict, context: str):
 
 
 def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
-    from .stability import DEFAULT_CHEEGER_COARSEN, instability_sweep, stability_report
+    from .stability import (DEFAULT_CHEEGER_COARSEN, SWEEP_SPACING, instability_sweep,
+                            stability_report, sweep_phase_geometry)
 
     coarsen = _as_int(cfg.get("coarsen", DEFAULT_CHEEGER_COARSEN), "stability.coarsen", 1)
 
@@ -519,6 +520,11 @@ def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
                 for block, context, key in ((cfg, "stability", "p"), (cfg, "stability", "q"),
                                             (sw, "stability.sweep", "spacing"))
                 if key in block}
+        # instability_sweep also sizes every grid before its first row; doing
+        # it here puts the config context on a T that cannot be run.
+        with _config_errors("stability.sweep"):
+            for T in T_values:
+                sweep_phase_geometry(T, opts.get("spacing", SWEEP_SPACING))
         rows = instability_sweep(T_values, cheeger_coarsen=coarsen, **opts)
         path = _out_path(out_dir, _require(sw, "output", "stability.sweep"),
                          "stability.sweep.output")
@@ -602,9 +608,29 @@ def _resolve_threads(option) -> int:
     return option
 
 
-def _export_thread_env(threads: int) -> None:
+@contextlib.contextmanager
+def _thread_env(threads: int):
+    """Export the thread count to THREAD_ENV_VARS; restore the caller's values on exit.
+
+    BLAS reads these variables when numpy loads.  A caller that runs main
+    in a process where numpy is already loaded keeps its thread count, so
+    asking for more than one thread there is reported on stderr.
+    """
+    saved = {var: os.environ.get(var) for var in THREAD_ENV_VARS}
+    if threads > 1 and "numpy" in sys.modules:
+        print(f"gaborstab: {threads} threads requested, but numpy is already loaded "
+              "in this process; its BLAS keeps the thread count it started with",
+              file=sys.stderr)
     for var in THREAD_ENV_VARS:
         os.environ[var] = str(threads)
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,12 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _export_thread_env(_resolve_threads(args.threads))
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        summaries = run_config(args.command, cfg, args.out, args.seed)
+        with _thread_env(_resolve_threads(args.threads)):
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError("--seed must be nonnegative")
+            cfg = _load_config(args.config)
+            os.makedirs(args.out, exist_ok=True)
+            summaries = run_config(args.command, cfg, args.out, args.seed)
     except Exception as exc:  # one exit code per failure class, first match wins
         for types, code, label in _FAILURE_CLASSES:
             if isinstance(exc, types):

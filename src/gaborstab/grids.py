@@ -8,6 +8,7 @@ phase-space grids interleave axes as (x_1, y_1, ..., x_d, y_d).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -19,6 +20,9 @@ GRID_MAGIC = b"GGR1"
 GRID_VERSION = 1
 _DTYPE_REAL = 0
 _DTYPE_COMPLEX = 1
+# Largest box that box_samples sizes from a parameter (such as the bump
+# separation T): 2^22 cells, 64 MiB for one complex128 grid.
+MAX_GRID_CELLS = 1 << 22
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +127,21 @@ def box_geometry(extents, lo, hi) -> GridGeometry:
         raise ValueError("a box needs at least 2 samples per axis")
     spacing = tuple((h - l) / (n - 1) for l, h, n in zip(lo, hi, extents))
     return GridGeometry(extents=extents, spacing=spacing, origin=lo)
+
+
+def box_samples(lengths, spacing: float, what: str) -> tuple[int, ...]:
+    """Samples per axis, round(length / spacing) + 1, of a box sized from a parameter.
+
+    The counts are checked as floats before any int conversion: an infinite
+    or NaN length, or a box of more than MAX_GRID_CELLS cells, raises
+    ValueError naming `what` instead of OverflowError or a huge allocation.
+    """
+    counts = [length / spacing + 1.0 for length in lengths]
+    if not math.prod(counts) <= MAX_GRID_CELLS:
+        shape = " x ".join(f"{c:.0f}" for c in counts)
+        raise ValueError(f"{what} would need {shape} samples, "
+                         f"over the limit of {MAX_GRID_CELLS} cells")
+    return tuple(int(round(length / spacing)) + 1 for length in lengths)
 
 
 def _validated_values(geometry: GridGeometry, values: np.ndarray, dtype) -> np.ndarray:

@@ -29,13 +29,15 @@ from .entire import check_logderiv_exponent, max_admissible_p as max_report_p
 from .errors import AdmissibilityError
 from .gabor import (Spectrogram, _boundary_max, _check_exponent, _lp_norm, gabor_transform,
                     spectrogram)
-from .grids import DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry
+from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry,
+                    box_samples)
 from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
 
 LOGDERIV_EXCLUSION = 1e-12
 COARSE_SCAN_POINTS = 64
 GOLDEN_TOL = 1e-10
 DEFAULT_CHEEGER_COARSEN = 2
+SWEEP_SPACING = 1.0 / 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +89,70 @@ def _cells(geometry: GridGeometry,
 
 @dataclass(frozen=True, slots=True)
 class PhaseAlignment:
-    """Optimal unimodular factor a = e^{i theta_star} and the aligned distance."""
+    """Optimal unimodular factor a = e^{i theta_star} and the aligned distance.
+
+    evaluations counts the objective calls of the search (0 for the closed
+    form).
+    """
 
     theta_star: float
     residual: float
     method: str
+    evaluations: int = 0
 
 
 def _wrap_angle(theta: float) -> float:
     wrapped = float(theta) % (2.0 * math.pi)
     return 0.0 if wrapped >= 2.0 * math.pi else wrapped
+
+
+def _brent_minimize(f, a: float, b: float, x: float, fx: float,
+                    tol: float) -> tuple[float, float, int]:
+    """Brent's parabolic minimization of f on [a, b], started from the point x.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5,
+    with a purely absolute tolerance.  x must carry the smallest value fx
+    known so far.  x only ever moves to a point that is at least as low,
+    and for a unimodal f the result (x, fx, calls) has its minimizer within
+    tol of x.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    tol1 = 0.5 * tol
+    calls = 0
+    while abs(x - 0.5 * (a + b)) > tol - 0.5 * (b - a):
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if x + d - a < tol or b - (x + d) < tol:
+                    d = tol1 if x < mid else -tol1
+        if not parabolic:
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        calls += 1
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, calls
 
 
 def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
@@ -105,9 +161,14 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
     """Minimize theta -> ||F2 - e^{i theta} F1||_{L^p(Omega)} over the circle.
 
     p = 2 has the closed form a* = <F2, F1>/|<F2, F1>| (a* = 1 for a zero
-    inner product); other p run a 64-point coarse scan followed by
-    golden-section refinement to |delta theta| <= 1e-10.  force_search runs
-    the search path at p = 2 as well, for cross-checking the closed form.
+    inner product).  Other p scan 64 equispaced angles, then refine the
+    offset from the best scan point over its two neighbouring intervals by
+    Brent's parabolic method, to an absolute tolerance of GOLDEN_TOL = 1e-10
+    in theta.  The refinement starts from the scan point and only moves to
+    points at least as low, so a minimum with a corner exactly on a scan
+    point (theta = 0 or pi, as for F2 = +-F1 on Omega) is returned at that
+    point.  force_search runs the search path at p = 2 as well, for
+    cross-checking the closed form.
     """
     if F1.geometry != F2.geometry:
         raise ValueError("phase-space grids must share one geometry")
@@ -131,7 +192,7 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         return PhaseAlignment(theta_star=theta, residual=math.sqrt(residual_sq),
                               method="closed-form")
 
-    # The search evaluates the objective ~110 times; filling two buffers of
+    # The search evaluates the objective 70-90 times; filling two buffers of
     # the packed size in place spares each evaluation full-grid temporaries.
     diff = np.empty_like(sel1)
     mag = np.empty(sel1.shape)
@@ -140,30 +201,17 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         np.multiply(np.exp(1j * theta), sel1, out=diff)
         np.subtract(sel2, diff, out=diff)
         np.abs(diff, out=mag)
-        return float(np.sum(mag ** p) * vol) ** (1.0 / p)
+        return float(np.sum(mag if p == 1.0 else mag ** p) * vol) ** (1.0 / p)
 
     thetas = 2.0 * math.pi * np.arange(COARSE_SCAN_POINTS) / COARSE_SCAN_POINTS
     coarse = np.array([objective(t) for t in thetas])
     k = int(np.argmin(coarse))
     step = 2.0 * math.pi / COARSE_SCAN_POINTS
-    lo, hi = thetas[k] - step, thetas[k] + step
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    e = a + gr * (b - a)
-    fc, fe = objective(c), objective(e)
-    while b - a > GOLDEN_TOL:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - gr * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + gr * (b - a)
-            fe = objective(e)
-    theta = _wrap_angle(0.5 * (a + b))
-    return PhaseAlignment(theta_star=theta, residual=objective(theta),
-                          method="search")
+    delta, residual, calls = _brent_minimize(
+        lambda offset: objective(_wrap_angle(thetas[k] + offset)),
+        -step, step, 0.0, float(coarse[k]), GOLDEN_TOL)
+    return PhaseAlignment(theta_star=_wrap_angle(thetas[k] + delta), residual=residual,
+                          method="search", evaluations=COARSE_SCAN_POINTS + calls)
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,8 +419,8 @@ def make_instability_pair(d: int, T: float, geometry: GridGeometry) -> tuple[Sig
     The grid must contain both bumps: the samples of either combination on
     the grid boundary must be negligible against the peak.
     """
-    if T <= 0:
-        raise ValueError("separation T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"separation T must be positive and finite, got {T}")
     if geometry.rank != d:
         raise ValueError("geometry rank must equal the signal dimension")
     f_plus, f_minus = (make_analytic(spec, geometry) for spec in _instability_specs(T, d))
@@ -595,18 +643,39 @@ class InstabilityRow:
     ratio: float
 
 
-def sweep_phase_geometry(T: float, spacing: float = 1.0 / 16.0) -> GridGeometry:
-    """Phase box wide enough for bumps at -+T/2: x in +-(T/2 + 4), y in +-4."""
+def _finite_separation(T: float) -> float:
+    if not math.isfinite(T):
+        raise ValueError(f"T = {T} must be finite")
+    return T
+
+
+def instability_signal_geometry(T: float) -> GridGeometry:
+    """Signal box for the d = 1 pair: t in +-(T/2 + 5) at spacing 1/32.
+
+    A non-finite T, or a box over grids.MAX_GRID_CELLS samples, raises
+    ValueError.
+    """
+    half = _finite_separation(T) / 2.0 + 5.0
+    (n,) = box_samples((2 * half,), 1.0 / 32.0, f"the signal grid for T = {T}")
+    return box_geometry((n,), -half, half)
+
+
+def sweep_phase_geometry(T: float, spacing: float = SWEEP_SPACING) -> GridGeometry:
+    """Phase box wide enough for bumps at -+T/2: x in +-(T/2 + 4), y in +-4.
+
+    A non-finite T, or a box over grids.MAX_GRID_CELLS cells, raises
+    ValueError.
+    """
     if not spacing > 0.0:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    half = T / 2.0 + 4.0
-    nx = int(round(2 * half / spacing)) + 1
-    ny = int(round(8.0 / spacing)) + 1
+    half = _finite_separation(T) / 2.0 + 4.0
+    nx, ny = box_samples((2 * half, 8.0), spacing,
+                         f"the phase grid for T = {T} at spacing {spacing}")
     return box_geometry((nx, ny), (-half, -4.0), (half, 4.0))
 
 
 def instability_sweep(T_values, p: float = 1.0, q: float = 3.0,
-                      spacing: float = 1.0 / 16.0,
+                      spacing: float = SWEEP_SPACING,
                       cheeger_coarsen: int = DEFAULT_CHEEGER_COARSEN) -> list[InstabilityRow]:
     """Evaluate the instability pair over a list of separations T (d = 1).
 
@@ -616,10 +685,11 @@ def instability_sweep(T_values, p: float = 1.0, q: float = 3.0,
     from .signals import analytic_gabor_transform
 
     check_admissible(p, q, 1)
+    # Every phase grid is sized before the first row is computed, so a T
+    # that cannot be run fails at once.
+    grids = [(float(T), sweep_phase_geometry(float(T), spacing)) for T in T_values]
     rows = []
-    for T in T_values:
-        T = float(T)
-        pg = sweep_phase_geometry(T, spacing)
+    for T, pg in grids:
         F1, F2 = (analytic_gabor_transform(spec, pg) for spec in _instability_specs(T, 1))
         r = _assemble_terms(F1, F2, p, q, None, None, cheeger_coarsen)
         rows.append(InstabilityRow(

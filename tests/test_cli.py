@@ -714,6 +714,35 @@ class TestConfigNumbers:
         assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
         assert "spacing must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("T, message", [
+        (1e308, "inf samples, over the limit"),
+        (1e7, "320000321 samples, over the limit"),
+        (float("inf"), "T = inf must be finite"),
+        (float("nan"), "T = nan must be finite"),
+    ])
+    def test_instability_pair_T_too_large_exits_2(self, tmp_path, capsys, T, message):
+        # json writes inf and nan as Infinity and NaN, which json.load reads back.
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "pair": {"kind": "instability", "T": T}, "p": 1.0, "q": 3.0,
+            "output": "r.json"})
+        assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "stability.pair.T: " in err and message in err
+
+    @pytest.mark.parametrize("T, message", [
+        (1e5, "1600129 x 129 samples, over the limit"),
+        (1e308, "inf x 129 samples, over the limit"),
+        (float("inf"), "T = inf must be finite"),
+    ])
+    def test_sweep_T_too_large_exits_2(self, tmp_path, capsys, T, message):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "p": 1.0, "q": 3.0,
+            "sweep": {"T_values": [2.0, T], "output": "sweep.csv"}})
+        assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "stability.sweep: " in err and message in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_sweep_defaults_come_from_the_library(self, tmp_path):
         from gaborstab.stability import instability_sweep
 
@@ -727,36 +756,70 @@ class TestConfigNumbers:
 
 
 class TestThreads:
+    GEN = {"signal": {"kind": "gaussian"}, "geometry": GEOM_1D, "output": "sig.ggr"}
+
     def preset_env(self, monkeypatch):
         for var in cli.THREAD_ENV_VARS:
             monkeypatch.setenv(var, "sentinel")
 
+    def run_recording_env(self, tmp_path, monkeypatch, *extra):
+        """Run `gen` in process; return the thread variables seen during the run."""
+        seen = {}
+        real = cli.run_config
+
+        def recording(*args):
+            seen.update({v: os.environ.get(v) for v in cli.THREAD_ENV_VARS})
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_config", recording)
+        cfg = write_cfg(tmp_path, "gen.json", self.GEN)
+        assert run_main("gen", cfg, tmp_path, *extra) == 0
+        return seen
+
     def test_default_single_thread(self, tmp_path, monkeypatch):
         self.preset_env(monkeypatch)
         monkeypatch.delenv("GGR_THREADS", raising=False)
-        cfg = write_cfg(tmp_path, "gen.json", {
-            "signal": {"kind": "gaussian"}, "geometry": GEOM_1D,
-            "output": "sig.ggr"})
-        assert run_main("gen", cfg, tmp_path) == 0
-        assert all(os.environ[v] == "1" for v in cli.THREAD_ENV_VARS)
+        seen = self.run_recording_env(tmp_path, monkeypatch)
+        assert all(seen[v] == "1" for v in cli.THREAD_ENV_VARS)
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         self.preset_env(monkeypatch)
         monkeypatch.setenv("GGR_THREADS", "3")
-        cfg = write_cfg(tmp_path, "gen.json", {
-            "signal": {"kind": "gaussian"}, "geometry": GEOM_1D,
-            "output": "sig.ggr"})
-        assert run_main("gen", cfg, tmp_path) == 0
-        assert all(os.environ[v] == "3" for v in cli.THREAD_ENV_VARS)
+        seen = self.run_recording_env(tmp_path, monkeypatch)
+        assert all(seen[v] == "3" for v in cli.THREAD_ENV_VARS)
 
     def test_option_beats_env(self, tmp_path, monkeypatch):
         self.preset_env(monkeypatch)
         monkeypatch.setenv("GGR_THREADS", "5")
-        cfg = write_cfg(tmp_path, "gen.json", {
-            "signal": {"kind": "gaussian"}, "geometry": GEOM_1D,
-            "output": "sig.ggr"})
-        assert run_main("gen", cfg, tmp_path, "--threads", "2") == 0
-        assert all(os.environ[v] == "2" for v in cli.THREAD_ENV_VARS)
+        seen = self.run_recording_env(tmp_path, monkeypatch, "--threads", "2")
+        assert all(seen[v] == "2" for v in cli.THREAD_ENV_VARS)
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_caller_environment_restored(self, tmp_path, monkeypatch, ok):
+        self.preset_env(monkeypatch)
+        unset = cli.THREAD_ENV_VARS[1]
+        monkeypatch.delenv(unset)
+        cfg = write_cfg(tmp_path, "gen.json", self.GEN if ok else {"geometry": GEOM_1D})
+        code = run_main("gen", cfg, tmp_path, "--threads", "1")
+        assert code == (0 if ok else cli.EXIT_CONFIG)
+        assert unset not in os.environ
+        assert all(os.environ[v] == "sentinel" for v in cli.THREAD_ENV_VARS if v != unset)
+
+    def test_threads_after_numpy_loaded_reported_once(self, tmp_path, monkeypatch, capsys):
+        self.run_recording_env(tmp_path, monkeypatch, "--threads", "4")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "4 threads requested, but numpy is already loaded" in err
+
+    def test_single_thread_not_reported(self, tmp_path, monkeypatch, capsys):
+        self.run_recording_env(tmp_path, monkeypatch, "--threads", "1")
+        assert capsys.readouterr().err == ""
+
+    def test_fresh_process_not_reported(self, tmp_path):
+        cfg = write_cfg(tmp_path, "gen.json", self.GEN)
+        proc = run_subprocess("gen", cfg, tmp_path, "--threads", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestDeterminism:

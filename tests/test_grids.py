@@ -7,17 +7,36 @@ import pytest
 
 from gaborstab.errors import GridFormatError
 from gaborstab.grids import (
+    MAX_GRID_CELLS,
     DomainPartition,
     GridGeometry,
     PhaseSpaceGrid,
     SignalGrid,
     active_mask,
     box_geometry,
+    box_samples,
     read_grid,
     read_phase_grid,
     read_signal,
     write_grid,
 )
+
+
+class TestBoxSamples:
+    def test_counts_are_rounded_lengths_plus_one(self):
+        assert box_samples((14.0, 8.0), 1.0 / 16.0, "box") == (225, 129)
+        assert box_samples((2.0 * 3.7,), 0.1, "box") == (int(round(7.4 / 0.1)) + 1,)
+
+    def test_limit_is_inclusive(self):
+        side = float(MAX_GRID_CELLS - 1)
+        assert box_samples((side,), 1.0, "box") == (MAX_GRID_CELLS,)
+        with pytest.raises(ValueError, match=f"{MAX_GRID_CELLS + 1} samples"):
+            box_samples((side + 1.0,), 1.0, "box")
+
+    @pytest.mark.parametrize("length", [float("inf"), float("nan"), 1e308])
+    def test_nonfinite_counts_rejected_before_conversion(self, length):
+        with pytest.raises(ValueError, match="the test box would need"):
+            box_samples((length, 8.0), 1e-3, "the test box")
 
 
 class TestGridGeometry:

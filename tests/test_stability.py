@@ -8,7 +8,7 @@ import pytest
 from gaborstab import fdiff
 from gaborstab.errors import AdmissibilityError
 from gaborstab.gabor import gabor_transform, spectrogram
-from gaborstab.grids import DomainPartition, PhaseSpaceGrid, box_geometry
+from gaborstab.grids import MAX_GRID_CELLS, DomainPartition, PhaseSpaceGrid, box_geometry
 from gaborstab.signals import (
     analytic_gabor_transform,
     gaussian_spec,
@@ -17,12 +17,14 @@ from gaborstab.signals import (
     two_bump_spec,
 )
 from gaborstab.stability import (
+    COARSE_SCAN_POINTS,
     NoiseSpec,
     align_phase_global,
     align_phase_multicomponent,
     check_admissible,
     cheeger_route_terms,
     dnorm,
+    instability_signal_geometry,
     instability_sweep,
     logderiv_term,
     make_instability_pair,
@@ -121,6 +123,38 @@ class TestPhaseAlignment:
         scan_min = float(np.min(sums) ** (1.0 / p))
         assert got.residual <= scan_min + 1e-9
         assert abs(got.residual - scan_min) < 1e-6
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_brent_refinement_matches_million_point_scan(self, p):
+        rng = np.random.default_rng(11)
+        geom = box_geometry((8, 8), -1.0, 1.0)
+        v1 = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))).ravel()
+        v2 = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))).ravel()
+        got = align_phase_global(PhaseSpaceGrid(geom, v1.reshape(8, 8)),
+                                 PhaseSpaceGrid(geom, v2.reshape(8, 8)), p)
+        thetas = 2.0 * np.pi * np.arange(10 ** 6) / 10 ** 6
+        sums = np.concatenate([
+            np.sum(np.abs(v2[:, None] - np.exp(1j * chunk) * v1[:, None]) ** p, axis=0)
+            for chunk in np.split(thetas, 20)]) * geom.cell_volume
+        best = int(np.argmin(sums))
+        scan_min = float(sums[best] ** (1.0 / p))
+        assert got.residual <= scan_min + 1e-8
+        gap = abs(got.theta_star - thetas[best])
+        assert min(gap, 2.0 * np.pi - gap) <= 2.0 * np.pi / 10 ** 6
+        assert got.method == "search"
+        assert COARSE_SCAN_POINTS < got.evaluations <= COARSE_SCAN_POINTS + 25
+
+    def test_minimum_on_a_scan_point_is_returned_exactly(self):
+        # F2 = -F1: the minimum sits on the scan point theta = pi, where the
+        # objective has a corner; the search returns that point itself.
+        F1, F2, _ = self._random_pair()
+        res = align_phase_global(F1, PhaseSpaceGrid(F1.geometry, -F1.values), 1.0)
+        assert res.theta_star == math.pi
+        assert res.residual < 1e-14
+
+    def test_closed_form_makes_no_objective_calls(self):
+        F1, F2 = self._pair(1.0)
+        assert align_phase_global(F1, F2, 2.0).evaluations == 0
 
     def _random_pair(self, shape=(31, 37), seed=7):
         # more than 128 cells, so numpy's pairwise summation splits the sum
@@ -650,6 +684,40 @@ class TestInstabilitySweep:
     def test_sweep_rejects_a_nonpositive_spacing(self, spacing):
         with pytest.raises(ValueError, match="spacing must be positive"):
             instability_sweep([2.0], spacing=spacing)
+
+    @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
+    def test_sweep_geometry_rejects_a_nonfinite_T(self, T):
+        with pytest.raises(ValueError, match="must be finite"):
+            sweep_phase_geometry(T)
+        with pytest.raises(ValueError, match="must be finite"):
+            instability_signal_geometry(T)
+
+    @pytest.mark.parametrize("T", [1e5, 1e308])
+    def test_sweep_geometry_over_the_cell_limit_rejected(self, T):
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_GRID_CELLS} cells"):
+            sweep_phase_geometry(T)
+
+    def test_sweep_sizes_every_grid_before_the_first_row(self, monkeypatch):
+        from gaborstab import stability
+
+        def unreachable(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(stability, "_assemble_terms", unreachable)
+        with pytest.raises(ValueError, match="1600129 x 129 samples"):
+            instability_sweep([2.0, 1e5])
+
+    def test_signal_geometry_is_the_default_pair_box(self):
+        sg = instability_signal_geometry(2.0)
+        assert sg == box_geometry((int(round(12.0 * 32)) + 1,), -6.0, 6.0)
+        with pytest.raises(ValueError, match="over the limit"):
+            instability_signal_geometry(1e7)
+
+    def test_pair_rejects_a_nonfinite_T(self):
+        sg = box_geometry((65,), -8.0, 8.0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_instability_pair(1, T, sg)
 
     def test_sweep_geometry_covers_bumps(self):
         pg = sweep_phase_geometry(6.0)

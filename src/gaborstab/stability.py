@@ -35,6 +35,7 @@ from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
 
 LOGDERIV_EXCLUSION = 1e-12
 COARSE_SCAN_POINTS = 64
+SCAN_HEAVY_LEVEL = 1e-3
 GOLDEN_TOL = 1e-10
 DEFAULT_CHEEGER_COARSEN = 2
 SWEEP_SPACING = 1.0 / 16.0
@@ -91,8 +92,9 @@ def _cells(geometry: GridGeometry,
 class PhaseAlignment:
     """Optimal unimodular factor a = e^{i theta_star} and the aligned distance.
 
-    evaluations counts the objective calls of the search (0 for the closed
-    form).
+    evaluations counts the search's 64 scan angles, bounded or evaluated in
+    full, plus its refinement calls (0 for the closed form and for an empty
+    Omega).
     """
 
     theta_star: float
@@ -155,6 +157,37 @@ def _brent_minimize(f, a: float, b: float, x: float, fx: float,
     return x, fx, calls
 
 
+def _scan(power_sum, objective, sel1: np.ndarray, sel2: np.ndarray, p: float,
+          vol: float, thetas: np.ndarray) -> np.ndarray:
+    """The objective at every scan angle that can hold the scan minimum, +inf elsewhere.
+
+    power_sum(theta, a1, a2) is sum |a2 - e^{i theta} a1|^p vol, and
+    objective(theta) is power_sum(theta, sel1, sel2)^(1/p).  Over the heavy
+    cells, amp = |s1| + |s2| >= SCAN_HEAVY_LEVEL max(amp), power_sum is a
+    lower bound L_j at each angle.  The light cells add at most
+    sum (|s1| + |s2|)^p vol at any angle (triangle inequality), so L_j plus
+    that sum is an upper bound U_j.  The objective is evaluated wherever
+    L_j (1 - 1e-9) > min U (1 + 1e-9) does not hold.  The slack is far above
+    the rounding of either sum, and a NaN or inf bound prunes nothing, so
+    every angle that ties the minimum is evaluated and np.argmin of the
+    result is that of the full scan.  When every cell is heavy, the bound
+    passes are the scan.
+    """
+    amp = np.abs(sel1)
+    amp += np.abs(sel2)
+    heavy = amp >= SCAN_HEAVY_LEVEL * np.max(amp)
+    if heavy.all():
+        return np.array([objective(t) for t in thetas])
+    h1, h2 = sel1[heavy], sel2[heavy]
+    lower = np.array([power_sum(t, h1, h2) for t in thetas])
+    light = amp[~heavy]
+    upper = lower + float(np.sum(light if p == 1.0 else light ** p) * vol)
+    coarse = np.full(thetas.shape, math.inf)
+    for j in np.flatnonzero(~(lower * (1.0 - 1e-9) > np.min(upper) * (1.0 + 1e-9))):
+        coarse[j] = objective(thetas[j])
+    return coarse
+
+
 def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
                        mask: np.ndarray | None = None,
                        force_search: bool = False) -> PhaseAlignment:
@@ -164,10 +197,13 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
     inner product).  Other p scan 64 equispaced angles, then refine the
     offset from the best scan point over its two neighbouring intervals by
     Brent's parabolic method, to an absolute tolerance of GOLDEN_TOL = 1e-10
-    in theta.  The refinement starts from the scan point and only moves to
-    points at least as low, so a minimum with a corner exactly on a scan
-    point (theta = 0 or pi, as for F2 = +-F1 on Omega) is returned at that
-    point.  force_search runs the search path at p = 2 as well, for
+    in theta.  The scan is certified (_scan): it evaluates over all of
+    Omega only the angles that can hold its minimum, and returns the argmin
+    and value of the full 64-point scan.  The refinement starts from the
+    scan point and only moves to points at least as low, so a minimum with
+    a corner exactly on a scan point (theta = 0 or pi, as for F2 = +-F1 on
+    Omega) is returned at that point.  An empty Omega gives theta = 0 and
+    residual 0.  force_search runs the search path at p = 2 as well, for
     cross-checking the closed form.
     """
     if F1.geometry != F2.geometry:
@@ -191,20 +227,26 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         residual_sq = max(n1 + n2 - 2.0 * abs(inner), 0.0)
         return PhaseAlignment(theta_star=theta, residual=math.sqrt(residual_sq),
                               method="closed-form")
+    if sel1.size == 0:
+        return PhaseAlignment(theta_star=0.0, residual=0.0, method="search")
 
-    # The search evaluates the objective 70-90 times; filling two buffers of
-    # the packed size in place spares each evaluation full-grid temporaries.
+    # Every pass fills two buffers of the packed size in place (a bound pass
+    # their leading parts), which spares it full-grid temporaries.
     diff = np.empty_like(sel1)
     mag = np.empty(sel1.shape)
 
+    def power_sum(theta: float, a1: np.ndarray, a2: np.ndarray) -> float:
+        d, m = diff[:a1.size], mag[:a1.size]
+        np.multiply(np.exp(1j * theta), a1, out=d)
+        np.subtract(a2, d, out=d)
+        np.abs(d, out=m)
+        return float(np.sum(m if p == 1.0 else m ** p) * vol)
+
     def objective(theta: float) -> float:
-        np.multiply(np.exp(1j * theta), sel1, out=diff)
-        np.subtract(sel2, diff, out=diff)
-        np.abs(diff, out=mag)
-        return float(np.sum(mag if p == 1.0 else mag ** p) * vol) ** (1.0 / p)
+        return power_sum(theta, sel1, sel2) ** (1.0 / p)
 
     thetas = 2.0 * math.pi * np.arange(COARSE_SCAN_POINTS) / COARSE_SCAN_POINTS
-    coarse = np.array([objective(t) for t in thetas])
+    coarse = _scan(power_sum, objective, sel1, sel2, p, vol, thetas)
     k = int(np.argmin(coarse))
     step = 2.0 * math.pi / COARSE_SCAN_POINTS
     delta, residual, calls = _brent_minimize(

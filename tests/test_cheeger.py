@@ -198,6 +198,47 @@ class TestWeightGrid:
         c = w.coarsen(2)
         assert c.mask.tolist() == [[True, False], [False, True]]
 
+    @staticmethod
+    def _reshape_coarsen(w, k):
+        """The block mean and any-rule by reshape, trailing cells trimmed."""
+        extents = tuple(n // k for n in w.geometry.extents)
+        sl = tuple(slice(0, n * k) for n in extents)
+        blocks = [m for n in extents for m in (n, k)]
+        axes = tuple(range(1, 2 * len(extents), 2))
+        return (w.values[sl].reshape(blocks).mean(axis=axes),
+                w.mask[sl].reshape(blocks).any(axis=axes))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(38,), (29, 35)])
+    def test_coarsen_equals_reshape_mean_at_rank_one_and_two(self, shape, k):
+        rng = np.random.default_rng(k)
+        # magnitudes over ten decades, so any change of summation order shows
+        vals = rng.random(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+        c = unit_grid(shape, values=vals).coarsen(k)
+        means, _ = self._reshape_coarsen(unit_grid(shape, values=vals), k)
+        assert c.values.shape == means.shape
+        assert np.array_equal(c.values, means)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(7, 9, 11), (9, 8, 10, 11)])
+    def test_coarsen_within_four_ulp_at_rank_three_and_four(self, shape, k):
+        rng = np.random.default_rng(k)
+        vals = rng.random(shape)
+        c = unit_grid(shape, values=vals).coarsen(k)
+        means, _ = self._reshape_coarsen(unit_grid(shape, values=vals), k)
+        assert c.values.shape == means.shape
+        assert np.all(np.abs(c.values - means) <= 4.0 * np.spacing(means))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("shape", [(23,), (13, 11), (7, 8, 9), (7, 6, 5, 8)])
+    def test_coarsen_mask_is_any_of_the_block(self, shape, k):
+        rng = np.random.default_rng(len(shape))
+        mask = rng.random(shape) < 0.1
+        mask.flat[:2] = True
+        w = unit_grid(shape, mask=mask)
+        _, any_active = self._reshape_coarsen(w, k)
+        assert np.array_equal(w.coarsen(k).mask, any_active)
+
     def test_coarsen_factor_one_is_identity(self):
         w = unit_grid((4,))
         assert w.coarsen(1) is w

@@ -19,6 +19,8 @@ from gaborstab.grids import (GridGeometry, PhaseSpaceGrid, SignalGrid, box_geome
 from gaborstab.signals import make_analytic, two_bump_spec
 from gaborstab.stability import align_phase_global
 
+from test_stability import full_scan_alignment
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -42,6 +44,33 @@ def test_aligned_residual_invariant_under_global_phase(seed, shape, p, phi, mask
     base = align_phase_global(F1, PhaseSpaceGrid(geom, v2), p, mask)
     turned = align_phase_global(F1, PhaseSpaceGrid(geom, np.exp(1j * phi) * v2), p, mask)
     assert turned.residual == pytest.approx(base.residual, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.tuples(st.integers(2, 24), st.integers(2, 24)),
+       p=st.sampled_from([1.0, 1.5, 3.0]) | st.floats(1.0, 4.0),
+       decades=st.integers(0, 12),
+       zero_rows=st.integers(0, 3),
+       aligned=st.booleans(),
+       masked=st.booleans())
+def test_certified_scan_equals_the_full_scan(seed, shape, p, decades, zero_rows, aligned,
+                                              masked):
+    # Amplitudes log-uniform over `decades` decades and rows of zeros on
+    # both fields give from none to most of the cells light.  An aligned
+    # pair is F2 = e^{i a} F1 on the cells above the median amplitude and
+    # e^{i b} F1 below it, so the light cells pull towards another angle.
+    rng = np.random.default_rng(seed)
+    amp = 10.0 ** rng.uniform(-decades, 0.0, (2,) + shape)
+    v = amp * np.exp(2j * np.pi * rng.random((2,) + shape))
+    if aligned:
+        a, b = np.exp(2j * np.pi * rng.random(2))
+        v[1] = np.where(amp[0] >= np.median(amp[0]), a, b) * v[0]
+    v[:, :zero_rows] = 0.0
+    geom = box_geometry(shape, -1.0, 1.0)
+    mask = rng.random(shape) < 0.7 if masked else None
+    F1, F2 = PhaseSpaceGrid(geom, v[0]), PhaseSpaceGrid(geom, v[1])
+    assert align_phase_global(F1, F2, p, mask) == full_scan_alignment(F1, F2, p, mask)
 
 
 def _lattice_case(rng, d):

@@ -18,7 +18,13 @@ from gaborstab.signals import (
 )
 from gaborstab.stability import (
     COARSE_SCAN_POINTS,
+    GOLDEN_TOL,
+    SCAN_HEAVY_LEVEL,
     NoiseSpec,
+    PhaseAlignment,
+    _brent_minimize,
+    _scan,
+    _wrap_angle,
     align_phase_global,
     align_phase_multicomponent,
     check_admissible,
@@ -47,6 +53,92 @@ def gaussian_field(n=129, half=4.0):
 
 def zero_spectrogram_like(S):
     return spectrogram(PhaseSpaceGrid(S.geometry, np.zeros(S.geometry.extents)))
+
+
+SCAN_THETAS = 2.0 * math.pi * np.arange(COARSE_SCAN_POINTS) / COARSE_SCAN_POINTS
+
+
+def full_scan_alignment(F1, F2, p, mask=None):
+    """The search as it stood before the certified scan: the objective over
+    all of Omega at each of the 64 scan angles, then Brent from the argmin."""
+    if mask is None:
+        sel1, sel2 = F1.values.ravel(), F2.values.ravel()
+    else:
+        sel1, sel2 = F1.values[mask], F2.values[mask]
+    vol = F1.geometry.cell_volume
+    diff = np.empty_like(sel1)
+    mag = np.empty(sel1.shape)
+
+    def objective(theta):
+        np.multiply(np.exp(1j * theta), sel1, out=diff)
+        np.subtract(sel2, diff, out=diff)
+        np.abs(diff, out=mag)
+        return float(np.sum(mag if p == 1.0 else mag ** p) * vol) ** (1.0 / p)
+
+    coarse = np.array([objective(t) for t in SCAN_THETAS])
+    k = int(np.argmin(coarse))
+    step = 2.0 * math.pi / COARSE_SCAN_POINTS
+    delta, residual, calls = _brent_minimize(
+        lambda offset: objective(_wrap_angle(SCAN_THETAS[k] + offset)),
+        -step, step, 0.0, float(coarse[k]), GOLDEN_TOL)
+    return PhaseAlignment(theta_star=_wrap_angle(SCAN_THETAS[k] + delta), residual=residual,
+                          method="search", evaluations=COARSE_SCAN_POINTS + calls)
+
+
+def counted_scan(F1, F2, p):
+    """_scan over the whole grid with a power sum that logs the size of each pass.
+
+    Returns the scan values and the sizes of the passes in order.
+    """
+    sel1, sel2 = F1.values.ravel(), F2.values.ravel()
+    vol = F1.geometry.cell_volume
+    sizes = []
+
+    def power_sum(theta, a1, a2):
+        sizes.append(a1.size)
+        return float(np.sum(np.abs(a2 - np.exp(1j * theta) * a1) ** p) * vol)
+
+    def objective(theta):
+        return power_sum(theta, sel1, sel2) ** (1.0 / p)
+
+    return _scan(power_sum, objective, sel1, sel2, p, vol, SCAN_THETAS), sizes
+
+
+def heavy_tailed_pair(seed, shape=(40, 45)):
+    """Amplitudes log-uniform over six decades: over a quarter of the cells
+    are light, and at p = 1 their bound is loose enough that several angles
+    survive."""
+    rng = np.random.default_rng(seed)
+    geom = box_geometry(shape, -1.0, 1.0)
+    amp = 10.0 ** rng.uniform(-6.0, 0.0, (2,) + shape)
+    v = amp * np.exp(2j * np.pi * rng.random((2,) + shape))
+    return PhaseSpaceGrid(geom, v[0]), PhaseSpaceGrid(geom, v[1])
+
+
+def half_flipped_pair(seed, n=24, pad=6):
+    """F2 = F1 on one half and -F1 on the other, with the same values on
+    both halves in another order, so J(0) and J(pi) agree to a few ulp.
+    pad rows of zeros on both grids are light cells whose bound is 0."""
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((n // 2, n)) + 1j * rng.standard_normal((n // 2, n))
+    v1 = np.concatenate([half, half[::-1, ::-1], np.zeros((pad, n))])
+    sign = np.ones((n + pad, 1))
+    sign[n // 2:n] = -1.0
+    geom = box_geometry((n + pad, n), -1.0, 1.0)
+    return PhaseSpaceGrid(geom, v1), PhaseSpaceGrid(geom, sign * v1)
+
+
+def random_pair(seed, shape):
+    rng = np.random.default_rng(seed)
+    geom = box_geometry(shape, -1.0, 1.0)
+    v = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+    return PhaseSpaceGrid(geom, v[0]), PhaseSpaceGrid(geom, v[1])
+
+
+def random_mask(shape, seed):
+    mask = np.random.default_rng(seed).random(shape) < 0.6
+    mask.flat[0] = True
+    return mask
 
 
 class TestAdmissibility:
@@ -217,6 +309,79 @@ class TestPhaseAlignment:
         F1, F2 = self._pair(0.5)
         with pytest.raises(AdmissibilityError):
             align_phase_global(F1, F2, 0.5)
+
+
+class TestCertifiedScan:
+    CASES = {
+        "random": lambda seed: random_pair(seed, (31, 37)),
+        "heavy-tailed": heavy_tailed_pair,
+        "half-flipped": half_flipped_pair,
+        "tiny": lambda seed: random_pair(seed, (2, 3)),
+    }
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_the_full_scan(self, case, seed, p, masked):
+        F1, F2 = self.CASES[case](seed)
+        mask = random_mask(F1.geometry.extents, seed) if masked else None
+        assert align_phase_global(F1, F2, p, mask) == full_scan_alignment(F1, F2, p, mask)
+
+    @pytest.mark.parametrize("p,ties", [(1.0, (0, 32)), (1.5, (0, 32)), (3.0, (16, 48))])
+    def test_half_flipped_candidates_tie_and_are_both_evaluated(self, p, ties):
+        # J(theta) = S (|2 sin(theta/2)|^p + |2 cos(theta/2)|^p): least at
+        # 0 and pi for p < 2, at pi/2 and 3 pi/2 for p > 2.
+        F1, F2 = half_flipped_pair(0)
+        coarse, _ = counted_scan(F1, F2, p)
+        assert np.flatnonzero(np.isfinite(coarse)).tolist() == list(ties)
+        first, second = coarse[list(ties)]
+        assert abs(first - second) <= 8.0 * np.finfo(float).eps * first
+
+    def test_heavy_tailed_amplitudes_leave_several_candidates(self):
+        F1, F2 = heavy_tailed_pair(0)
+        amp = np.abs(F1.values) + np.abs(F2.values)
+        assert np.mean(amp < SCAN_HEAVY_LEVEL * amp.max()) > 0.25
+        coarse, sizes = counted_scan(F1, F2, 1.0)
+        assert 2 <= np.isfinite(coarse).sum() < COARSE_SCAN_POINTS
+        assert sizes.count(F1.values.size) == np.isfinite(coarse).sum()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_bound_counts_both_fields_as_heavy(self, p):
+        # F2 = e^{0.3i} F1 on the left bump plus a bump of its own on the
+        # right, where F1 is ~1e-70.  Both bumps are heavy, the light cells
+        # carry almost nothing, and only the angles next to 0.3 survive.
+        geom = box_geometry((48, 64), -4.0, 4.0)
+        F1 = PhaseSpaceGrid(geom, np.exp(-np.pi * geom.distance_sq((-2.0, 0.0))) + 0j)
+        right = np.exp(-np.pi * geom.distance_sq((2.0, 0.0)))
+        F2 = PhaseSpaceGrid(geom, np.exp(0.3j) * F1.values + right)
+        coarse, sizes = counted_scan(F1, F2, p)
+        assert sizes.count(F1.values.size) == np.isfinite(coarse).sum() <= 3
+        assert int(np.argmin(coarse)) == 3  # 3 * 2 pi / 64 = 0.29
+        assert align_phase_global(F1, F2, p) == full_scan_alignment(F1, F2, p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_all_heavy_grid_is_scanned_once(self, p):
+        F1, F2 = random_pair(1, (2, 3))
+        coarse, sizes = counted_scan(F1, F2, p)
+        assert sizes == [6] * COARSE_SCAN_POINTS
+        assert np.isfinite(coarse).all()
+
+    def test_empty_omega_returns_zero_without_evaluations(self):
+        F1, F2 = random_pair(2, (6, 7))
+        res = align_phase_global(F1, F2, 1.5, np.zeros((6, 7), bool))
+        assert res == PhaseAlignment(theta_star=0.0, residual=0.0, method="search",
+                                     evaluations=0)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_nan_cell_gives_nan_at_zero(self, p):
+        F1, F2 = random_pair(3, (6, 7))
+        F1.values[2, 3] = np.nan
+        res = align_phase_global(F1, F2, p)
+        want = full_scan_alignment(F1, F2, p)
+        assert res.theta_star == want.theta_star == 0.0
+        assert math.isnan(res.residual) and math.isnan(want.residual)
+        assert res.evaluations == want.evaluations
 
 
 class TestMulticomponent:

@@ -202,9 +202,6 @@ class WeightGraph:
 
         return matvec
 
-    def laplacian_matvec(self, v: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-        return self.laplacian_operator(degrees)(v)
-
     def component_labels(self) -> tuple[int, np.ndarray]:
         # Zero-weight edges carry no boundary cost, so they must not merge
         # components: a zero-weight corridor disconnects the weight.
@@ -318,8 +315,7 @@ def _top_ritz_residual(alphas: list[float], betas: list[float], beta: float) -> 
     return beta * abs(float(vec[-1, 0]))
 
 
-def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
-                   max_iter: int | None = None) -> FiedlerResult:
+def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
     """Eigenvector for the second-smallest eigenvalue of the weighted Laplacian.
 
     Solves L u = lambda M u (M = diag vertex masses) through the symmetric
@@ -328,8 +324,9 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
     vector is reorthogonalized against all previous ones, and Ritz pairs come
     from the tridiagonal eigensolve.  Each step screens for convergence with
     the top Ritz pair alone; the full eigensolve runs only once that estimate
-    is within a factor 2 of the tolerance, and on any step where the
-    iteration must stop (breakdown, step cap or basis budget).
+    is within a factor 2 of the tolerance LANCZOS_TOL * sigma, and on any
+    step where the iteration must stop (breakdown, the step cap
+    min(n - 1, LANCZOS_ITER_CAP) or the basis budget).
     Deterministic: the seed is a fixed centered index ramp.
     """
     n = graph.num_vertices
@@ -371,7 +368,7 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
     seed_norm = np.linalg.norm(seed)
     if seed_norm <= 1e-14 * np.linalg.norm(np.sqrt(masses)):
         raise ValueError("seed vector degenerates after deflation")
-    cap = min(n - 1, LANCZOS_ITER_CAP) if max_iter is None else int(max_iter)
+    cap = min(n - 1, LANCZOS_ITER_CAP)
     rows = min(cap + 1, LANCZOS_BASIS_BYTES // (8 * n))
 
     def over_budget(k: int) -> ConvergenceError:
@@ -407,7 +404,7 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
         k += 1
         exhausted = beta <= 1e-14 * sigma
         if exhausted or k >= cap or k >= rows or _top_ritz_residual(
-                alphas, betas, beta) <= 2.0 * tol * sigma:
+                alphas, betas, beta) <= 2.0 * LANCZOS_TOL * sigma:
             # The full eigensolve decides convergence and yields theta and
             # the Ritz vector; the top pair alone only screens for it.
             evals, evecs = scipy.linalg.eigh_tridiagonal(
@@ -416,12 +413,12 @@ def fiedler_vector(graph: WeightGraph, tol: float = LANCZOS_TOL,
             theta = float(evals[top])
             ritz = evecs[:, top]
             residual = beta * abs(float(ritz[-1]))
-            if residual <= tol * sigma or exhausted:
+            if residual <= LANCZOS_TOL * sigma or exhausted:
                 break
         if k >= cap:
             raise ConvergenceError(
                 f"Fiedler iteration did not converge in {k} steps: "
-                f"residual {residual:.3e} exceeds {tol * sigma:.3e}")
+                f"residual {residual:.3e} exceeds {LANCZOS_TOL * sigma:.3e}")
         if k >= rows:
             raise over_budget(k)
         betas.append(beta)

@@ -26,7 +26,6 @@ import contextlib
 import json
 import os
 import sys
-import tempfile
 
 from .errors import AdmissibilityError, ConvergenceError, GridFormatError
 
@@ -205,28 +204,14 @@ def _out_path(out_dir: str, name, context: str) -> str:
     return path
 
 
-def _atomic_write(path: str, write) -> None:
-    """Run write(fh) on a temp file beside path, then rename it into place.
+def _write_text(path: str, text: str) -> None:
+    from .grids import atomic_write
 
-    The temp file is written through its mkstemp descriptor: reopening it
-    with "wb" would truncate it, and some filesystems (ext4) then flush the
-    whole file at close.
-    """
-    parent = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def _write_json(path: str, obj) -> None:
-    payload = json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
-    _atomic_write(path, lambda fh: fh.write(payload.encode("utf-8")))
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -238,14 +223,7 @@ def _csv_cell(value) -> str:
 def _write_csv(path: str, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    _atomic_write(path, lambda fh: fh.write(payload))
-
-
-def _write_grid_atomic(path: str, geometry, values) -> None:
-    from .grids import write_grid_to
-
-    _atomic_write(path, lambda fh: write_grid_to(fh, geometry, values))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +232,12 @@ def _write_grid_atomic(path: str, geometry, values) -> None:
 
 
 def _run_gen(cfg: dict, out_dir: str, seed) -> list[str]:
+    from .grids import write_grid
+
     geometry = _geometry_from(_require(cfg, "geometry", "gen"), "gen.geometry")
     sig = _signal_from(_require(cfg, "signal", "gen"), geometry, "gen.signal")
     path = _out_path(out_dir, _require(cfg, "output", "gen"), "gen.output")
-    _write_grid_atomic(path, sig.geometry, sig.values)
+    write_grid(path, sig.geometry, sig.values)
     return [f"gen: wrote {path} ({geometry.num_cells} samples, d={geometry.rank})"]
 
 
@@ -274,6 +254,7 @@ def _run_gabor(cfg: dict, out_dir: str, seed) -> list[str]:
     import numpy as np
 
     from .gabor import gabor_transform, gabor_transform_fft, spectrogram
+    from .grids import write_grid
 
     sig = _signal_pair_or_input(cfg, "gabor")
     pg = _geometry_from(_require(cfg, "phase_geometry", "gabor"), "gabor.phase_geometry")
@@ -286,13 +267,13 @@ def _run_gabor(cfg: dict, out_dir: str, seed) -> list[str]:
         raise ConfigError(f"gabor.method: expected 'direct' or 'fft', got '{method}'")
     lines = []
     path = _out_path(out_dir, _require(cfg, "output", "gabor"), "gabor.output")
-    _write_grid_atomic(path, pg, F.values)
+    write_grid(path, pg, F.values)
     peak = float(np.abs(F.values).max())
     lines.append(f"gabor: wrote {path} (method={method}, peak={peak!r})")
     if "spectrogram_output" in cfg:
         spath = _out_path(out_dir, cfg["spectrogram_output"], "gabor.spectrogram_output")
         S = spectrogram(F)
-        _write_grid_atomic(spath, pg, S.values)
+        write_grid(spath, pg, S.values)
         lines.append(f"gabor: wrote {spath} (spectrogram, argmax at {list(S.argmax_location)})")
     return lines
 
@@ -330,8 +311,7 @@ def _run_cheeger(cfg: dict, out_dir: str, seed) -> list[str]:
 
     w = _weight_from_config(_require(cfg, "weight", "cheeger"), "cheeger.weight")
     coarsen = _as_int(cfg.get("coarsen", 1), "cheeger.coarsen", 1)
-    if coarsen > 1:
-        w = w.coarsen(coarsen)
+    w = w.coarsen(coarsen)
     est = sweep_cut_cheeger(w)
     report = {
         "h_upper": est.h_upper,
@@ -397,9 +377,12 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
         # analytic kinds are sampled on a square covering the largest ball,
         # at spacing 1/64 per axis
         half = radii[-1]
-        n = int(round(2 * half * 64)) + 1
-        from .grids import box_geometry
-        geometry = box_geometry((n,) * (2 * d), -half, half)
+        from .grids import box_geometry, box_samples
+        with _config_errors("entire.radii"):
+            extents = box_samples((2 * half,) * (2 * d), 1.0 / 64.0,
+                                  f"the default grid for radius {half} "
+                                  "(give an explicit 'geometry' instead)")
+        geometry = box_geometry(extents, -half, half)
 
     growth = None
     coeff = exponent = None

@@ -18,6 +18,11 @@ from .gabor import EntireLift
 from .grids import GridGeometry
 
 NEAR_ZERO_EXCLUSION = 1e-12
+# Equispaced nodes on each circle |z| = r: the growth maximum, the
+# Poisson-Jensen average and the contour count all sample it.
+CIRCLE_NODES = 4096
+# Relative slack of the growth margins for rounding in log M_G(r).
+GROWTH_REL_TOL = 1e-9
 _KINDS = ("polynomial", "gaussian-exponential", "lifted-gabor")
 
 
@@ -82,51 +87,49 @@ class EntireFunctionSpec:
 
     # -- evaluation helpers (one-variable analytic kinds) -------------------
 
+    def require_analytic(self, what: str) -> None:
+        """Reject a sampled lift where a one-variable analytic kind is needed."""
+        if self.kind == "lifted-gabor":
+            raise ValueError(f"{what} needs an analytic one-variable kind, not a sampled lift")
+
     def value(self, z):
+        self.require_analytic("pointwise evaluation")
         z = np.asarray(z, dtype=complex)
         if self.kind == "polynomial":
             return np.polynomial.polynomial.polyval(z, np.asarray(self.coefficients))
-        if self.kind == "gaussian-exponential":
-            return np.exp(self.quadratic_coeff * z * z)
-        raise ValueError("sampled lifts have no pointwise evaluator")
+        return np.exp(self.quadratic_coeff * z * z)
 
     def log_abs(self, z):
         """log |G(z)|, stable across the huge dynamic range of e^{c z^2}."""
+        self.require_analytic("pointwise evaluation")
         z = np.asarray(z, dtype=complex)
         if self.kind == "gaussian-exponential":
             return (self.quadratic_coeff * z * z).real
-        if self.kind == "polynomial":
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(self.value(z)))
-        raise ValueError("sampled lifts have no pointwise evaluator")
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.value(z)))
 
     def derivative(self, z):
+        self.require_analytic("pointwise evaluation")
         z = np.asarray(z, dtype=complex)
         if self.kind == "polynomial":
             der = np.polynomial.polynomial.polyder(np.asarray(self.coefficients))
             return np.polynomial.polynomial.polyval(z, der)
-        if self.kind == "gaussian-exponential":
-            return 2.0 * self.quadratic_coeff * z * self.value(z)
-        raise ValueError("sampled lifts have no pointwise evaluator")
+        return 2.0 * self.quadratic_coeff * z * self.value(z)
 
     def log_derivative(self, z):
         """G'(z)/G(z) for the analytic kinds."""
+        self.require_analytic("pointwise evaluation")
         z = np.asarray(z, dtype=complex)
         if self.kind == "gaussian-exponential":
             return 2.0 * self.quadratic_coeff * z
-        if self.kind == "polynomial":
-            return self.derivative(z) / self.value(z)
-        raise ValueError("sampled lifts have no pointwise evaluator")
+        return self.derivative(z) / self.value(z)
 
     def zeros(self) -> np.ndarray:
         """Zeros with multiplicity; only polynomials and the zero-free kind."""
-        if self.kind == "polynomial":
-            if len(self.coefficients) == 1:
-                return np.zeros(0, dtype=complex)
+        self.require_analytic("zero enumeration")
+        if self.kind == "polynomial" and len(self.coefficients) > 1:
             return np.polynomial.polynomial.polyroots(np.asarray(self.coefficients))
-        if self.kind == "gaussian-exponential":
-            return np.zeros(0, dtype=complex)
-        raise ValueError("zeros of sampled lifts are not enumerated")
+        return np.zeros(0, dtype=complex)
 
     def _origin_sample(self) -> complex:
         """Lift sample at the grid point nearest the phase-space origin."""
@@ -171,6 +174,17 @@ class GrowthCheckResult:
         return min(self.margins)
 
 
+def _circle(r: float) -> np.ndarray:
+    """CIRCLE_NODES equispaced points on |z| = r, the first at z = r."""
+    theta = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
+    return r * np.exp(1j * theta)
+
+
+def _check_contour_clear(zeros: np.ndarray, r: float) -> None:
+    if zeros.size and np.any(np.abs(np.abs(zeros) - r) <= 1e-9 * r):
+        raise ValueError("a zero lies on the integration contour")
+
+
 def _check_ball_coverage(geometry: GridGeometry, r: float) -> None:
     for a in range(geometry.rank):
         if geometry.origin[a] > -r or geometry.axis_upper(a) < r:
@@ -178,13 +192,14 @@ def _check_ball_coverage(geometry: GridGeometry, r: float) -> None:
                 f"grid does not cover the ball of radius {r} along axis {a}")
 
 
-def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec, radii,
-                       angles: int = 4096, rel_tol: float = 1e-9) -> GrowthCheckResult:
+def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec,
+                       radii) -> GrowthCheckResult:
     """Check M_G(r) <= |G(0)| e^{alpha r^beta} on the given radii.
 
-    One-variable kinds sample |z| = r at equispaced angles (the maximum
-    principle puts the ball max on the circle); lifts take the maximum over
-    grid samples inside the ball.
+    One-variable kinds sample |z| = r at CIRCLE_NODES equispaced angles (the
+    maximum principle puts the ball max on the circle); lifts take the
+    maximum over grid samples inside the ball.  A margin counts as met down
+    to -GROWTH_REL_TOL * max(1, alpha r^beta).
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
     if any((not np.isfinite(r)) or r <= 0 for r in radii):
@@ -203,13 +218,11 @@ def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec, radii,
             log_max = float(np.log(np.max(np.where(inside, mod, 0.0))))
             margins.append(spec.alpha * r ** spec.beta + log_g0 - log_max)
     else:
-        theta = 2.0 * np.pi * np.arange(angles) / angles
-        ring = np.exp(1j * theta)
         for r in radii:
-            log_max = float(np.max(G.log_abs(r * ring)))
+            log_max = float(np.max(G.log_abs(_circle(r))))
             margins.append(spec.alpha * r ** spec.beta + log_g0 - log_max)
     margins = tuple(float(m) for m in margins)
-    tol = [rel_tol * max(1.0, abs(spec.alpha * r ** spec.beta)) for r in radii]
+    tol = [GROWTH_REL_TOL * max(1.0, abs(spec.alpha * r ** spec.beta)) for r in radii]
     member = all(m >= -t for m, t in zip(margins, tol))
     return GrowthCheckResult(radii=tuple(radii), margins=margins, member=member)
 
@@ -254,7 +267,7 @@ def log_derivative_field(G: EntireFunctionSpec, geometry: GridGeometry | None = 
         vals = G.lift.lifted.values
         mod = np.abs(vals)
         included = mod >= NEAR_ZERO_EXCLUSION * mod.max()
-        wirt = fdiff.wirtinger_components(vals, geometry)
+        wirt = fdiff.wirtinger_components(fdiff.gradient(vals, geometry))
         comps = np.stack([np.where(included, w, 0.0) for w in wirt])
         safe = np.where(included, vals, 1.0)
         comps = comps / safe
@@ -377,8 +390,7 @@ def ball_norm_bound_coefficient(spec: GrowthClassSpec, d: int) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 
-def jensen_check_1d(G: EntireFunctionSpec, z: complex, r: float,
-                    zeros=None, angles: int = 4096) -> float:
+def jensen_check_1d(G: EntireFunctionSpec, z: complex, r: float) -> float:
     """Residual of the Poisson-Jensen identity at z inside the circle |w| = r.
 
     log|G(z)| is compared against the Poisson circle average of log|G| minus
@@ -386,25 +398,22 @@ def jensen_check_1d(G: EntireFunctionSpec, z: complex, r: float,
     inside the circle.  The circle integral uses the periodic trapezoid rule,
     spectrally accurate for zero-free contours.
     """
-    if G.kind == "lifted-gabor":
-        raise ValueError("the identity check needs an analytic one-variable kind")
+    G.require_analytic("the Poisson-Jensen check")
     z = complex(z)
     r = float(r)
     if not (np.isfinite(r) and r > 0):
         raise ValueError("radius must be positive and finite")
     if abs(z) >= r:
         raise ValueError("evaluation point must lie inside the circle")
-    zs = G.zeros() if zeros is None else np.asarray(zeros, complex)
-    if zs.size and np.any(np.abs(np.abs(zs) - r) <= 1e-9 * r):
-        raise ValueError("a zero lies on the integration contour")
+    zs = G.zeros()
+    _check_contour_clear(zs, r)
     if zs.size and np.any(np.abs(zs - z) == 0.0):
         raise ValueError("evaluation point coincides with a zero")
     lhs = float(G.log_abs(np.asarray(z)))
     # computed roots carry rounding, so also catch coincidence by its symptom
     if not np.isfinite(lhs):
         raise ValueError("evaluation point coincides with a zero")
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    ring = r * np.exp(1j * theta)
+    ring = _circle(r)
     poisson = (r * r - abs(z) ** 2) / np.abs(ring - z) ** 2
     circle_term = float(np.mean(G.log_abs(ring) * poisson))
     inside = zs[np.abs(zs) < r] if zs.size else zs
@@ -421,19 +430,18 @@ class ZeroCountResult:
     holds: bool
 
 
-def zero_count_bound_1d(G: EntireFunctionSpec, spec: GrowthClassSpec, r: float,
-                        check_radii=None) -> ZeroCountResult:
+def zero_count_bound_1d(G: EntireFunctionSpec, spec: GrowthClassSpec,
+                        r: float) -> ZeroCountResult:
     """Count zeros in |z| < r and compare against (2^beta alpha / log 2) r^beta.
 
-    The growth-class membership of G for (alpha, beta) is verified on a
-    radius sweep first; failing that sweep is an error, since the bound's
-    hypothesis would not hold.
+    The growth-class membership of G for (alpha, beta) is verified first on
+    nine geometric radii from max(r/8, 1/8) to max(2r, 1); failing that
+    sweep is an error, since the bound's hypothesis would not hold.
     """
     r = float(r)
     if not (np.isfinite(r) and r > 0):
         raise ValueError("radius must be positive and finite")
-    if check_radii is None:
-        check_radii = np.geomspace(max(r / 8.0, 0.125), max(2.0 * r, 1.0), 9)
+    check_radii = np.geomspace(max(r / 8.0, 0.125), max(2.0 * r, 1.0), 9)
     result = growth_class_check(G, spec, check_radii)
     if not result.member:
         raise ValueError(
@@ -445,16 +453,12 @@ def zero_count_bound_1d(G: EntireFunctionSpec, spec: GrowthClassSpec, r: float,
     return ZeroCountResult(count=count, bound=float(bound), holds=count <= bound)
 
 
-def argument_principle_count(G: EntireFunctionSpec, r: float, angles: int = 4096) -> int:
+def argument_principle_count(G: EntireFunctionSpec, r: float) -> int:
     """Zeros inside |z| = r via the contour integral of G'/G, trapezoid rule."""
-    if G.kind == "lifted-gabor":
-        raise ValueError("the contour count needs an analytic one-variable kind")
+    G.require_analytic("the contour count")
     r = float(r)
-    zs = G.zeros()
-    if zs.size and np.any(np.abs(np.abs(zs) - r) <= 1e-9 * r):
-        raise ValueError("a zero lies on the integration contour")
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    ring = r * np.exp(1j * theta)
+    _check_contour_clear(G.zeros(), r)
+    ring = _circle(r)
     # (1/2 pi i) contour integral of G'/G dz with dz = i ring dtheta.
     integrand = G.log_derivative(ring) * ring
     value = float(np.mean(integrand.real))

@@ -18,32 +18,28 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import GridGeometry
+from .grids import DomainPartition, GridGeometry, active_mask
 
 
 class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
 
-    ``flat_index`` holds their flat indices and ``index`` their
-    multi-indices, one array per axis.  ``pack`` and ``gradient_norm``
-    return 1-d arrays in the same cell order, equal bit for bit to
-    ``values[mask]`` and ``gradient_norm(gradient(values, geometry,
-    mask))[mask]``.  The multi-indices and the neighbor tables are built on
-    first use and kept, so every field differentiated through one instance
-    shares them.
+    A DomainPartition as mask stands for its active cells.  ``flat_index``
+    holds their flat indices and ``index`` their multi-indices, one array
+    per axis.  ``pack`` and ``gradient_norm`` return 1-d arrays in the same
+    cell order, equal bit for bit to ``values[mask]`` and
+    ``gradient_norm(gradient(values, geometry, mask))[mask]``.  The
+    multi-indices and the neighbor tables are built on first use and kept,
+    so every field differentiated through one instance shares them.
     """
 
-    def __init__(self, geometry: GridGeometry, mask: np.ndarray | None = None):
-        if mask is None:
-            mask = np.ones(geometry.extents, dtype=bool)
-        else:
-            # A copy: the neighbor tables are built from it later.
-            mask = np.array(mask, dtype=bool)
-            if mask.shape != geometry.extents:
-                raise ValueError("mask shape does not match grid extents")
+    def __init__(self, geometry: GridGeometry,
+                 mask: np.ndarray | DomainPartition | None = None):
+        mask = active_mask(mask, geometry.extents)
         self.geometry = geometry
-        self.mask = mask
-        self.flat_index = np.flatnonzero(mask)
+        # A copy: the neighbor tables are built from it later.
+        self.mask = np.ones(geometry.extents, dtype=bool) if mask is None else mask.copy()
+        self.flat_index = np.flatnonzero(self.mask)
 
     @cached_property
     def index(self) -> tuple[np.ndarray, ...]:
@@ -131,16 +127,15 @@ def interior_mask(geometry: GridGeometry) -> np.ndarray:
     return mask
 
 
-def wirtinger_components(values: np.ndarray, geometry: GridGeometry,
-                         mask: np.ndarray | None = None,
+def wirtinger_components(grads: list[np.ndarray],
                          conjugate: bool = False) -> list[np.ndarray]:
-    """Wirtinger derivatives per complex axis pair of a phase-space field.
+    """Wirtinger derivatives per complex axis pair, from the gradient of a phase-space field.
 
-    Axis pair a covers grid axes (2a, 2a+1) = (x_a, y_a); the holomorphic
-    derivative is (d/dx - i d/dy)/2, the conjugate one (d/dx + i d/dy)/2.
+    grads is the per-axis gradient that ``gradient`` returns.  Axis pair a
+    covers grid axes (2a, 2a+1) = (x_a, y_a); the holomorphic derivative is
+    (d/dx - i d/dy)/2, the conjugate one (d/dx + i d/dy)/2.
     """
-    if geometry.rank % 2 != 0:
+    if len(grads) % 2 != 0:
         raise ValueError("wirtinger derivatives need a phase-space (even-rank) grid")
-    grads = gradient(np.asarray(values, np.complex128), geometry, mask)
     sign = 1j if conjugate else -1j
-    return [0.5 * (grads[2 * a] + sign * grads[2 * a + 1]) for a in range(geometry.rank // 2)]
+    return [0.5 * (grads[2 * a] + sign * grads[2 * a + 1]) for a in range(len(grads) // 2)]

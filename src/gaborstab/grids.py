@@ -9,7 +9,9 @@ phase-space grids interleave axes as (x_1, y_1, ..., x_d, y_d).
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,8 @@ GRID_MAGIC = b"GGR1"
 GRID_VERSION = 1
 _DTYPE_REAL = 0
 _DTYPE_COMPLEX = 1
+# dtype code -> (stored little-endian dtype, dtype of the values read back)
+_DTYPES = {_DTYPE_REAL: ("<f8", np.float64), _DTYPE_COMPLEX: ("<c16", np.complex128)}
 # Largest box that box_samples sizes from a parameter (such as the bump
 # separation T): 2^22 cells, 64 MiB for one complex128 grid.
 MAX_GRID_CELLS = 1 << 22
@@ -268,17 +272,33 @@ _HEAD = struct.Struct("<4sIBB")
 _AXIS = struct.Struct("<Qdd")
 
 
+def atomic_write(path, write) -> None:
+    """Run write(fh) on a temp file beside path, then rename it into place.
+
+    A failed write leaves the old file and no temp file.  The file keeps
+    the mode 0600 that mkstemp gives it.  The temp file is written through
+    its mkstemp descriptor: reopening it with "wb" would truncate it, and
+    some filesystems (ext4) then flush the whole file at close.
+    """
+    parent = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_grid_to(fh, geometry: GridGeometry, values: np.ndarray) -> None:
     """Encode a real or complex grid as GGR1 bytes into an open binary file."""
     arr = np.asarray(values)
     if arr.shape != geometry.extents:
         raise ValueError("value array shape does not match grid extents")
-    if np.iscomplexobj(arr):
-        dtype_code = _DTYPE_COMPLEX
-        payload = np.ascontiguousarray(arr, dtype="<c16")
-    else:
-        dtype_code = _DTYPE_REAL
-        payload = np.ascontiguousarray(arr, dtype="<f8")
+    dtype_code = _DTYPE_COMPLEX if np.iscomplexobj(arr) else _DTYPE_REAL
+    payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_code][0])
     head = [_HEAD.pack(GRID_MAGIC, GRID_VERSION, geometry.rank, dtype_code)]
     for a in range(geometry.rank):
         head.append(_AXIS.pack(geometry.extents[a], geometry.spacing[a], geometry.origin[a]))
@@ -287,9 +307,8 @@ def write_grid_to(fh, geometry: GridGeometry, values: np.ndarray) -> None:
 
 
 def write_grid(path, geometry: GridGeometry, values: np.ndarray) -> None:
-    """Write a real or complex grid to a GGR1 file."""
-    with open(path, "wb") as fh:
-        write_grid_to(fh, geometry, values)
+    """Write a real or complex grid to a GGR1 file, atomically (atomic_write)."""
+    atomic_write(path, lambda fh: write_grid_to(fh, geometry, values))
 
 
 def read_grid(path) -> tuple[GridGeometry, np.ndarray]:
@@ -303,7 +322,7 @@ def read_grid(path) -> tuple[GridGeometry, np.ndarray]:
         raise GridFormatError(f"bad magic {magic!r}")
     if version != GRID_VERSION:
         raise GridFormatError(f"unsupported version {version}")
-    if dtype_code not in (_DTYPE_REAL, _DTYPE_COMPLEX):
+    if dtype_code not in _DTYPES:
         raise GridFormatError(f"unknown dtype code {dtype_code}")
     offset = _HEAD.size
     if len(raw) < offset + rank * _AXIS.size:
@@ -320,19 +339,14 @@ def read_grid(path) -> tuple[GridGeometry, np.ndarray]:
     except ValueError as exc:
         raise GridFormatError(f"invalid geometry in header: {exc}") from exc
     count = geometry.num_cells
-    itemsize = 16 if dtype_code == _DTYPE_COMPLEX else 8
-    expected = count * itemsize
+    stored, native = _DTYPES[dtype_code]
+    expected = count * np.dtype(stored).itemsize
     if len(raw) - offset != expected:
         raise GridFormatError(
             f"payload has {len(raw) - offset} bytes, expected {expected}"
         )
-    if dtype_code == _DTYPE_COMPLEX:
-        values = np.frombuffer(raw, dtype="<c16", count=count, offset=offset)
-        values = values.reshape(geometry.extents).astype(np.complex128)
-    else:
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        values = values.reshape(geometry.extents).astype(np.float64)
-    return geometry, values
+    values = np.frombuffer(raw, dtype=stored, count=count, offset=offset)
+    return geometry, values.reshape(geometry.extents).astype(native)
 
 
 def read_signal(path) -> SignalGrid:

@@ -77,19 +77,19 @@ def gaussian_spec(d: int = 1) -> AnalyticSignalSpec:
     return AnalyticSignalSpec(kind="gaussian", dimension=d)
 
 
-def shifted_gaussian_spec(center, frequency, d: int | None = None) -> AnalyticSignalSpec:
-    if d is None:
-        d = np.atleast_1d(np.asarray(center, float)).shape[0]
-    return AnalyticSignalSpec(kind="shifted-gaussian", dimension=d,
+def shifted_gaussian_spec(center, frequency) -> AnalyticSignalSpec:
+    """The dimension is the length of center."""
+    return AnalyticSignalSpec(kind="shifted-gaussian",
+                              dimension=np.atleast_1d(np.asarray(center, float)).shape[0],
                               center=tuple(np.atleast_1d(center)),
                               frequency=tuple(np.atleast_1d(frequency)))
 
 
-def two_bump_spec(center1, frequency1, center2, frequency2, sign: int = 1,
-                  d: int | None = None) -> AnalyticSignalSpec:
-    if d is None:
-        d = np.atleast_1d(np.asarray(center1, float)).shape[0]
-    return AnalyticSignalSpec(kind="two-bump", dimension=d,
+def two_bump_spec(center1, frequency1, center2, frequency2,
+                  sign: int = 1) -> AnalyticSignalSpec:
+    """The dimension is the length of center1."""
+    return AnalyticSignalSpec(kind="two-bump",
+                              dimension=np.atleast_1d(np.asarray(center1, float)).shape[0],
                               center=tuple(np.atleast_1d(center1)),
                               frequency=tuple(np.atleast_1d(frequency1)),
                               center2=tuple(np.atleast_1d(center2)),

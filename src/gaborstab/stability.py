@@ -24,13 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fdiff
-from .cheeger import ACTIVE_THRESHOLD, sweep_cut_cheeger, weight_from_spectrogram
+from .cheeger import sweep_cut_cheeger, weight_from_spectrogram
 from .entire import check_logderiv_exponent, max_admissible_p as max_report_p
 from .errors import AdmissibilityError
 from .gabor import (Spectrogram, _boundary_max, _check_exponent, _lp_norm, gabor_transform,
                     spectrogram)
-from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry,
-                    box_samples)
+from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask,
+                    box_geometry, box_samples)
 from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
 
 LOGDERIV_EXCLUSION = 1e-12
@@ -189,7 +189,7 @@ def _scan(power_sum, objective, sel1: np.ndarray, sel2: np.ndarray, p: float,
 
 
 def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
-                       mask: np.ndarray | None = None,
+                       mask: np.ndarray | DomainPartition | None = None,
                        force_search: bool = False) -> PhaseAlignment:
     """Minimize theta -> ||F2 - e^{i theta} F1||_{L^p(Omega)} over the circle.
 
@@ -203,20 +203,19 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
     scan point and only moves to points at least as low, so a minimum with
     a corner exactly on a scan point (theta = 0 or pi, as for F2 = +-F1 on
     Omega) is returned at that point.  An empty Omega gives theta = 0 and
-    residual 0.  force_search runs the search path at p = 2 as well, for
-    cross-checking the closed form.
+    residual 0.  A DomainPartition as mask stands for its active cells.
+    force_search runs the search path at p = 2 as well, for cross-checking
+    the closed form.
     """
     if F1.geometry != F2.geometry:
         raise ValueError("phase-space grids must share one geometry")
     _check_exponent(p)
     geom = F1.geometry
     v1, v2 = F1.values, F2.values
+    mask = active_mask(mask, geom.extents)
     if mask is None:
         sel1, sel2 = v1.ravel(), v2.ravel()
     else:
-        mask = np.asarray(mask, bool)
-        if mask.shape != geom.extents:
-            raise ValueError("mask shape does not match grid extents")
         sel1, sel2 = v1[mask], v2[mask]
     vol = geom.cell_volume
     if p == 2.0 and not force_search:
@@ -294,6 +293,11 @@ def _check_pair(S1: Spectrogram, S2: Spectrogram) -> None:
         raise ValueError("spectrograms must share one geometry")
 
 
+def _shape_weight(geometry: GridGeometry, z0, cells: fdiff.MaskCells) -> np.ndarray:
+    """The weight 1 + |z - z0|^{2d+2} at the cells."""
+    return 1.0 + geometry.distance_sq(z0, cells.index) ** (geometry.rank // 2 + 1)
+
+
 def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
                         mask: np.ndarray | fdiff.MaskCells | None = None
                         ) -> tuple[float, float]:
@@ -328,13 +332,12 @@ def weighted_lq_diff_norm(S1: Spectrogram, S2: Spectrogram, q: float, z0,
     """
     _check_pair(S1, S2)
     geom = S1.geometry
-    d = geom.rank // 2
     if p is not None:
-        check_admissible(p, q, d)
+        check_admissible(p, q, geom.rank // 2)
     else:
         _check_exponent(q, "q")
     cells = _cells(geom, mask)
-    weight = 1.0 + geom.distance_sq(z0, cells.index) ** (d + 1)
+    weight = _shape_weight(geom, z0, cells)
     return _lp_norm(weight * (cells.pack(S1.values) - cells.pack(S2.values)), geom, q)
 
 
@@ -374,13 +377,12 @@ def logderiv_term(S1: Spectrogram, S2: Spectrogram, p: float,
 def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
           mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
     """Noise-space norm: W^{1,p}(Omega) plus the weighted L^q norm."""
-    d = geometry.rank // 2
-    check_admissible(p, q, d)
+    check_admissible(p, q, geometry.rank // 2)
     field = np.asarray(field, float)
     if field.shape != geometry.extents:
         raise ValueError("field shape does not match grid extents")
     cells = _cells(geometry, mask)
-    weight = 1.0 + geometry.distance_sq(z0, cells.index) ** (d + 1)
+    weight = _shape_weight(geometry, z0, cells)
     values = cells.pack(field)
     return (_lp_norm(values, geometry, p)
             + _lp_norm(cells.gradient_norm(field), geometry, p)
@@ -618,13 +620,16 @@ def _assemble_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float, q: float,
     pg = F1.geometry
     S1 = spectrogram(F1)
     S2 = spectrogram(F2)
-    peak = float(S1.values.max())
-    if peak <= 0.0:
+    if float(S1.values.max()) <= 0.0:
         raise ValueError("f has a zero spectrogram; the weight w = |Gf|^p is degenerate")
     z0 = S1.argmax_location
-    est = sweep_cut_cheeger(weight_from_spectrogram(S1, power=p).coarsen(cheeger_coarsen))
+    weight = weight_from_spectrogram(S1, power=p)
+    omega = weight.mask
+    # Rebinding drops the fine weight, 8 bytes a cell, before the Cheeger solve.
+    weight = weight.coarsen(cheeger_coarsen)
+    est = sweep_cut_cheeger(weight)
     h = est.h
-    cells = fdiff.MaskCells(pg, S1.values >= ACTIVE_THRESHOLD * peak)
+    cells = fdiff.MaskCells(pg, omega)
     route = _route_terms(F1, F2, S1, S2, p, cells, h)
     sobolev = route.value_term + route.gradient_term
     weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)

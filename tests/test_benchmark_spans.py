@@ -1,0 +1,65 @@
+"""The benchmark's span wrappers still fit the package.
+
+perfbench/spans.py wraps package functions by module attribute name and
+reads some of their arguments by position or keyword.  A renamed
+function, a moved argument or a write path that bypasses a wrapped
+function breaks it without an error: the affected spans and counts just
+read 0.  This test installs the tracer around a small run and checks that
+every wrapped name resolves and that the counts it reads are filled.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from gaborstab import cli, stability
+from gaborstab.grids import box_geometry
+from gaborstab.stability import make_instability_pair, stability_report
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    module = importlib.import_module("spans")
+    yield module
+    sys.modules.pop("spans", None)
+
+
+def test_every_wrapped_name_resolves(spans):
+    for mod, attr, _, _ in spans.TARGETS:
+        owner = importlib.import_module(f"gaborstab.{mod}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{mod}.{attr}"
+        # stability imports these names: the tracer wraps them there only
+        # while they are the defining module's own functions.
+        if mod != "stability" and attr in spans.STABILITY_IMPORTS:
+            assert getattr(stability, attr) is owner, attr
+
+
+def test_traced_run_fills_the_work_counts(spans, tmp_path):
+    originals = {name: getattr(stability, name) for name in spans.STABILITY_IMPORTS}
+    tracer = spans.Tracer()
+    tracer.begin_call()
+    tracer.install()
+    try:
+        f, g = make_instability_pair(1, 2.0, box_geometry((193,), -6.0, 6.0))
+        stability_report(f, g, 1.0, 3.0, phase_geometry=box_geometry((65, 65), -2.0, 2.0))
+        cli.run_config("gen", {"geometry": {"extents": [129], "lo": -6.0, "hi": 6.0},
+                               "signal": {"kind": "gaussian"}, "output": "f.ggr"},
+                       str(tmp_path))
+        cli.run_config("gabor", {"input": str(tmp_path / "f.ggr"),
+                                 "phase_geometry": {"extents": [33, 33], "lo": -2.0, "hi": 2.0},
+                                 "output": "F.ggr"}, str(tmp_path))
+    finally:
+        tracer.remove()
+    assert {name: getattr(stability, name) for name in spans.STABILITY_IMPORTS} == originals
+    _, counts = tracer.call_summary()
+    for key in ("stability.align.cells", "cheeger.fiedler.iterations",
+                "grids.write.bytes", "gabor.transform.mults"):
+        assert counts[key] > 0, key
+    assert (counts["grids.write.calls"], counts["grids.read.calls"]) == (2, 1)

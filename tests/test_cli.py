@@ -112,14 +112,17 @@ class TestGen:
 class TestGridArtifacts:
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_artifact_bytes_equal_write_grid(self, tmp_path, is_complex):
+        from gaborstab.grids import write_grid_to
+
         rng = np.random.default_rng(2)
         geom = box_geometry((5, 4, 3), -1.0, 1.0)
         values = rng.standard_normal(geom.extents)
         if is_complex:
             values = values + 1j * rng.standard_normal(geom.extents)
-        cli._write_grid_atomic(str(tmp_path / "cli.ggr"), geom, values)
-        write_grid(str(tmp_path / "lib.ggr"), geom, values)
-        assert (tmp_path / "cli.ggr").read_bytes() == (tmp_path / "lib.ggr").read_bytes()
+        write_grid(str(tmp_path / "atomic.ggr"), geom, values)
+        with open(tmp_path / "plain.ggr", "wb") as fh:
+            write_grid_to(fh, geom, values)
+        assert (tmp_path / "atomic.ggr").read_bytes() == (tmp_path / "plain.ggr").read_bytes()
 
     def test_failing_write_leaves_no_temp_file_and_keeps_the_old_artifact(
             self, tmp_path, monkeypatch):
@@ -127,7 +130,7 @@ class TestGridArtifacts:
 
         geom = box_geometry((4, 4), -1.0, 1.0)
         path = str(tmp_path / "a.ggr")
-        cli._write_grid_atomic(path, geom, np.ones((4, 4)))
+        write_grid(path, geom, np.ones((4, 4)))
         before = (tmp_path / "a.ggr").read_bytes()
 
         def broken(fh, geometry, values):
@@ -136,7 +139,7 @@ class TestGridArtifacts:
 
         monkeypatch.setattr(grids, "write_grid_to", broken)
         with pytest.raises(OSError, match="disk full"):
-            cli._write_grid_atomic(path, geom, np.zeros((4, 4)))
+            write_grid(path, geom, np.zeros((4, 4)))
         assert os.listdir(tmp_path) == ["a.ggr"]
         assert (tmp_path / "a.ggr").read_bytes() == before
 
@@ -742,6 +745,20 @@ class TestConfigNumbers:
         err = capsys.readouterr().err
         assert "stability.sweep: " in err and message in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("radius, message", [
+        (1e5, "12800001 x 12800001 samples, over the limit"),
+        (1e308, "inf x inf samples, over the limit"),
+    ])
+    def test_entire_default_grid_radius_too_large_exits_2(self, tmp_path, capsys, radius,
+                                                          message):
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "function": {"kind": "polynomial", "coefficients": [1, 0, -1]},
+            "radii": [1.0, radius], "output": "norms.csv"})
+        assert run_main("entire", cfg, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "entire.radii: " in err and message in err and "'geometry'" in err
+        assert not (tmp_path / "norms.csv").exists()
 
     def test_sweep_defaults_come_from_the_library(self, tmp_path):
         from gaborstab.stability import instability_sweep

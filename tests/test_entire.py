@@ -63,6 +63,8 @@ class TestSpecValidation:
         assert np.allclose(zs, [-1.0, 1.0], atol=1e-12)
         assert G.derivative(0.5) == pytest.approx(-1.0)
         assert G.log_derivative(0.5) == pytest.approx(-1.0 / 0.75)
+        assert polynomial_spec((-0.5, 1.0)).zeros().tolist() == [0.5]
+        assert polynomial_spec((3.0,)).zeros().size == 0
 
 
 class TestGrowthClass:
@@ -239,8 +241,14 @@ class TestJensen:
     def test_lifted_kind_rejected(self):
         phase = box_geometry((33, 33), -1.0, 1.0)
         lift = entire_lift(analytic_gabor_transform(gaussian_spec(1), phase))
+        G = lifted_spec(lift)
         with pytest.raises(ValueError):
-            jensen_check_1d(lifted_spec(lift), 0.0, 0.5)
+            jensen_check_1d(G, 0.0, 0.5)
+        for call in (lambda: argument_principle_count(G, 0.5), G.zeros,
+                     lambda: G.value(0.1), lambda: G.log_abs(0.1),
+                     lambda: G.derivative(0.1), lambda: G.log_derivative(0.1)):
+            with pytest.raises(ValueError, match="analytic one-variable kind"):
+                call()
 
 
 class TestZeroCounts:
@@ -272,3 +280,41 @@ class TestZeroCounts:
     def test_contour_through_zero_rejected(self):
         with pytest.raises(ValueError, match="contour"):
             argument_principle_count(polynomial_spec((1.0, 0.0, -1.0)), 1.0)
+
+
+class TestPinnedValues:
+    """Exact float64 values of the functions that share the circle nodes,
+    the contour check and the lift's Wirtinger gradient.  No benchmark
+    fingerprint reaches them: the lift in the benchmark's CLI chain has no
+    included cell within its radii."""
+
+    def test_lifted_log_derivative_field(self):
+        phase = box_geometry((65, 65), -2.0, 2.0)
+        G = lifted_spec(entire_lift(
+            analytic_gabor_transform(shifted_gaussian_spec((0.3,), (0.2,)), phase)))
+        field = log_derivative_field(G)
+        assert int(field.included.sum()) == 4225
+        assert field.components[0][10, 20] == 0.9424775637698205 + 0.6283185781911075j
+        assert field.components[0][40, 33] == 0.9424775637698195 + 0.6283185781911035j
+        norms = logderiv_ball_norms(G, 1.5, [0.5, 1.0, 1.5]).norms
+        assert norms == (0.9512010596070615, 2.4150922385636253, 4.14650029867873)
+
+    def test_growth_margins(self):
+        poly = polynomial_spec((1.0, 0.0, -1.0))
+        margins = growth_class_check(poly, GrowthClassSpec(1.0, 2.0), [0.5, 1.5, 3.0]).margins
+        assert margins == (0.026856448685790235, 1.0713450036583538, 6.697414907005954)
+        margins = growth_class_check(gauss_exp(), GrowthClassSpec(np.pi / 2.0, 2.0),
+                                     [1.0, 2.0]).margins
+        assert margins == (0.0, 0.0)
+
+    def test_jensen_residuals(self):
+        poly = polynomial_spec((1.0, 0.0, -1.0))
+        assert jensen_check_1d(poly, -0.2 + 0.4j, 2.5) == 9.853229343548264e-16
+        assert jensen_check_1d(gauss_exp(), 0.3 + 0.2j, 2.0) == 2.636779683484747e-16
+
+    def test_zero_counts(self):
+        poly = polynomial_spec((1.0, 0.0, -1.0))
+        assert argument_principle_count(poly, 1.5) == 2
+        assert argument_principle_count(gauss_exp(), 2.0) == 0
+        res = zero_count_bound_1d(poly, GrowthClassSpec(1.0, 2.0), 1.5)
+        assert (res.count, res.bound, res.holds) == (2, 12.984255368000671, True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gaborstab import fdiff
-from gaborstab.grids import GridGeometry, box_geometry
+from gaborstab.grids import DomainPartition, GridGeometry, box_geometry
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -153,6 +153,17 @@ class TestPackedPath:
         want = fdiff.gradient_norm(reference_gradient(v, geom, mask))[mask]
         mask[:] = True
         assert np.array_equal(cells.gradient_norm(v), want)
+
+    def test_partition_gives_its_active_cells(self):
+        rng = np.random.default_rng(7)
+        geom = box_geometry((7, 6), -1.0, 1.0)
+        v = rng.standard_normal(geom.extents)
+        partition = DomainPartition.split_along_axis(geom, 0, 0.2,
+                                                     base_mask=rng.random(geom.extents) < 0.7)
+        by_partition = fdiff.MaskCells(geom, partition)
+        by_mask = fdiff.MaskCells(geom, partition.active)
+        assert np.array_equal(by_partition.flat_index, by_mask.flat_index)
+        assert np.array_equal(by_partition.gradient_norm(v), by_mask.gradient_norm(v))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -288,6 +288,15 @@ class TestPhaseAlignment:
             res = align_phase_global(F1, F2, 2.0)
             assert 0.0 <= res.theta_star < 2.0 * np.pi
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_partition_mask_equals_its_active_cells(self, p):
+        F1, F2, rng = self._random_pair()
+        partition = DomainPartition.split_along_axis(
+            F1.geometry, 0, 0.0, base_mask=rng.random(F1.geometry.extents) < 0.6)
+        by_partition = align_phase_global(F1, F2, p, partition)
+        by_mask = align_phase_global(F1, F2, p, partition.active)
+        assert by_partition == by_mask
+
     def test_mask_restricts_comparison(self):
         geom = box_geometry((4, 4), -1.0, 1.0)
         v1 = np.ones((4, 4), complex)
@@ -542,6 +551,15 @@ class TestNormTerms:
         assert got == (self.full_grid_lp(field, geom, 1.2, mask)
                        + self.full_grid_lp(grad, geom, 1.2, mask)
                        + self.full_grid_lp(weight * field, geom, 3.5, mask))
+
+    def test_masked_dnorm_pinned(self):
+        # The exact float64 value: the shape weight is shared with
+        # weighted_lq_diff_norm, and no benchmark fingerprint covers dnorm.
+        geom = box_geometry((33, 33), -2.0, 2.0)
+        r2 = geom.distance_sq()
+        x, y = geom.coordinate_arrays()
+        field = np.exp(-r2) * (1.0 + 0.5 * np.cos(3.0 * x) * np.sin(2.0 * y))
+        assert dnorm(field, geom, 1.2, 3.5, (0.25, -0.5), r2 <= 2.5) == 8.919627322007907
 
     def test_shared_mask_cells_give_the_mask_results(self):
         geom, S1, S2, mask = self.random_case(True)

@@ -26,7 +26,7 @@ import scipy.sparse.csgraph
 
 from .errors import ConvergenceError
 from .gabor import Spectrogram
-from .grids import GridGeometry, active_mask
+from .grids import GridGeometry, active_mask, grid_array
 
 ACTIVE_THRESHOLD = 1e-9
 MASSIVE_COMPONENT_FRACTION = 1e-9
@@ -53,9 +53,7 @@ class WeightGrid:
     mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.geometry.extents:
-            raise ValueError("weight shape does not match grid extents")
+        vals = grid_array(self.values, self.geometry.extents, float, "weight")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ValueError("weights must be finite and nonnegative")
         mask = active_mask(self.mask, self.geometry.extents)

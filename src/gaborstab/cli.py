@@ -61,11 +61,12 @@ _FAILURE_CLASSES = (
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config reader
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
+    """The parsed JSON of a config file; run_config checks that it is an object."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -73,30 +74,11 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg
 
 
-def _require(block: dict, key: str, context: str):
-    if key not in block:
-        raise ConfigError(f"{context}: missing required key '{key}'")
-    return block[key]
-
-
-@contextlib.contextmanager
-def _config_errors(context: str):
-    """Report a library ValueError as a ConfigError prefixed with the context.
-
-    ConfigError and GridFormatError pass through unchanged: the first
-    already names its context, the second maps to the I/O exit code.
-    """
-    try:
-        yield
-    except (ConfigError, GridFormatError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+# The default of a key that has none: the reader raises the missing-key error.
+_REQUIRED = object()
 
 
 def _is_number(value) -> bool:
@@ -104,104 +86,163 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_float(value, context: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+def _is_int(value) -> bool:
+    """A JSON integer (2, not 2.0), but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_int(value, context: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(
-            f"{context}: expected an integer >= {minimum}, got {value!r}")
-    return value
+def _is_complex(value) -> bool:
+    """A real number or an [re, im] pair of numbers."""
+    return _is_number(value) or (isinstance(value, list) and len(value) == 2
+                                 and all(_is_number(v) for v in value))
 
 
-def _as_float_list(value, context: str) -> list[float]:
-    if _is_number(value):
-        return [float(value)]
-    if isinstance(value, list) and all(_is_number(v) for v in value):
-        return [float(v) for v in value]
-    raise ConfigError(f"{context}: expected a number or list of numbers")
+def _is_list_of(value, accept) -> bool:
+    """A nonempty list whose items all pass accept."""
+    return isinstance(value, list) and len(value) > 0 and all(accept(v) for v in value)
 
 
-def _as_complex(value, context: str) -> complex:
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{context}: expected a real number or [re, im] pair")
+class _Block:
+    """One JSON object of a config, at its dotted path ("stability.noise").
+
+    Every config value is read by one method call that names its key.  The
+    call composes the key's path, raises the missing-key error for a key
+    without a default, and checks the JSON type: a bool is not a number,
+    counts are integers, and lists must be nonempty.  Nested objects come
+    from `block` and `geometry` with their own paths, so every config error
+    names the dotted path of its key or block.
+    """
+
+    def __init__(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: must be an object")
+        self._data = value
+        self.path = path
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._data
+
+    def error(self, key: str | None, message: str) -> ConfigError:
+        """A ConfigError naming path.key, or the block's path for key None."""
+        where = self.path if key is None else f"{self.path}.{key}"
+        return ConfigError(f"{where}: {message}")
+
+    @contextlib.contextmanager
+    def errors(self, key: str | None = None):
+        """Report a library ValueError as a ConfigError naming path.key.
+
+        ConfigError and GridFormatError pass through unchanged: the first
+        already names its key, the second maps to the I/O exit code.
+        """
+        try:
+            yield
+        except (ConfigError, GridFormatError):
+            raise
+        except ValueError as exc:
+            raise self.error(key, str(exc)) from exc
+
+    def _read(self, key: str, default, accept, expected: str):
+        """The value at key, checked by accept; default (unchecked) if it is absent."""
+        if key not in self._data:
+            if default is _REQUIRED:
+                raise self.error(key, "missing required key")
+            return default
+        value = self._data[key]
+        if not accept(value):
+            raise self.error(key, f"expected {expected}, got {value!r}")
+        return value
+
+    def block(self, key: str) -> "_Block":
+        """The nested object at key (the object check is _Block's)."""
+        return _Block(self._read(key, _REQUIRED, lambda v: True, "an object"),
+                      f"{self.path}.{key}")
+
+    def number(self, key: str, default=_REQUIRED) -> float:
+        return float(self._read(key, default, _is_number, "a number"))
+
+    def integer(self, key: str, minimum: int | None, default=_REQUIRED) -> int:
+        return self._read(key, default,
+                          lambda v: _is_int(v) and (minimum is None or v >= minimum),
+                          "an integer" if minimum is None else f"an integer >= {minimum}")
+
+    def numbers(self, key: str) -> list[float]:
+        """A number or a nonempty list of numbers, as a list."""
+        value = self._read(key, _REQUIRED,
+                           lambda v: _is_number(v) or _is_list_of(v, _is_number),
+                           "a number or a nonempty list of numbers")
+        return [float(v) for v in (value if isinstance(value, list) else [value])]
+
+    def complex_number(self, key: str) -> complex:
+        return self._complex(self._read(key, _REQUIRED, _is_complex,
+                                        "a real number or [re, im] pair"))
+
+    def complex_numbers(self, key: str) -> list[complex]:
+        value = self._read(key, _REQUIRED, lambda v: _is_list_of(v, _is_complex),
+                           "a nonempty list of real numbers or [re, im] pairs")
+        return [self._complex(v) for v in value]
+
+    @staticmethod
+    def _complex(value) -> complex:
+        return complex(value) if _is_number(value) else complex(value[0], value[1])
+
+    def text(self, key: str, default=_REQUIRED) -> str:
+        return self._read(key, default, lambda v: isinstance(v, str) and v != "",
+                          "a nonempty string")
+
+    def input_file(self, key: str) -> str:
+        path = self.text(key)
+        if not os.path.isfile(path):
+            raise self.error(key, f"input file not found: {path}")
+        return path
+
+    def output(self, key: str, out_dir: str) -> str:
+        """The output path under out_dir; its parent directory is created."""
+        path = os.path.join(out_dir, self.text(key))
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        return path
+
+    def geometry(self, key: str):
+        """A box geometry from the object at key: extents, lo and hi."""
+        from .grids import box_geometry
+
+        block = self.block(key)
+        extents = block._read("extents", _REQUIRED,
+                              lambda v: _is_list_of(v, lambda n: _is_int(n) and n >= 1),
+                              "a nonempty list of integers >= 1")
+        lo, hi = block.numbers("lo"), block.numbers("hi")
+        with block.errors():
+            return box_geometry(extents, lo, hi)
 
 
-def _geometry_from(block, context: str):
-    from .grids import box_geometry
-
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}: geometry must be an object")
-    extents = _require(block, "extents", context)
-    if not (isinstance(extents, list) and extents):
-        raise ConfigError(f"{context}: extents must be a list of integers")
-    extents = tuple(_as_int(n, f"{context}.extents", 1) for n in extents)
-    lo = _as_float_list(_require(block, "lo", context), f"{context}.lo")
-    hi = _as_float_list(_require(block, "hi", context), f"{context}.hi")
-    with _config_errors(context):
-        return box_geometry(extents,
-                            lo[0] if len(lo) == 1 else tuple(lo),
-                            hi[0] if len(hi) == 1 else tuple(hi))
-
-
-def _signal_from(block, geometry, context: str):
+def _signal_from(block: _Block, geometry):
     from .signals import (hermite_gaussian, make_analytic, gaussian_spec,
                           shifted_gaussian_spec, two_bump_spec)
 
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}: signal must be an object")
-    kind = _require(block, "kind", context)
-    with _config_errors(context):
+    kind = block.text("kind")
+    with block.errors():
         if kind == "gaussian":
             return make_analytic(gaussian_spec(geometry.rank), geometry)
         if kind == "shifted-gaussian":
-            center = _as_float_list(_require(block, "center", context), f"{context}.center")
-            freq = _as_float_list(_require(block, "frequency", context), f"{context}.frequency")
-            return make_analytic(shifted_gaussian_spec(tuple(center), tuple(freq)), geometry)
+            spec = shifted_gaussian_spec(tuple(block.numbers("center")),
+                                         tuple(block.numbers("frequency")))
+            return make_analytic(spec, geometry)
         if kind == "two-bump":
-            c1 = _as_float_list(_require(block, "center1", context), f"{context}.center1")
-            f1 = _as_float_list(_require(block, "frequency1", context), f"{context}.frequency1")
-            c2 = _as_float_list(_require(block, "center2", context), f"{context}.center2")
-            f2 = _as_float_list(_require(block, "frequency2", context), f"{context}.frequency2")
-            sign = _as_int(block.get("sign", 1), f"{context}.sign", -1)
-            if sign not in (1, -1):
-                raise ConfigError(f"{context}: sign must be 1 or -1")
-            return make_analytic(
-                two_bump_spec(tuple(c1), tuple(f1), tuple(c2), tuple(f2), sign=sign),
-                geometry)
+            spec = two_bump_spec(tuple(block.numbers("center1")),
+                                 tuple(block.numbers("frequency1")),
+                                 tuple(block.numbers("center2")),
+                                 tuple(block.numbers("frequency2")),
+                                 sign=block.integer("sign", None, default=1))
+            return make_analytic(spec, geometry)
         if kind == "hermite":
-            return hermite_gaussian(_as_int(_require(block, "k", context), f"{context}.k", 0),
-                                    geometry)
-    raise ConfigError(f"{context}: unknown signal kind '{kind}'")
-
-
-def _input_path(block_value, context: str) -> str:
-    if not isinstance(block_value, str) or not block_value:
-        raise ConfigError(f"{context}: expected a file path string")
-    if not os.path.isfile(block_value):
-        raise ConfigError(f"{context}: input file not found: {block_value}")
-    return block_value
+            return hermite_gaussian(block.integer("k", 0), geometry)
+    raise block.error("kind", f"unknown signal kind '{kind}'")
 
 
 # ---------------------------------------------------------------------------
 # Atomic artifact writers
 # ---------------------------------------------------------------------------
-
-
-def _out_path(out_dir: str, name, context: str) -> str:
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{context}: output path must be a nonempty string")
-    path = os.path.join(out_dir, name)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
 
 
 def _write_text(path: str, text: str) -> None:
@@ -231,87 +272,82 @@ def _write_csv(path: str, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_gen(cfg: dict, out_dir: str, seed) -> list[str]:
+def _run_gen(cfg: _Block, out_dir: str, seed) -> list[str]:
     from .grids import write_grid
 
-    geometry = _geometry_from(_require(cfg, "geometry", "gen"), "gen.geometry")
-    sig = _signal_from(_require(cfg, "signal", "gen"), geometry, "gen.signal")
-    path = _out_path(out_dir, _require(cfg, "output", "gen"), "gen.output")
+    geometry = cfg.geometry("geometry")
+    sig = _signal_from(cfg.block("signal"), geometry)
+    path = cfg.output("output", out_dir)
     write_grid(path, sig.geometry, sig.values)
     return [f"gen: wrote {path} ({geometry.num_cells} samples, d={geometry.rank})"]
 
 
-def _signal_pair_or_input(cfg: dict, context: str):
+def _signal_pair_or_input(cfg: _Block):
     from .grids import read_signal
 
     if "input" in cfg:
-        return read_signal(_input_path(cfg["input"], f"{context}.input"))
-    geometry = _geometry_from(_require(cfg, "geometry", context), f"{context}.geometry")
-    return _signal_from(_require(cfg, "signal", context), geometry, f"{context}.signal")
+        return read_signal(cfg.input_file("input"))
+    geometry = cfg.geometry("geometry")
+    return _signal_from(cfg.block("signal"), geometry)
 
 
-def _run_gabor(cfg: dict, out_dir: str, seed) -> list[str]:
+def _run_gabor(cfg: _Block, out_dir: str, seed) -> list[str]:
     import numpy as np
 
     from .gabor import gabor_transform, gabor_transform_fft, spectrogram
     from .grids import write_grid
 
-    sig = _signal_pair_or_input(cfg, "gabor")
-    pg = _geometry_from(_require(cfg, "phase_geometry", "gabor"), "gabor.phase_geometry")
-    method = cfg.get("method", "direct")
+    sig = _signal_pair_or_input(cfg)
+    pg = cfg.geometry("phase_geometry")
+    method = cfg.text("method", default="direct")
     if method == "direct":
         F = gabor_transform(sig, pg)
     elif method == "fft":
         F = gabor_transform_fft(sig, pg)
     else:
-        raise ConfigError(f"gabor.method: expected 'direct' or 'fft', got '{method}'")
+        raise cfg.error("method", f"expected 'direct' or 'fft', got '{method}'")
     lines = []
-    path = _out_path(out_dir, _require(cfg, "output", "gabor"), "gabor.output")
+    path = cfg.output("output", out_dir)
     write_grid(path, pg, F.values)
     peak = float(np.abs(F.values).max())
     lines.append(f"gabor: wrote {path} (method={method}, peak={peak!r})")
     if "spectrogram_output" in cfg:
-        spath = _out_path(out_dir, cfg["spectrogram_output"], "gabor.spectrogram_output")
+        spath = cfg.output("spectrogram_output", out_dir)
         S = spectrogram(F)
         write_grid(spath, pg, S.values)
         lines.append(f"gabor: wrote {spath} (spectrogram, argmax at {list(S.argmax_location)})")
     return lines
 
 
-def _weight_from_config(block, context: str):
+def _weight_from(block: _Block):
     import numpy as np
 
     from .cheeger import WeightGrid, weight_from_spectrogram
     from .gabor import spectrogram
     from .grids import PhaseSpaceGrid, read_grid
 
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}: weight must be an object")
-    kind = _require(block, "kind", context)
-    with _config_errors(context):
+    kind = block.text("kind")
+    with block.errors():
         if kind == "gaussian":
-            geom = _geometry_from(_require(block, "geometry", context), f"{context}.geometry")
+            geom = block.geometry("geometry")
             return WeightGrid(geometry=geom, values=np.exp(-np.pi * geom.distance_sq() / 2.0))
         if kind in ("spectrogram-file", "grid-file"):
-            geom, values = read_grid(_input_path(_require(block, "input", context),
-                                                 f"{context}.input"))
+            geom, values = read_grid(block.input_file("input"))
             if np.iscomplexobj(values):
-                raise ConfigError(f"{context}: {kind} input must be real")
+                raise block.error("input", f"{kind} input must be real")
             if kind == "grid-file":
                 return WeightGrid(geometry=geom, values=values)
             S = spectrogram(PhaseSpaceGrid(geometry=geom, values=values.astype(np.complex128)))
-            opts = {key: _as_float(block[key], f"{context}.{key}")
-                    for key in ("power", "threshold") if key in block}
+            opts = {key: block.number(key) for key in ("power", "threshold") if key in block}
             return weight_from_spectrogram(S, **opts)
-    raise ConfigError(f"{context}: unknown weight kind '{kind}'")
+    raise block.error("kind", f"unknown weight kind '{kind}'")
 
 
-def _run_cheeger(cfg: dict, out_dir: str, seed) -> list[str]:
+def _run_cheeger(cfg: _Block, out_dir: str, seed) -> list[str]:
     from .cheeger import sweep_cut_cheeger
 
-    w = _weight_from_config(_require(cfg, "weight", "cheeger"), "cheeger.weight")
-    coarsen = _as_int(cfg.get("coarsen", 1), "cheeger.coarsen", 1)
-    w = w.coarsen(coarsen)
+    w = _weight_from(cfg.block("weight"))
+    w = w.coarsen(cfg.integer("coarsen", 1, default=1))
     est = sweep_cut_cheeger(w)
     report = {
         "h_upper": est.h_upper,
@@ -326,59 +362,50 @@ def _run_cheeger(cfg: dict, out_dir: str, seed) -> list[str]:
         report["h_oracle"] = est.h_oracle
     if est.disconnected:
         report["component_masses"] = list(est.component_masses)
-    path = _out_path(out_dir, _require(cfg, "output", "cheeger"), "cheeger.output")
+    path = cfg.output("output", out_dir)
     _write_json(path, report)
     oracle = "" if est.h_oracle is None else f" h_oracle={est.h_oracle!r}"
     return [f"cheeger: wrote {path} (h_upper={est.h_upper!r}{oracle}, "
             f"disconnected={est.disconnected})"]
 
 
-def _entire_function_from(block, context: str):
+def _entire_function_from(block: _Block):
     from .entire import gaussian_exponential_spec, lifted_spec, polynomial_spec
 
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}: function must be an object")
-    kind = _require(block, "kind", context)
-    with _config_errors(context):
+    kind = block.text("kind")
+    with block.errors():
         if kind == "polynomial":
-            coeffs = _require(block, "coefficients", context)
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ConfigError(f"{context}: coefficients must be a nonempty list")
-            return polynomial_spec([_as_complex(c, f"{context}.coefficients") for c in coeffs])
+            return polynomial_spec(block.complex_numbers("coefficients"))
         if kind == "gaussian-exponential":
-            c = _as_complex(_require(block, "quadratic_coeff", context),
-                            f"{context}.quadratic_coeff")
-            return gaussian_exponential_spec(c)
+            return gaussian_exponential_spec(block.complex_number("quadratic_coeff"))
         if kind == "lifted-gabor":
             from .gabor import entire_lift
             from .grids import read_phase_grid
 
-            F = read_phase_grid(_input_path(_require(block, "input", context),
-                                            f"{context}.input"))
-            return lifted_spec(entire_lift(F))
-    raise ConfigError(f"{context}: unknown function kind '{kind}'")
+            return lifted_spec(entire_lift(read_phase_grid(block.input_file("input"))))
+    raise block.error("kind", f"unknown function kind '{kind}'")
 
 
-def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
+def _run_entire(cfg: _Block, out_dir: str, seed) -> list[str]:
     from .entire import (GrowthClassSpec, ball_norm_bound_coefficient,
                          growth_class_check, logderiv_ball_norms)
 
-    G = _entire_function_from(_require(cfg, "function", "entire"), "entire.function")
-    radii = _as_float_list(_require(cfg, "radii", "entire"), "entire.radii")
+    G = _entire_function_from(cfg.block("function"))
+    radii = cfg.numbers("radii")
     if any(r <= 0 for r in radii) or sorted(radii) != radii:
-        raise ConfigError("entire.radii: expected positive increasing radii")
-    p = _as_float(cfg.get("p", 1.0), "entire.p")
+        raise cfg.error("radii", "expected positive increasing radii")
+    p = cfg.number("p", default=1.0)
     d = G.dimension
 
     geometry = None
     if "geometry" in cfg:
-        geometry = _geometry_from(cfg["geometry"], "entire.geometry")
+        geometry = cfg.geometry("geometry")
     elif G.kind != "lifted-gabor":
         # analytic kinds are sampled on a square covering the largest ball,
         # at spacing 1/64 per axis
         half = radii[-1]
         from .grids import box_geometry, box_samples
-        with _config_errors("entire.radii"):
+        with cfg.errors("radii"):
             extents = box_samples((2 * half,) * (2 * d), 1.0 / 64.0,
                                   f"the default grid for radius {half} "
                                   "(give an explicit 'geometry' instead)")
@@ -387,15 +414,14 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
     growth = None
     coeff = exponent = None
     if "alpha" in cfg or "beta" in cfg:
-        alpha = _as_float(_require(cfg, "alpha", "entire"), "entire.alpha")
-        beta = _as_float(_require(cfg, "beta", "entire"), "entire.beta")
-        with _config_errors("entire"):
+        alpha, beta = cfg.number("alpha"), cfg.number("beta")
+        with cfg.errors():
             gspec = GrowthClassSpec(alpha=alpha, beta=beta)
         growth = growth_class_check(G, gspec, radii)
         coeff, exponent = ball_norm_bound_coefficient(gspec, d)
 
     table = logderiv_ball_norms(G, p, radii, geometry=geometry)
-    path = _out_path(out_dir, _require(cfg, "output", "entire"), "entire.output")
+    path = cfg.output("output", out_dir)
     _write_csv(path, "r,norm,bound,slope", table.rows(coeff, exponent))
     lines = [f"entire: wrote {path} ({len(radii)} radii, "
              f"fitted slope={table.fitted_slope!r})"]
@@ -412,7 +438,7 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
             report["beta"] = beta
             report["growth_member"] = growth.member
             report["worst_margin"] = growth.worst_margin
-        rpath = _out_path(out_dir, cfg["report_output"], "entire.report_output")
+        rpath = cfg.output("report_output", out_dir)
         _write_json(rpath, report)
         lines.append(f"entire: wrote {rpath}")
     if growth is not None:
@@ -421,106 +447,86 @@ def _run_entire(cfg: dict, out_dir: str, seed) -> list[str]:
     return lines
 
 
-def _noise_from(block, geometry, seed, context: str):
+def _noise_from(block: _Block, geometry, seed):
     from .stability import noise_band_limited, noise_gaussian_bump
 
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}: noise must be an object")
-    kind = _require(block, "kind", context)
-    with _config_errors(context):
+    kind = block.text("kind")
+    with block.errors():
         if kind == "gaussian-bump":
-            amplitude = _as_float(_require(block, "amplitude", context), f"{context}.amplitude")
-            width = _as_float(_require(block, "width", context), f"{context}.width")
-            center = block.get("center")
-            if center is not None:
-                center = _as_float_list(center, f"{context}.center")
+            amplitude, width = block.number("amplitude"), block.number("width")
+            center = block.numbers("center") if "center" in block else None
             return noise_gaussian_bump(geometry, amplitude, width, center)
         if kind == "band-limited":
-            amplitude = _as_float(_require(block, "amplitude", context), f"{context}.amplitude")
-            cutoff = _as_int(_require(block, "cutoff", context), f"{context}.cutoff", 1)
-            use_seed = _as_int(seed if seed is not None else block.get("seed"),
-                               f"{context}.seed (config 'seed' or --seed)", 0)
+            amplitude, cutoff = block.number("amplitude"), block.integer("cutoff", 1)
+            use_seed = seed if seed is not None else block.integer("seed", 0)
             return noise_band_limited(geometry, amplitude, cutoff, use_seed)
-    raise ConfigError(f"{context}: unknown noise kind '{kind}'")
+    raise block.error("kind", f"unknown noise kind '{kind}'")
 
 
-def _stability_pair(cfg: dict, context: str):
+def _stability_pair(cfg: _Block):
     from .grids import box_geometry, read_signal
     from .signals import hermite_gaussian, make_analytic, gaussian_spec
     from .stability import instability_signal_geometry, make_instability_pair
 
-    block = _require(cfg, "pair", context)
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}.pair: must be an object")
-    kind = _require(block, "kind", f"{context}.pair")
+    pair = cfg.block("pair")
+    kind = pair.text("kind")
     if kind == "files":
-        f = read_signal(_input_path(_require(block, "f_input", f"{context}.pair"),
-                                    f"{context}.pair.f_input"))
-        g = read_signal(_input_path(_require(block, "g_input", f"{context}.pair"),
-                                    f"{context}.pair.g_input"))
-        return f, g
+        return read_signal(pair.input_file("f_input")), read_signal(pair.input_file("g_input"))
     if kind == "instability":
-        T = _as_float(_require(block, "T", f"{context}.pair"), f"{context}.pair.T")
-        if _as_int(block.get("d", 1), f"{context}.pair.d", 1) != 1:
-            raise ConfigError(f"{context}.pair: the instability pair is implemented for d=1")
+        T = pair.number("T")
+        if pair.integer("d", 1, default=1) != 1:
+            raise pair.error("d", "the instability pair is implemented for d=1")
         if "signal_geometry" in cfg:
-            sg = _geometry_from(cfg["signal_geometry"], f"{context}.signal_geometry")
+            sg = cfg.geometry("signal_geometry")
         else:
-            with _config_errors(f"{context}.pair.T"):
+            with pair.errors("T"):
                 sg = instability_signal_geometry(T)
-        with _config_errors(f"{context}.pair"):
+        with pair.errors():
             return make_instability_pair(1, T, sg)
     if kind == "gaussian-hermite":
         from .grids import SignalGrid
 
-        k = _as_int(_require(block, "k", f"{context}.pair"), f"{context}.pair.k", 0)
-        amplitude = _as_float(block.get("amplitude", 0.01), f"{context}.pair.amplitude")
+        k = pair.integer("k", 0)
+        amplitude = pair.number("amplitude", default=0.01)
         if "signal_geometry" in cfg:
-            sg = _geometry_from(cfg["signal_geometry"], f"{context}.signal_geometry")
+            sg = cfg.geometry("signal_geometry")
         else:
             sg = box_geometry((513,), -8.0, 8.0)
         f = make_analytic(gaussian_spec(1), sg)
         h = hermite_gaussian(k, sg)
         g = SignalGrid(geometry=sg, values=f.values + amplitude * h.values)
         return f, g
-    raise ConfigError(f"{context}.pair: unknown pair kind '{kind}'")
+    raise pair.error("kind", f"unknown pair kind '{kind}'")
 
 
-def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
+def _run_stability(cfg: _Block, out_dir: str, seed) -> list[str]:
     from .stability import (DEFAULT_CHEEGER_COARSEN, SWEEP_SPACING, instability_sweep,
                             stability_report, sweep_phase_geometry)
 
-    coarsen = _as_int(cfg.get("coarsen", DEFAULT_CHEEGER_COARSEN), "stability.coarsen", 1)
+    coarsen = cfg.integer("coarsen", 1, default=DEFAULT_CHEEGER_COARSEN)
 
     if "sweep" in cfg:
-        sw = cfg["sweep"]
-        if not isinstance(sw, dict):
-            raise ConfigError("stability.sweep: must be an object")
-        T_values = _as_float_list(_require(sw, "T_values", "stability.sweep"),
-                                  "stability.sweep.T_values")
+        sw = cfg.block("sweep")
+        T_values = sw.numbers("T_values")
         # Keys left out take instability_sweep's defaults.
-        opts = {key: _as_float(block[key], f"{context}.{key}")
-                for block, context, key in ((cfg, "stability", "p"), (cfg, "stability", "q"),
-                                            (sw, "stability.sweep", "spacing"))
-                if key in block}
+        opts = {key: block.number(key)
+                for block, key in ((cfg, "p"), (cfg, "q"), (sw, "spacing")) if key in block}
         # instability_sweep also sizes every grid before its first row; doing
         # it here puts the config context on a T that cannot be run.
-        with _config_errors("stability.sweep"):
+        with sw.errors():
             for T in T_values:
                 sweep_phase_geometry(T, opts.get("spacing", SWEEP_SPACING))
         rows = instability_sweep(T_values, cheeger_coarsen=coarsen, **opts)
-        path = _out_path(out_dir, _require(sw, "output", "stability.sweep"),
-                         "stability.sweep.output")
+        path = sw.output("output", out_dir)
         _write_csv(path, "T,h,lhs,sobolev,weighted,ratio",
                    [(r.T, r.h, r.lhs, r.sobolev, r.weighted, r.ratio) for r in rows])
         return [f"stability: wrote {path} ({len(rows)} rows, "
                 f"ratio {rows[0].ratio!r} -> {rows[-1].ratio!r})"]
 
-    f, g = _stability_pair(cfg, "stability")
-    p = _as_float(_require(cfg, "p", "stability"), "stability.p")
-    q = _as_float(_require(cfg, "q", "stability"), "stability.q")
+    f, g = _stability_pair(cfg)
+    p, q = cfg.number("p"), cfg.number("q")
     if "phase_geometry" in cfg:
-        pg = _geometry_from(cfg["phase_geometry"], "stability.phase_geometry")
+        pg = cfg.geometry("phase_geometry")
     else:
         from .stability import default_phase_geometry
         pg = default_phase_geometry(f.geometry.rank)
@@ -529,24 +535,18 @@ def _run_stability(cfg: dict, out_dir: str, seed) -> list[str]:
     if "partition" in cfg:
         from .grids import DomainPartition
 
-        pblock = cfg["partition"]
-        if not isinstance(pblock, dict):
-            raise ConfigError("stability.partition: must be an object")
-        axis = _as_int(_require(pblock, "axis", "stability.partition"),
-                       "stability.partition.axis", 0)
-        if axis >= pg.rank:
-            raise ConfigError("stability.partition: axis out of range")
-        threshold = _as_float(_require(pblock, "threshold", "stability.partition"),
-                              "stability.partition.threshold")
-        partition = DomainPartition.split_along_axis(pg, axis, threshold)
+        part = cfg.block("partition")
+        axis, threshold = part.integer("axis", None), part.number("threshold")
+        with part.errors("axis"):
+            partition = DomainPartition.split_along_axis(pg, axis, threshold)
 
     noise = None
     if "noise" in cfg:
-        noise = _noise_from(cfg["noise"], pg, seed, "stability.noise")
+        noise = _noise_from(cfg.block("noise"), pg, seed)
 
     report = stability_report(f, g, p, q, partition=partition, noise=noise,
                               phase_geometry=pg, cheeger_coarsen=coarsen)
-    path = _out_path(out_dir, _require(cfg, "output", "stability"), "stability.output")
+    path = cfg.output("output", out_dir)
     _write_json(path, report.to_dict())
     return [f"stability: wrote {path} (lhs={report.lhs!r}, "
             f"rhs_weighted_shape={report.rhs_weighted_shape!r}, ratio={report.ratio!r})"]
@@ -565,11 +565,12 @@ def run_config(command: str, cfg: dict, out_dir: str = ".", seed=None) -> list[s
     """Execute one config under the named subcommand; returns summary lines."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command '{command}'")
-    declared = cfg.get("command")
-    if declared is not None and declared != command:
+    root = _Block(cfg, command)
+    declared = root.text("command", default=command)
+    if declared != command:
         raise ConfigError(
             f"config declares command '{declared}' but was run as '{command}'")
-    return _HANDLERS[command](cfg, out_dir, seed)
+    return _HANDLERS[command](root, out_dir, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,14 @@ def _check_ball_coverage(geometry: GridGeometry, r: float) -> None:
                 f"grid does not cover the ball of radius {r} along axis {a}")
 
 
+def _checked_radii(radii) -> list[float]:
+    """The radius or radii as floats; each must be positive and finite."""
+    radii = [float(r) for r in np.atleast_1d(radii)]
+    if any((not np.isfinite(r)) or r <= 0 for r in radii):
+        raise ValueError("radii must be positive and finite")
+    return radii
+
+
 def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec,
                        radii) -> GrowthCheckResult:
     """Check M_G(r) <= |G(0)| e^{alpha r^beta} on the given radii.
@@ -201,9 +209,7 @@ def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec,
     maximum over grid samples inside the ball.  A margin counts as met down
     to -GROWTH_REL_TOL * max(1, alpha r^beta).
     """
-    radii = [float(r) for r in np.atleast_1d(radii)]
-    if any((not np.isfinite(r)) or r <= 0 for r in radii):
-        raise ValueError("radii must be positive and finite")
+    radii = _checked_radii(radii)
     log_g0 = float(np.log(abs(G.origin_value())))
     margins = []
     if G.kind == "lifted-gabor":
@@ -354,9 +360,7 @@ def logderiv_ball_norms(G: EntireFunctionSpec, p: float, radii,
     """
     d = G.dimension
     check_logderiv_exponent(p, d)
-    radii = sorted(float(r) for r in np.atleast_1d(radii))
-    if any((not np.isfinite(r)) or r <= 0 for r in radii):
-        raise ValueError("radii must be positive and finite")
+    radii = sorted(_checked_radii(radii))
     field = log_derivative_field(G, geometry)
     geom = field.geometry
     for r in radii:
@@ -400,9 +404,7 @@ def jensen_check_1d(G: EntireFunctionSpec, z: complex, r: float) -> float:
     """
     G.require_analytic("the Poisson-Jensen check")
     z = complex(z)
-    r = float(r)
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError("radius must be positive and finite")
+    (r,) = _checked_radii(r)
     if abs(z) >= r:
         raise ValueError("evaluation point must lie inside the circle")
     zs = G.zeros()
@@ -438,9 +440,7 @@ def zero_count_bound_1d(G: EntireFunctionSpec, spec: GrowthClassSpec,
     nine geometric radii from max(r/8, 1/8) to max(2r, 1); failing that
     sweep is an error, since the bound's hypothesis would not hold.
     """
-    r = float(r)
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError("radius must be positive and finite")
+    (r,) = _checked_radii(r)
     check_radii = np.geomspace(max(r / 8.0, 0.125), max(2.0 * r, 1.0), 9)
     result = growth_class_check(G, spec, check_radii)
     if not result.member:
@@ -456,7 +456,7 @@ def zero_count_bound_1d(G: EntireFunctionSpec, spec: GrowthClassSpec,
 def argument_principle_count(G: EntireFunctionSpec, r: float) -> int:
     """Zeros inside |z| = r via the contour integral of G'/G, trapezoid rule."""
     G.require_analytic("the contour count")
-    r = float(r)
+    (r,) = _checked_radii(r)
     _check_contour_clear(G.zeros(), r)
     ring = _circle(r)
     # (1/2 pi i) contour integral of G'/G dz with dz = i ring dtheta.

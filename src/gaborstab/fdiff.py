@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainPartition, GridGeometry, active_mask
+from .grids import DomainPartition, GridGeometry, active_mask, grid_array
 
 
 class MaskCells:
@@ -46,10 +46,7 @@ class MaskCells:
         return np.unravel_index(self.flat_index, self.geometry.extents)
 
     def _flat(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        if values.shape != self.geometry.extents:
-            raise ValueError("value array shape does not match grid extents")
-        return values.ravel()
+        return grid_array(values, self.geometry.extents, None, "value array").ravel()
 
     def pack(self, values: np.ndarray) -> np.ndarray:
         """The values at the cells."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fdiff
 from .errors import AdmissibilityError
-from .grids import GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask
+from .grids import GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask, grid_array
 
 BOUNDARY_DECAY_TOL = 1e-12
 ESSENTIAL_SUPPORT_TOL = 1e-9
@@ -153,9 +153,7 @@ class Spectrogram:
     argmax_location: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.geometry.extents:
-            raise ValueError("value array shape does not match grid extents")
+        arr = grid_array(self.values, self.geometry.extents, float, "value array")
         object.__setattr__(self, "values", arr)
         if arr[self.argmax_index] != arr.max():
             raise ValueError("argmax index does not attain the maximum")

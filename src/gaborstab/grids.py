@@ -72,7 +72,8 @@ class GridGeometry:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.extents))
+        # An exact integer product: int64 would wrap for large header extents.
+        return math.prod(self.extents)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Sample coordinates along one axis."""
@@ -148,12 +149,16 @@ def box_samples(lengths, spacing: float, what: str) -> tuple[int, ...]:
     return tuple(int(round(length / spacing)) + 1 for length in lengths)
 
 
-def _validated_values(geometry: GridGeometry, values: np.ndarray, dtype) -> np.ndarray:
+def grid_array(values, extents, dtype, what: str) -> np.ndarray:
+    """values as an array of dtype (None keeps its own) whose shape equals extents.
+
+    Every grid-shaped argument of the package is checked here; a mismatch
+    raises ValueError "<what> shape ... does not match grid extents ...".
+    """
     arr = np.asarray(values, dtype=dtype)
-    if arr.shape != geometry.extents:
+    if arr.shape != tuple(extents):
         raise ValueError(
-            f"value array shape {arr.shape} does not match grid extents {geometry.extents}"
-        )
+            f"{what} shape {arr.shape} does not match grid extents {tuple(extents)}")
     return arr
 
 
@@ -165,7 +170,9 @@ class SignalGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validated_values(self.geometry, self.values, np.complex128))
+        object.__setattr__(self, "values",
+                           grid_array(self.values, self.geometry.extents,
+                                      np.complex128, "value array"))
 
     @property
     def dimension(self) -> int:
@@ -182,7 +189,9 @@ class PhaseSpaceGrid:
     def __post_init__(self) -> None:
         if self.geometry.rank % 2 != 0:
             raise ValueError("phase-space grids need even rank")
-        object.__setattr__(self, "values", _validated_values(self.geometry, self.values, np.complex128))
+        object.__setattr__(self, "values",
+                           grid_array(self.values, self.geometry.extents,
+                                      np.complex128, "value array"))
 
     @property
     def dimension(self) -> int:
@@ -197,11 +206,9 @@ class DomainPartition:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.labels)
+        arr = grid_array(self.labels, self.geometry.extents, None, "label array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("labels must be integers")
-        if arr.shape != self.geometry.extents:
-            raise ValueError("label array shape does not match grid extents")
         if arr.min() < 0:
             raise ValueError("labels must be nonnegative")
         object.__setattr__(self, "labels", arr.astype(np.int64))
@@ -224,9 +231,7 @@ class DomainPartition:
         """Build a partition from disjoint boolean masks; overlap is an error."""
         labels = np.zeros(geometry.extents, dtype=np.int64)
         for i, mask in enumerate(masks, start=1):
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != geometry.extents:
-                raise ValueError("component mask shape mismatch")
+            mask = grid_array(mask, geometry.extents, bool, "component mask")
             if np.any(labels[mask] != 0):
                 raise ValueError("component masks overlap")
             labels[mask] = i
@@ -235,10 +240,18 @@ class DomainPartition:
     @classmethod
     def split_along_axis(cls, geometry: GridGeometry, axis: int, threshold: float,
                          base_mask: np.ndarray | None = None) -> "DomainPartition":
-        """Two components: active cells with coordinate below / at-or-above a threshold."""
+        """Two components: active cells with coordinate below / at-or-above a threshold.
+
+        axis must lie in [0, rank); base_mask (default: every cell) is a mask
+        argument as active_mask takes it.
+        """
+        if not 0 <= axis < geometry.rank:
+            raise ValueError(f"axis {axis} is out of range for a rank-{geometry.rank} grid")
         coords = geometry.coordinate_arrays()[axis]
         below = np.broadcast_to(coords < threshold, geometry.extents)
-        active = np.ones(geometry.extents, dtype=bool) if base_mask is None else np.asarray(base_mask, bool)
+        active = active_mask(base_mask, geometry.extents)
+        if active is None:
+            active = np.ones(geometry.extents, dtype=bool)
         labels = np.zeros(geometry.extents, dtype=np.int64)
         labels[active & below] = 1
         labels[active & ~below] = 2
@@ -250,12 +263,8 @@ def active_mask(mask, shape) -> np.ndarray | None:
     if mask is None:
         return None
     if isinstance(mask, DomainPartition):
-        arr = mask.active
-    else:
-        arr = np.asarray(mask, dtype=bool)
-    if arr.shape != tuple(shape):
-        raise ValueError("mask shape does not match grid extents")
-    return arr
+        mask = mask.active
+    return grid_array(mask, shape, bool, "mask")
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +303,7 @@ def atomic_write(path, write) -> None:
 
 def write_grid_to(fh, geometry: GridGeometry, values: np.ndarray) -> None:
     """Encode a real or complex grid as GGR1 bytes into an open binary file."""
-    arr = np.asarray(values)
-    if arr.shape != geometry.extents:
-        raise ValueError("value array shape does not match grid extents")
+    arr = grid_array(values, geometry.extents, None, "value array")
     dtype_code = _DTYPE_COMPLEX if np.iscomplexobj(arr) else _DTYPE_REAL
     payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_code][0])
     head = [_HEAD.pack(GRID_MAGIC, GRID_VERSION, geometry.rank, dtype_code)]

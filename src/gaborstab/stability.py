@@ -30,7 +30,7 @@ from .errors import AdmissibilityError
 from .gabor import (Spectrogram, _boundary_max, _check_exponent, _lp_norm, gabor_transform,
                     spectrogram)
 from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask,
-                    box_geometry, box_samples)
+                    box_geometry, box_samples, grid_array)
 from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
 
 LOGDERIV_EXCLUSION = 1e-12
@@ -271,8 +271,7 @@ class MulticomponentAlignment:
 def align_phase_multicomponent(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
                                partition: DomainPartition) -> MulticomponentAlignment:
     """Align the phase independently on every component of the partition."""
-    if partition.labels.shape != F1.geometry.extents:
-        raise ValueError("partition shape does not match grid extents")
+    grid_array(partition.labels, F1.geometry.extents, None, "partition")
     parts = []
     for i in range(1, partition.num_components + 1):
         comp = partition.component(i)
@@ -378,9 +377,7 @@ def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
           mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
     """Noise-space norm: W^{1,p}(Omega) plus the weighted L^q norm."""
     check_admissible(p, q, geometry.rank // 2)
-    field = np.asarray(field, float)
-    if field.shape != geometry.extents:
-        raise ValueError("field shape does not match grid extents")
+    field = grid_array(field, geometry.extents, float, "field")
     cells = _cells(geometry, mask)
     weight = _shape_weight(geometry, z0, cells)
     values = cells.pack(field)
@@ -402,9 +399,7 @@ class NoiseSpec:
     geometry: GridGeometry
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, float)
-        if vals.shape != self.geometry.extents:
-            raise ValueError("noise shape does not match grid extents")
+        vals = grid_array(self.values, self.geometry.extents, float, "noise")
         if not np.all(np.isfinite(vals)):
             raise ValueError("noise values must be finite")
         object.__setattr__(self, "values", vals)

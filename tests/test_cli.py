@@ -9,7 +9,9 @@ so the check needs no prior install and runs this checkout's code.
 
 import json
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -692,6 +694,96 @@ NUMBER_KEY_CASES = [
 ]
 
 
+# Bad values per JSON type.  A number list key also takes one number, and
+# an optional key may not be null: it is left out to take its default.
+NUMBER = [None, [1.0], True, "1"]
+INTEGER = [None, 1.5, True, "1"]
+NUMBER_LIST = [True, "1", [1.0, "x"], []]
+EXTENTS = [9, [9.0], [True], []]
+COMPLEX = [None, [1.0], True, "1"]
+COMPLEX_LIST = [1.0, [True], [[1.0, 2.0, 3.0]], []]
+TEXT = [None, 3, ""]
+BLOCK = [None, [], "x", 1]
+GEN_CFG = {"geometry": {"extents": [33], "lo": -4.0, "hi": 4.0},
+           "signal": {"kind": "gaussian"}, "output": "sig.ggr"}
+SHIFTED = {"kind": "shifted-gaussian", "center": [0.5], "frequency": [0.0]}
+TWO_BUMP = {"kind": "two-bump", "center1": [-1.0], "frequency1": [0.0],
+            "center2": [1.0], "frequency2": [0.0], "sign": -1}
+GABOR_CFG = {"input": "sig.ggr", "phase_geometry": {"extents": [17, 17], "lo": -2.0, "hi": 2.0},
+             "output": "F.ggr", "spectrogram_output": "S.ggr"}
+CHEEGER_CFG = {"weight": {"kind": "spectrogram-file", "input": "S.ggr", "power": 1.0,
+                          "threshold": 1e-9},
+               "output": "h.json"}
+ENTIRE_CFG = {"function": {"kind": "polynomial", "coefficients": [1, 0, -1]},
+              "radii": [1.0], "output": "n.csv", "report_output": "n.json"}
+HERMITE_PAIR_CFG = {**STABILITY_REPORT_CFG,
+                    "pair": {"kind": "gaussian-hermite", "k": 1, "amplitude": 0.01}}
+# (command, base config, key path, bad values); the error names
+# "command.key.path".
+KEY_CASES = [
+    ("gen", GEN_CFG, ("geometry",), BLOCK),
+    ("gen", GEN_CFG, ("geometry", "extents"), EXTENTS),
+    ("gen", GEN_CFG, ("geometry", "lo"), NUMBER_LIST),
+    ("gen", GEN_CFG, ("geometry", "hi"), NUMBER_LIST),
+    ("gen", GEN_CFG, ("signal",), BLOCK),
+    ("gen", GEN_CFG, ("signal", "kind"), TEXT),
+    ("gen", {**GEN_CFG, "signal": SHIFTED}, ("signal", "center"), NUMBER_LIST),
+    ("gen", {**GEN_CFG, "signal": SHIFTED}, ("signal", "frequency"), NUMBER_LIST),
+    ("gen", {**GEN_CFG, "signal": TWO_BUMP}, ("signal", "center1"), NUMBER_LIST),
+    ("gen", {**GEN_CFG, "signal": TWO_BUMP}, ("signal", "frequency2"), NUMBER_LIST),
+    ("gen", {**GEN_CFG, "signal": TWO_BUMP}, ("signal", "sign"), INTEGER),
+    ("gen", {**GEN_CFG, "signal": {"kind": "hermite", "k": 2}}, ("signal", "k"), INTEGER),
+    ("gen", GEN_CFG, ("output",), TEXT),
+    ("gabor", GABOR_CFG, ("input",), TEXT),
+    ("gabor", GABOR_CFG, ("phase_geometry",), BLOCK),
+    ("gabor", {**GABOR_CFG, "method": "direct"}, ("method",), TEXT),
+    ("gabor", {"geometry": GEN_CFG["geometry"], "signal": {"kind": "gaussian"},
+               "phase_geometry": GABOR_CFG["phase_geometry"], "output": "F.ggr"},
+     ("geometry",), BLOCK),
+    ("gabor", GABOR_CFG, ("spectrogram_output",), TEXT),
+    ("cheeger", CHEEGER_CFG, ("weight",), BLOCK),
+    ("cheeger", CHEEGER_CFG, ("weight", "power"), NUMBER),
+    ("cheeger", CHEEGER_CFG, ("weight", "threshold"), NUMBER),
+    ("cheeger", {"weight": {"kind": "gaussian", "geometry": GEN_CFG["geometry"]},
+                 "output": "h.json"}, ("weight", "geometry"), BLOCK),
+    ("entire", ENTIRE_CFG, ("function",), BLOCK),
+    ("entire", ENTIRE_CFG, ("function", "coefficients"), COMPLEX_LIST),
+    ("entire", {**ENTIRE_CFG, "function": {"kind": "gaussian-exponential",
+                                           "quadratic_coeff": 1.0}},
+     ("function", "quadratic_coeff"), COMPLEX),
+    ("entire", ENTIRE_CFG, ("radii",), NUMBER_LIST),
+    ("entire", {**ENTIRE_CFG, "geometry": {"extents": [65, 65], "lo": -2.0, "hi": 2.0}},
+     ("geometry",), BLOCK),
+    ("entire", ENTIRE_CFG, ("report_output",), TEXT),
+    ("stability", STABILITY_REPORT_CFG, ("pair",), BLOCK),
+    ("stability", STABILITY_REPORT_CFG, ("pair", "d"), INTEGER),
+    ("stability", HERMITE_PAIR_CFG, ("pair", "k"), INTEGER),
+    ("stability", HERMITE_PAIR_CFG, ("pair", "amplitude"), NUMBER),
+    ("stability", STABILITY_REPORT_CFG, ("signal_geometry",), BLOCK),
+    ("stability", STABILITY_REPORT_CFG, ("phase_geometry",), BLOCK),
+    ("stability", STABILITY_REPORT_CFG, ("partition",), BLOCK),
+    ("stability", STABILITY_REPORT_CFG, ("partition", "axis"), INTEGER),
+    ("stability", {**STABILITY_REPORT_CFG,
+                   "noise": {"kind": "gaussian-bump", "amplitude": 0.01, "width": 1.0}},
+     ("noise",), BLOCK),
+    ("stability", {**STABILITY_REPORT_CFG,
+                   "noise": {"kind": "gaussian-bump", "amplitude": 0.01, "width": 1.0,
+                             "center": [0.0, 0.0]}},
+     ("noise", "center"), NUMBER_LIST),
+    ("stability", {"sweep": {"T_values": [2.0], "spacing": 0.25, "output": "sweep.csv"}},
+     ("sweep",), BLOCK),
+    ("stability", {"sweep": {"T_values": [2.0], "spacing": 0.25, "output": "sweep.csv"}},
+     ("sweep", "T_values"), NUMBER_LIST),
+]
+
+
+def bad_key_cases():
+    for command, base, path, bads in KEY_CASES:
+        for i, bad in enumerate(bads):
+            key = ".".join((command,) + path)
+            yield pytest.param(command, base, path, bad, id=f"{key}-{i}")
+
+
 class TestConfigNumbers:
     """A config number that is null, a list, a bool or a string exits 2."""
 
@@ -770,6 +862,91 @@ class TestConfigNumbers:
         (row,) = instability_sweep([2.0])
         assert rows == [[repr(v) for v in (row.T, row.h, row.lhs, row.sobolev,
                                            row.weighted, row.ratio)]]
+
+
+class TestConfigKeys:
+    """Every key the CLI reads: a value of the wrong JSON type, an empty list
+    or a non-object block exits 2 with the key's dotted path in stderr."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        """tmp_path as working directory, holding the sig.ggr and S.ggr inputs."""
+        monkeypatch.chdir(tmp_path)
+        geom = box_geometry((33,), -4.0, 4.0)
+        write_grid("sig.ggr", geom, make_analytic(gaussian_spec(1), geom).values)
+        phase = box_geometry((17, 17), -2.0, 2.0)
+        write_grid("S.ggr", phase, np.exp(-np.pi * phase.distance_sq() / 2.0))
+        return tmp_path
+
+    @pytest.mark.parametrize("command,base",
+                             list({id(c[1]): c[:2] for c in KEY_CASES}.values()))
+    def test_base_config_runs(self, workdir, command, base):
+        assert run_main(command, write_cfg(workdir, "cfg.json", base), workdir / "out") == 0
+
+    @pytest.mark.parametrize("command,base,path,bad", bad_key_cases())
+    def test_bad_value_exits_2_naming_the_key(self, workdir, capsys, command, base,
+                                              path, bad):
+        cfg = json.loads(json.dumps(base))
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = bad
+        assert run_main(command, write_cfg(workdir, "cfg.json", cfg),
+                        workdir / "out") == cli.EXIT_CONFIG
+        assert ".".join((command,) + path) + ": " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("entire", {**ENTIRE_CFG, "radii": []}, "entire.radii"),
+        ("stability", {"sweep": {"T_values": [], "output": "sweep.csv"}},
+         "stability.sweep.T_values"),
+    ])
+    def test_empty_list_exits_2_and_writes_nothing(self, tmp_path, capsys, command, cfg,
+                                                  key):
+        out = tmp_path / "out"
+        assert run_main(command, write_cfg(tmp_path, "cfg.json", cfg), out) == cli.EXIT_CONFIG
+        assert f"{key}: expected a number or a nonempty list" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_partition_axis_is_checked_by_the_library(self, tmp_path, capsys):
+        cfg = {**STABILITY_REPORT_CFG, "partition": {"axis": -1, "threshold": 0.0}}
+        assert run_main("stability", write_cfg(tmp_path, "cfg.json", cfg),
+                        tmp_path) == cli.EXIT_CONFIG
+        assert ("stability.partition.axis: axis -1 is out of range for a rank-2 grid"
+                in capsys.readouterr().err)
+
+    def test_two_bump_sign_is_checked_by_the_library(self, tmp_path, capsys):
+        cfg = {**GEN_CFG, "signal": {**TWO_BUMP, "sign": 2}}
+        assert run_main("gen", write_cfg(tmp_path, "cfg.json", cfg),
+                        tmp_path) == cli.EXIT_CONFIG
+        assert "gen.signal: two-bump sign must be +1 or -1" in capsys.readouterr().err
+
+    def test_grid_header_beyond_int64_exits_5(self, tmp_path, capsys):
+        # 2^32 x 2^32 cells with no payload; an int64 cell count wraps to 0.
+        path = tmp_path / "huge.ggr"
+        path.write_bytes(struct.pack("<4sIBB", b"GGR1", 1, 2, 0)
+                         + struct.pack("<Qdd", 1 << 32, 1.0, 0.0) * 2)
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "weight": {"kind": "grid-file", "input": str(path)}, "output": "h.json"})
+        assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_IO
+        assert "I/O failure: payload has 0 bytes" in capsys.readouterr().err
+
+
+class TestReadmeConfigs:
+    """The six JSON configs of the README's "Command line" section run, in
+    order, in one working directory."""
+
+    COMMANDS = ("gen", "gabor", "cheeger", "entire", "stability", "stability")
+
+    def test_readme_configs_exit_0(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section,
+                                                              flags=re.DOTALL)]
+        assert len(configs) == len(self.COMMANDS)
+        monkeypatch.chdir(tmp_path)
+        for i, (command, cfg) in enumerate(zip(self.COMMANDS, configs)):
+            path = write_cfg(tmp_path, f"readme-{i}.json", cfg)
+            assert cli.main([command, "--config", path]) == 0, capsys.readouterr().err
 
 
 class TestThreads:

@@ -277,6 +277,20 @@ class TestZeroCounts:
         with pytest.raises(ValueError, match="growth"):
             zero_count_bound_1d(gauss_exp(), GrowthClassSpec(0.01, 2.0), 2.0)
 
+    @pytest.mark.parametrize("check", [
+        lambda G, r: growth_class_check(G, GrowthClassSpec(1.0, 2.0), [1.0, r]),
+        lambda G, r: logderiv_ball_norms(G, 1.0, [1.0, r],
+                                         geometry=box_geometry((33, 33), -2.0, 2.0)),
+        lambda G, r: jensen_check_1d(G, 0.0, r),
+        lambda G, r: zero_count_bound_1d(G, GrowthClassSpec(1.0, 2.0), r),
+        argument_principle_count,
+    ], ids=["growth", "ball-norms", "jensen", "zero-count-bound", "contour-count"])
+    def test_one_radius_check(self, check):
+        # At r = -2, argument_principle_count of 1 - z^2 once returned 2.
+        for r in (-2.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="radii must be positive and finite"):
+                check(polynomial_spec((1.0, 0.0, -1.0)), r)
+
     def test_contour_through_zero_rejected(self):
         with pytest.raises(ValueError, match="contour"):
             argument_principle_count(polynomial_spec((1.0, 0.0, -1.0)), 1.0)

@@ -178,6 +178,17 @@ class TestDomainPartition:
         assert part.component(1).sum() == 4
         assert np.array_equal(part.active, base)
 
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_split_rejects_an_axis_outside_the_rank(self, axis):
+        geom = box_geometry((4, 4), -1.0, 1.0)
+        with pytest.raises(ValueError, match=f"axis {axis} is out of range"):
+            DomainPartition.split_along_axis(geom, axis=axis, threshold=0.0)
+
+    def test_split_rejects_a_base_mask_of_the_wrong_shape(self):
+        geom = box_geometry((4, 4), -1.0, 1.0)
+        with pytest.raises(ValueError, match="mask shape"):
+            DomainPartition.split_along_axis(geom, 0, 0.0, base_mask=np.ones((4, 3), bool))
+
     def test_from_masks_rejects_overlap(self):
         geom = box_geometry((3,), 0.0, 1.0)
         a = np.array([True, True, False])
@@ -329,3 +340,11 @@ class TestGgrCorruption:
     def test_oversized_payload(self, tmp_path):
         data = self._write_valid(tmp_path)
         self._expect_error(tmp_path, data + b"\x00" * 8)
+
+    def test_cell_count_beyond_int64(self, tmp_path):
+        # A real 2^32 x 2^32 grid with no payload: an int64 cell count wraps
+        # to 0, which matches the empty payload and fails later in a reshape.
+        geometry = GridGeometry((1 << 32, 1 << 32), (1.0, 1.0), (0.0, 0.0))
+        assert geometry.num_cells == 1 << 64
+        self._expect_error(tmp_path, struct.pack("<4sIBB", b"GGR1", 1, 2, 0)
+                           + struct.pack("<Qdd", 1 << 32, 1.0, 0.0) * 2)

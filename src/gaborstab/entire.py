@@ -193,8 +193,10 @@ def _check_ball_coverage(geometry: GridGeometry, r: float) -> None:
 
 
 def _checked_radii(radii) -> list[float]:
-    """The radius or radii as floats; each must be positive and finite."""
+    """The radius or radii as floats: at least one, each positive and finite."""
     radii = [float(r) for r in np.atleast_1d(radii)]
+    if not radii:
+        raise ValueError("radii must not be empty")
     if any((not np.isfinite(r)) or r <= 0 for r in radii):
         raise ValueError("radii must be positive and finite")
     return radii

@@ -25,25 +25,34 @@ class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
 
     A DomainPartition as mask stands for its active cells.  ``flat_index``
-    holds their flat indices and ``index`` their multi-indices, one array
-    per axis.  ``pack`` and ``gradient_norm`` return 1-d arrays in the same
-    cell order, equal bit for bit to ``values[mask]`` and
-    ``gradient_norm(gradient(values, geometry, mask))[mask]``.  The
-    multi-indices and the neighbor tables are built on first use and kept,
-    so every field differentiated through one instance shares them.
+    holds their flat indices; ``axis_index(a)`` and ``index`` give their
+    multi-indices, computed on each call.  ``pack`` and ``gradient_norm``
+    return 1-d arrays in the same cell order, equal bit for bit to
+    ``values[mask]`` and ``gradient_norm(gradient(values, geometry, mask))[mask]``.
+    The neighbor flags are built on first use and kept, so every field
+    differentiated through one instance shares them; no other per-cell
+    array is kept.
     """
 
     def __init__(self, geometry: GridGeometry,
                  mask: np.ndarray | DomainPartition | None = None):
         mask = active_mask(mask, geometry.extents)
         self.geometry = geometry
-        # A copy: the neighbor tables are built from it later.
+        # A copy: the neighbor flags are built from it later.
         self.mask = np.ones(geometry.extents, dtype=bool) if mask is None else mask.copy()
         self.flat_index = np.flatnonzero(self.mask)
 
-    @cached_property
+    def _stride(self, axis: int) -> int:
+        return math.prod(self.geometry.extents[axis + 1:])
+
+    def axis_index(self, axis: int) -> np.ndarray:
+        """The cells' indices along one axis."""
+        return self.flat_index // self._stride(axis) % self.geometry.extents[axis]
+
+    @property
     def index(self) -> tuple[np.ndarray, ...]:
-        return np.unravel_index(self.flat_index, self.geometry.extents)
+        """The cells' multi-indices, one array per axis, as ``np.nonzero`` gives them."""
+        return tuple(self.axis_index(a) for a in range(self.geometry.rank))
 
     def _flat(self, values: np.ndarray) -> np.ndarray:
         return grid_array(values, self.geometry.extents, None, "value array").ravel()
@@ -60,32 +69,58 @@ class MaskCells:
         flat, cells = self.mask.ravel(), self.flat_index
         out = []
         for axis, n in enumerate(self.geometry.extents):
-            stride = math.prod(self.geometry.extents[axis + 1:])
-            has_p = (self.index[axis] < n - 1) & flat.take(cells + stride, mode="clip")
-            has_m = (self.index[axis] > 0) & flat.take(cells - stride, mode="clip")
+            stride, index = self._stride(axis), self.axis_index(axis)
+            has_p = (index < n - 1) & flat.take(cells + stride, mode="clip")
+            has_m = (index > 0) & flat.take(cells - stride, mode="clip")
             out.append((stride, has_p, has_m))
         return tuple(out)
 
+    def _derivatives(self, at, dtype):
+        """Per-axis first derivatives at the cells, one axis at a time.
+
+        at(flat_indices) gives the field at those flat indices, clipped into
+        the grid.  The central difference is taken at every cell; the
+        one-sided one, or 0, then replaces it at the cells that miss a
+        neighbor.
+        """
+        cells = self.flat_index
+        for (stride, has_p, has_m), h in zip(self._neighbors, self.geometry.spacing):
+            g = (at(cells + stride) - at(cells - stride)) / (2.0 * h)
+            edge = np.flatnonzero(~(has_p & has_m))
+            if edge.size:
+                e = cells[edge]
+                v, vp, vm = at(e), at(e + stride), at(e - stride)
+                g[edge] = np.where(has_p[edge], (vp - v) / h,
+                                   np.where(has_m[edge], (v - vm) / h, 0))
+            yield g.astype(dtype, copy=False)
+
+    def _field(self, values: np.ndarray):
+        flat = self._flat(values)
+        return (lambda i: flat.take(i, mode="clip")), _derivative_dtype(flat.dtype)
+
     def derivatives(self, values: np.ndarray) -> list[np.ndarray]:
         """Per-axis first derivatives at the cells."""
-        flat, cells = self._flat(values), self.flat_index
-        v = flat.take(cells)
-        dtype = flat.dtype if np.iscomplexobj(flat) else float
-        grads = []
-        for (stride, has_p, has_m), h in zip(self._neighbors, self.geometry.spacing):
-            vp = flat.take(cells + stride, mode="clip")
-            vm = flat.take(cells - stride, mode="clip")
-            central = (vp - vm) / (2.0 * h)
-            forward = (vp - v) / h
-            backward = (v - vm) / h
-            g = np.where(has_p & has_m, central,
-                         np.where(has_p, forward, np.where(has_m, backward, 0)))
-            grads.append(g.astype(dtype, copy=False))
-        return grads
+        return list(self._derivatives(*self._field(values)))
 
     def gradient_norm(self, values: np.ndarray) -> np.ndarray:
         """|grad v| at the cells."""
-        return gradient_norm(self.derivatives(values))
+        return gradient_norm(self._derivatives(*self._field(values)))
+
+    def difference_gradient_norm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|grad (a - b)| at the cells, without the full-grid a - b.
+
+        The stencil gathers a and b at each neighbor and subtracts there:
+        the same float as (a - b) at that cell.
+        """
+        fa, fb = self._flat(a), self._flat(b)
+        return gradient_norm(self._derivatives(
+            lambda i: fa.take(i, mode="clip") - fb.take(i, mode="clip"),
+            _derivative_dtype(np.result_type(fa, fb))))
+
+
+def _derivative_dtype(dtype: np.dtype) -> np.dtype:
+    """Derivatives of a complex field keep its dtype; real fields give float64."""
+    return dtype if np.issubdtype(dtype, np.complexfloating) else np.dtype(float)
 
 
 def gradient(values: np.ndarray, geometry: GridGeometry,
@@ -103,11 +138,16 @@ def gradient(values: np.ndarray, geometry: GridGeometry,
     return grads
 
 
-def gradient_norm(grads: list[np.ndarray]) -> np.ndarray:
-    """Pointwise Euclidean length of a (possibly complex) gradient stack."""
-    acc = np.zeros(grads[0].shape, dtype=float)
+def gradient_norm(grads) -> np.ndarray:
+    """Pointwise Euclidean length of a (possibly complex) gradient stack.
+
+    grads is any iterable of per-axis derivatives; a generator is summed
+    one axis at a time, so only one derivative need exist at once.
+    """
+    acc = None
     for g in grads:
-        acc = acc + np.abs(g) ** 2
+        term = np.abs(g) ** 2
+        acc = np.zeros(term.shape) + term if acc is None else acc + term
     return np.sqrt(acc)
 
 

@@ -80,7 +80,9 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
         for ix in range(x.size):
             out[..., ix, :] = contract(g * windows[ix].reshape(row))
         g = out
-    return PhaseSpaceGrid(geometry=phase_geometry, values=g * f.geometry.cell_volume)
+    # In place: a scaled copy would hold a second full field.
+    g *= f.geometry.cell_volume
+    return PhaseSpaceGrid(geometry=phase_geometry, values=g)
 
 
 def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):

@@ -96,8 +96,9 @@ class GridGeometry:
     def distance_sq(self, center=None, index=None) -> np.ndarray:
         """|z - center|^2 over the grid, or at the cells of a per-axis multi-index.
 
-        center defaults to the origin; index holds one integer array per
-        axis, as ``np.nonzero`` returns.
+        center defaults to the origin; index is an iterable of one integer
+        array per axis, as ``np.nonzero`` returns.  It is read one axis at a
+        time, so a generator of index arrays keeps one of them alive at once.
         """
         c = np.zeros(self.rank) if center is None else np.asarray(center, float)
         if c.shape != (self.rank,):
@@ -105,7 +106,7 @@ class GridGeometry:
         if index is None:
             coords = self.coordinate_arrays()
         else:
-            coords = [self.axis_coordinates(a)[i] for a, i in enumerate(index)]
+            coords = (self.axis_coordinates(a)[i] for a, i in enumerate(index))
         # One sum, axis by axis from 0, for both forms: they agree bit for bit.
         return sum((x - ca) ** 2 for x, ca in zip(coords, c))
 

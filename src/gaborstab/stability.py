@@ -294,7 +294,8 @@ def _check_pair(S1: Spectrogram, S2: Spectrogram) -> None:
 
 def _shape_weight(geometry: GridGeometry, z0, cells: fdiff.MaskCells) -> np.ndarray:
     """The weight 1 + |z - z0|^{2d+2} at the cells."""
-    return 1.0 + geometry.distance_sq(z0, cells.index) ** (geometry.rank // 2 + 1)
+    index = (cells.axis_index(a) for a in range(geometry.rank))
+    return 1.0 + geometry.distance_sq(z0, index) ** (geometry.rank // 2 + 1)
 
 
 def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
@@ -309,9 +310,8 @@ def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
     _check_exponent(p)
     geom = S1.geometry
     cells = _cells(geom, mask)
-    diff = S1.values - S2.values
-    return (_lp_norm(cells.pack(diff), geom, p),
-            _lp_norm(cells.gradient_norm(diff), geom, p))
+    return (_lp_norm(cells.pack(S1.values) - cells.pack(S2.values), geom, p),
+            _lp_norm(cells.difference_gradient_norm(S1.values, S2.values), geom, p))
 
 
 def sobolev_diff_norm(S1: Spectrogram, S2: Spectrogram, p: float,
@@ -509,15 +509,14 @@ def cheeger_route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         raise AdmissibilityError(f"the Cheeger-route bound needs 1 <= p <= 2, got {p}")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    return _route_terms(F1, F2, spectrogram(F1), spectrogram(F2), p,
-                        fdiff.MaskCells(F1.geometry, mask), h)
-
-
-def _route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, S1: Spectrogram,
-                 S2: Spectrogram, p: float, cells: fdiff.MaskCells,
-                 h: float) -> CheegerRouteCheck:
-    """The aligned distance and the Cheeger-route terms on the cells of Omega."""
+    cells = fdiff.MaskCells(F1.geometry, mask)
     lhs = align_phase_global(F1, F2, p, mask=cells.mask).residual
+    return _route_terms(lhs, spectrogram(F1), spectrogram(F2), p, cells, h)
+
+
+def _route_terms(lhs: float, S1: Spectrogram, S2: Spectrogram, p: float,
+                 cells: fdiff.MaskCells, h: float) -> CheegerRouteCheck:
+    """The Cheeger-route terms on the cells of Omega, given the aligned distance lhs."""
     value, grad = sobolev_diff_pieces(S1, S2, p, cells)
     ld = logderiv_term(S1, S2, p, cells)
     factor = math.inf if h == 0.0 else 2.0 ** 4.5 / h
@@ -596,11 +595,11 @@ def stability_report(f: SignalGrid, g: SignalGrid, p: float, q: float,
     d = f.geometry.rank
     check_admissible(p, q, d)
     pg = default_phase_geometry(d) if phase_geometry is None else phase_geometry
-    return _assemble_terms(gabor_transform(f, pg), gabor_transform(g, pg), p, q,
+    return _assemble_terms((gabor_transform(x, pg) for x in (f, g)), p, q,
                            partition, noise, cheeger_coarsen)
 
 
-def _assemble_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float, q: float,
+def _assemble_terms(transforms, p: float, q: float,
                     partition: DomainPartition | None, noise: NoiseSpec | None,
                     cheeger_coarsen: int) -> StabilityReport:
     """Every term of the stability comparison from the transforms of f and g.
@@ -611,21 +610,37 @@ def _assemble_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float, q: float,
     partition, component-wise alignment is added; with a NoiseSpec gamma,
     the achieved noise level epsilon = dnorm(|Gf| + gamma - |Gg|) and the
     noise bound (1 + h^{-1}) (epsilon + dnorm(gamma)) are added.
+
+    transforms yields Gf, then Gg, and the caller keeps neither, so each
+    complex field lives only while a step reads it.  Gf is pulled first
+    and gives |Gf|, Omega, z0 and the coarsened weight; Gg is pulled, the
+    Cheeger solve runs, and the phases are aligned.  Then Gf is dropped,
+    |Gg| is taken and Gg is dropped, so the norm terms run on the two
+    spectrograms alone.
     """
+    transforms = iter(transforms)
+    F1 = next(transforms)
     pg = F1.geometry
     S1 = spectrogram(F1)
-    S2 = spectrogram(F2)
     if float(S1.values.max()) <= 0.0:
         raise ValueError("f has a zero spectrogram; the weight w = |Gf|^p is degenerate")
     z0 = S1.argmax_location
     weight = weight_from_spectrogram(S1, power=p)
     omega = weight.mask
-    # Rebinding drops the fine weight, 8 bytes a cell, before the Cheeger solve.
+    # Rebinding drops the fine weight, 8 bytes a cell, before Gg is pulled.
     weight = weight.coarsen(cheeger_coarsen)
+    F2 = next(transforms)
+    # The solve runs before the alignment: freed heap stays resident, and
+    # the solve's Krylov basis would otherwise stack on the alignment's.
     est = sweep_cut_cheeger(weight)
     h = est.h
+    lhs = align_phase_global(F1, F2, p, mask=omega).residual
+    multi = None if partition is None else align_phase_multicomponent(F1, F2, p, partition)
+    del F1
+    S2 = spectrogram(F2)
+    del F2
     cells = fdiff.MaskCells(pg, omega)
-    route = _route_terms(F1, F2, S1, S2, p, cells, h)
+    route = _route_terms(lhs, S1, S2, p, cells, h)
     sobolev = route.value_term + route.gradient_term
     weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)
     shape_factor = math.inf if h == 0.0 else 1.0 + 1.0 / h
@@ -648,8 +663,7 @@ def _assemble_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float, q: float,
         "rhs_weighted_shape": rhs_shape,
         "ratio": _finite_ratio(route.lhs, rhs_shape),
     }
-    if partition is not None:
-        multi = align_phase_multicomponent(F1, F2, p, partition)
+    if multi is not None:
         report["component_residuals"] = tuple(a.residual for a in multi.alignments)
         report["multicomponent_residual"] = multi.total_residual
     if noise is not None:
@@ -732,8 +746,8 @@ def instability_sweep(T_values, p: float = 1.0, q: float = 3.0,
     grids = [(float(T), sweep_phase_geometry(float(T), spacing)) for T in T_values]
     rows = []
     for T, pg in grids:
-        F1, F2 = (analytic_gabor_transform(spec, pg) for spec in _instability_specs(T, 1))
-        r = _assemble_terms(F1, F2, p, q, None, None, cheeger_coarsen)
+        transforms = (analytic_gabor_transform(spec, pg) for spec in _instability_specs(T, 1))
+        r = _assemble_terms(transforms, p, q, None, None, cheeger_coarsen)
         rows.append(InstabilityRow(
             T=T, h=r.h_upper if r.h_oracle is None else r.h_oracle, lhs=r.lhs,
             sobolev=r.sobolev_term, weighted=r.weighted_term,

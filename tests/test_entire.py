@@ -291,6 +291,21 @@ class TestZeroCounts:
             with pytest.raises(ValueError, match="radii must be positive and finite"):
                 check(polynomial_spec((1.0, 0.0, -1.0)), r)
 
+    @pytest.mark.parametrize("check", [
+        lambda G, r: growth_class_check(G, GrowthClassSpec(1.0, 2.0), r),
+        lambda G, r: logderiv_ball_norms(
+            G, 1.0, r, geometry=box_geometry((33, 33), -2.0, 2.0)),
+        lambda G, r: jensen_check_1d(G, 0.5, r),
+        lambda G, r: zero_count_bound_1d(G, GrowthClassSpec(1.0, 2.0), r),
+        argument_principle_count,
+    ], ids=["growth", "ball-norms", "jensen", "zero-count-bound", "contour-count"])
+    def test_empty_radii_rejected(self, check):
+        # growth_class_check once returned member=True with no radius checked,
+        # and logderiv_ball_norms a fitted slope of nan.
+        for r in ([], (), np.array([])):
+            with pytest.raises(ValueError, match="radii must not be empty"):
+                check(polynomial_spec((1.0, 0.0, -1.0)), r)
+
     def test_contour_through_zero_rejected(self):
         with pytest.raises(ValueError, match="contour"):
             argument_principle_count(polynomial_spec((1.0, 0.0, -1.0)), 1.0)

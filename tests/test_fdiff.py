@@ -5,11 +5,13 @@ copies of the values and the mask; the packed path must match it bit for
 bit at every mask cell.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from gaborstab import fdiff
-from gaborstab.grids import DomainPartition, GridGeometry, box_geometry
+from gaborstab.grids import DomainPartition, GridGeometry, active_mask, box_geometry
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -44,6 +46,120 @@ def reference_gradient(values, geometry, mask=None):
         g = np.where(mask, g, 0)
         grads.append(g.astype(values.dtype if np.iscomplexobj(values) else float))
     return grads
+
+
+def where_stencil(values, geometry, mask=None):
+    """The packed stencil as it was before it ran one axis at a time.
+
+    Every per-cell array (multi-index, value, forward, backward and central
+    differences) is built up front, and np.where picks the difference.  The
+    packed path must match it bit for bit.
+    """
+    mask = active_mask(mask, geometry.extents)
+    mask = np.ones(geometry.extents, bool) if mask is None else mask
+    flat, inside, cells = np.asarray(values).ravel(), mask.ravel(), np.flatnonzero(mask)
+    index = np.unravel_index(cells, geometry.extents)
+    v = flat.take(cells)
+    dtype = flat.dtype if np.iscomplexobj(flat) else float
+    grads = []
+    for axis, (n, h) in enumerate(zip(geometry.extents, geometry.spacing)):
+        stride = math.prod(geometry.extents[axis + 1:])
+        has_p = (index[axis] < n - 1) & inside.take(cells + stride, mode="clip")
+        has_m = (index[axis] > 0) & inside.take(cells - stride, mode="clip")
+        vp = flat.take(cells + stride, mode="clip")
+        vm = flat.take(cells - stride, mode="clip")
+        central = (vp - vm) / (2.0 * h)
+        forward = (vp - v) / h
+        backward = (v - vm) / h
+        g = np.where(has_p & has_m, central,
+                     np.where(has_p, forward, np.where(has_m, backward, 0)))
+        grads.append(g.astype(dtype, copy=False))
+    return grads
+
+
+def _oracle_masks(extents, rng):
+    """Masks that reach every branch of the stencil on a grid."""
+    idx = np.indices(extents)
+    edge = np.zeros(extents, bool)
+    for axis, n in enumerate(extents):
+        edge |= (idx[axis] == 0) | (idx[axis] == n - 1)
+    geom = GridGeometry(extents, (1.0,) * len(extents), (0.0,) * len(extents))
+    return {
+        "none": None,
+        "random": rng.random(extents) < 0.6,
+        # No cell of a checkerboard has a neighbor along any axis.
+        "isolated": idx.sum(axis=0) % 2 == 0,
+        "grid-edge": edge,
+        "edge-and-isolated": edge | (rng.random(extents) < 0.15),
+        "partition": DomainPartition.split_along_axis(
+            geom, len(extents) - 1, (extents[-1] - 1) / 2.0,
+            base_mask=rng.random(extents) < 0.7),
+    }
+
+
+ORACLE_EXTENTS = [(9,), (6, 7), (4, 5, 6), (4, 3, 5, 4)]
+ORACLE_MASKS = ["none", "random", "isolated", "grid-edge", "edge-and-isolated", "partition"]
+
+
+class TestWhereStencilOracle:
+    """The one-axis-at-a-time stencil against the pre-change np.where stencil."""
+
+    @pytest.mark.parametrize("extents", ORACLE_EXTENTS, ids=lambda e: f"rank{len(e)}")
+    @pytest.mark.parametrize("mask_kind", ORACLE_MASKS)
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_derivatives_and_norm_equal_the_oracle(self, extents, mask_kind, is_complex):
+        rng = np.random.default_rng(len(extents))
+        geom = GridGeometry(extents, tuple(rng.uniform(0.1, 2.0, len(extents))),
+                            (0.0,) * len(extents))
+        mask = _oracle_masks(extents, rng)[mask_kind]
+        v = rng.standard_normal(extents)
+        if is_complex:
+            v = v + 1j * rng.standard_normal(extents)
+        cells = fdiff.MaskCells(geom, mask)
+        want = where_stencil(v, geom, mask)
+        got = cells.derivatives(v)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.array_equal(cells.gradient_norm(v), fdiff.gradient_norm(want))
+        # The full-grid path scatters the same values.
+        sel = cells.flat_index
+        for g, w in zip(fdiff.gradient(v, geom, mask), want):
+            assert np.array_equal(g.ravel()[sel], w)
+
+    @pytest.mark.parametrize("extents", ORACLE_EXTENTS, ids=lambda e: f"rank{len(e)}")
+    @pytest.mark.parametrize("mask_kind", ORACLE_MASKS)
+    def test_two_field_gradient_equals_the_gradient_of_the_difference(self, extents,
+                                                                      mask_kind):
+        rng = np.random.default_rng(10 + len(extents))
+        geom = GridGeometry(extents, tuple(rng.uniform(0.1, 2.0, len(extents))),
+                            (0.0,) * len(extents))
+        mask = _oracle_masks(extents, rng)[mask_kind]
+        a, b = rng.random(extents), rng.random(extents)
+        cells = fdiff.MaskCells(geom, mask)
+        want = fdiff.gradient_norm(where_stencil(a - b, geom, mask))
+        assert np.array_equal(cells.difference_gradient_norm(a, b), want)
+        assert np.array_equal(cells.difference_gradient_norm(a, b), cells.gradient_norm(a - b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
+    def test_other_dtypes_equal_the_oracle(self, dtype):
+        geom = box_geometry((6, 5), -1.0, 1.0)
+        v = (np.arange(30) ** 2 % 17).reshape(6, 5)
+        v = (v * (3 - 1j if np.dtype(dtype).kind == "c" else 3)).astype(dtype)
+        mask = np.indices((6, 5)).sum(axis=0) % 3 != 0
+        for g, w in zip(fdiff.MaskCells(geom, mask).derivatives(v), where_stencil(v, geom, mask)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_multi_index_is_computed_per_axis(self):
+        rng = np.random.default_rng(3)
+        geom = box_geometry((4, 3, 5, 4), -1.0, 1.0)
+        mask = rng.random(geom.extents) < 0.5
+        cells = fdiff.MaskCells(geom, mask)
+        for axis, want in enumerate(np.nonzero(mask)):
+            assert np.array_equal(cells.axis_index(axis), want)
+        cells.gradient_norm(rng.standard_normal(geom.extents))
+        # Only the flat index and the neighbor flags are kept per cell.
+        assert set(vars(cells)) == {"geometry", "mask", "flat_index", "_neighbors"}
 
 
 class TestStencil:

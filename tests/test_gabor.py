@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gaborstab import gabor
 from gaborstab.errors import AdmissibilityError
 from gaborstab.gabor import (
     EntireLift,
@@ -90,6 +91,50 @@ class TestDirectPath:
         fb = make_analytic(shifted_gaussian_spec((0.0,), (0.5,)), sig_geom)
         Sb = np.abs(gabor_transform(fb, phase).values)
         assert np.max(np.abs(Sb[:, 8:] - S0[:, :-8])) < 1e-10
+
+
+def out_of_place_transform(f, phase_geometry, axis_contraction):
+    """The separable Riemann sum as it was before the cell volume was applied
+    in place: the scaled field is a second full array."""
+    d = f.dimension
+    contractions = [axis_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
+                    for a in range(d)]
+    g = f.values
+    for a, contract in enumerate(contractions):
+        t = f.geometry.axis_coordinates(a)
+        x = phase_geometry.axis_coordinates(2 * a)
+        windows = np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2)
+        row = (t.size,) + (1,) * (g.ndim - 1)
+        out = np.empty(g.shape[1:] + phase_geometry.extents[2 * a:2 * a + 2], np.complex128)
+        for ix in range(x.size):
+            out[..., ix, :] = contract(g * windows[ix].reshape(row))
+        g = out
+    return g * f.geometry.cell_volume
+
+
+class TestInPlaceScaling:
+    """Both transform paths against the out-of-place scaling, bit for bit."""
+
+    CASES = {
+        "d1": (box_geometry((512,), -8.0, 8.0 - 1.0 / 32.0),
+               box_geometry((33, 65), (-1.5, -2.0), (1.5, 2.0)),
+               two_bump_spec((-1.0,), (0.0,), (1.0,), (0.5,), sign=-1)),
+        "d2": (box_geometry((64, 64), -4.0, 4.0 - 1.0 / 8.0),
+               box_geometry((5, 9, 7, 9), -1.0, 1.0),
+               shifted_gaussian_spec((0.25, -0.5), (0.0, 0.5))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("transform, contraction", [
+        (gabor_transform, gabor._fourier_contraction),
+        (gabor_transform_fft, gabor._fft_contraction),
+    ], ids=["direct", "fft"])
+    def test_equals_the_out_of_place_transform(self, case, transform, contraction):
+        sig_geom, phase, spec = self.CASES[case]
+        f = make_analytic(spec, sig_geom)
+        got = transform(f, phase).values
+        want = out_of_place_transform(f, phase, contraction)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestFftPath:

@@ -85,6 +85,24 @@ class TestGridGeometry:
         index = np.nonzero(rng.uniform(size=extents) < 0.4)
         assert np.array_equal(geom.distance_sq(center, index), r2[index])
 
+    @pytest.mark.parametrize("extents", [(7,), (5, 6), (3, 4, 5), (3, 2, 4, 3)])
+    def test_distance_sq_equals_the_list_based_sum(self, extents):
+        # The pre-change indexed form gathered every axis's coordinates into a
+        # list first; reading the index one axis at a time gives the same bits.
+        def list_distance_sq(geom, center, index):
+            coords = [geom.axis_coordinates(a)[i] for a, i in enumerate(index)]
+            return sum((x - ca) ** 2 for x, ca in zip(coords, np.asarray(center, float)))
+
+        rng = np.random.default_rng(20 + len(extents))
+        geom = GridGeometry(extents=extents, spacing=rng.uniform(0.1, 1.0, len(extents)),
+                            origin=rng.uniform(-2.0, 0.0, len(extents)))
+        center = rng.uniform(-1.0, 1.0, len(extents))
+        index = np.nonzero(rng.uniform(size=extents) < 0.5)
+        want = list_distance_sq(geom, center, index)
+        assert np.array_equal(geom.distance_sq(center, index), want)
+        assert np.array_equal(geom.distance_sq(center, iter(index)), want)
+        assert np.array_equal(geom.distance_sq(center, (i for i in index)), want)
+
     def test_distance_sq_rejects_a_center_of_the_wrong_length(self):
         geom = box_geometry((3, 4), -1.0, 1.0)
         for center in ((0.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]]):

@@ -1,6 +1,8 @@
 """Phase alignment, norm terms, noise model, and stability report assembly."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -907,3 +909,89 @@ class TestInstabilitySweep:
         assert pg.origin == (-7.0, -4.0)
         assert pg.axis_upper(0) == pytest.approx(7.0)
         assert pg.axis_upper(1) == pytest.approx(4.0)
+
+
+class TestFieldLifetime:
+    """The report frees each complex transform once no later step reads it."""
+
+    @staticmethod
+    def _watch_transforms(monkeypatch, module, name):
+        """Weak references to the values of every grid module.name returns."""
+        refs = []
+        transform = getattr(module, name)
+
+        def recording(*args):
+            F = transform(*args)
+            refs.append(weakref.ref(F.values))
+            return F
+
+        monkeypatch.setattr(module, name, recording)
+        return refs
+
+    @staticmethod
+    def _live_at_first_norm_term(monkeypatch, refs):
+        """Per norm-term start, how many recorded transforms are still alive."""
+        from gaborstab import stability
+
+        live = []
+        first_term = stability.sobolev_diff_pieces
+
+        def checking(*args):
+            live.append((len(refs), sum(r() is not None for r in refs)))
+            return first_term(*args)
+
+        monkeypatch.setattr(stability, "sobolev_diff_pieces", checking)
+        return live
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_frees_both_transforms_before_the_norm_terms(self, monkeypatch, d):
+        from gaborstab import stability
+
+        if d == 1:
+            sg, pg = box_geometry((257,), -6.0, 6.0), box_geometry((33, 33), -3.0, 3.0)
+        else:
+            sg, pg = box_geometry((48, 48), -6.0, 5.75), box_geometry((9,) * 4, -3.0, 3.0)
+        f, g = make_instability_pair(d, 2.0, sg)
+        refs = self._watch_transforms(monkeypatch, stability, "gabor_transform")
+        live = self._live_at_first_norm_term(monkeypatch, refs)
+        part = DomainPartition.split_along_axis(pg, axis=0, threshold=0.0)
+        report = stability_report(f, g, 1.0, 5.0 if d == 2 else 3.0, partition=part,
+                                  phase_geometry=pg)
+        assert live == [(2, 0)]
+        assert len(report.component_residuals) == 2
+
+    def test_sweep_frees_both_transforms_of_each_row(self, monkeypatch):
+        from gaborstab import signals
+
+        refs = self._watch_transforms(monkeypatch, signals, "analytic_gabor_transform")
+        live = self._live_at_first_norm_term(monkeypatch, refs)
+        instability_sweep([2.0, 3.0], spacing=1.0 / 8.0)
+        assert live == [(2, 0), (4, 0)]
+
+    def test_norm_terms_traced_peak_per_omega_cell(self):
+        # numpy reports its buffers to tracemalloc, so this figure repeats
+        # exactly.  It was 160.6 bytes per Omega cell with the full-grid
+        # S1 - S2, the cached multi-index and the np.where stencil, and is
+        # 82.8 with the stencil run one axis at a time.  Bringing back the
+        # full-grid S1 - S2 alone reads 97.2.
+        from gaborstab.cheeger import weight_from_spectrogram
+
+        pg = box_geometry((17,) * 4, -4.0, 4.0)
+        S1, S2 = (spectrogram(analytic_gabor_transform(
+            two_bump_spec((-1.5, 0.0), (0.0, 0.0), (1.5, 0.0), (0.0, 0.0), sign=s), pg))
+            for s in (+1, -1))
+        omega = weight_from_spectrogram(S1, power=1.0).mask
+        cells = fdiff.MaskCells(pg, omega)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sobolev_diff_pieces(S1, S2, 1.0, cells)
+            logderiv_term(S1, S2, 1.0, cells)
+            weighted_lq_diff_norm(S1, S2, 5.0, S1.argmax_location, mask=cells)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak / np.count_nonzero(omega) <= 90.0

@@ -127,14 +127,20 @@ def _block_reduce(a: np.ndarray, k: int, op) -> np.ndarray:
 
 def weight_from_spectrogram(S: Spectrogram, power: float = 1.0,
                             threshold: float = ACTIVE_THRESHOLD) -> WeightGrid:
-    """WeightGrid with w = |Gf|^power, active where |Gf| >= threshold * max."""
+    """WeightGrid with w = |Gf|^power, active where |Gf| >= threshold * max.
+
+    At power 1.0 the weight's values are S.values itself, not a copy: x ** 1.0
+    is x bit for bit.  Nothing writes a weight's values in place (scaled and
+    coarsen build new arrays), and that must stay so.
+    """
     if power <= 0:
         raise ValueError("power must be positive")
     peak = float(S.values.max())
     if peak <= 0:
         raise ValueError("spectrogram is identically zero")
     mask = S.values >= threshold * peak
-    return WeightGrid(geometry=S.geometry, values=S.values ** power, mask=mask)
+    values = S.values if power == 1.0 else S.values ** power
+    return WeightGrid(geometry=S.geometry, values=values, mask=mask)
 
 
 @dataclass(frozen=True, slots=True)

@@ -188,8 +188,46 @@ def _scan(power_sum, objective, sel1: np.ndarray, sel2: np.ndarray, p: float,
     return coarse
 
 
-def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
-                       mask: np.ndarray | DomainPartition | None = None,
+@dataclass(frozen=True, slots=True)
+class PackedField:
+    """A complex phase-space field held only at the True cells of mask.
+
+    values is the row-major gather F.values[mask]; mask None holds every
+    cell.  The alignment reads a field only on Omega, so a report packs
+    each transform once and drops the full grid.
+    """
+
+    geometry: GridGeometry
+    mask: np.ndarray | None
+    values: np.ndarray
+
+    @classmethod
+    def pack(cls, F: PhaseSpaceGrid, mask: np.ndarray) -> "PackedField":
+        """F at the cells of mask.  An all-True mask keeps a flat view, not a copy."""
+        mask = grid_array(mask, F.geometry.extents, bool, "mask")
+        if mask.all():
+            return cls(F.geometry, None, F.values.ravel())
+        return cls(F.geometry, mask, F.values[mask])
+
+    def select(self, mask: np.ndarray | None) -> np.ndarray:
+        """The values at the cells of a full-grid mask, every held cell for None.
+
+        Raises ValueError when the mask reaches a cell that is not held.
+        """
+        if mask is None:
+            return self.values
+        held = mask.ravel() if self.mask is None else mask[self.mask]
+        if np.count_nonzero(held) != np.count_nonzero(mask):
+            raise ValueError("mask reaches cells that the packed field does not hold")
+        return self.values if held.all() else self.values[held]
+
+
+def _held(F: PhaseSpaceGrid | PackedField) -> PackedField:
+    return F if isinstance(F, PackedField) else PackedField(F.geometry, None, F.values.ravel())
+
+
+def align_phase_global(F1: PhaseSpaceGrid | PackedField, F2: PhaseSpaceGrid | PackedField,
+                       p: float, mask: np.ndarray | DomainPartition | None = None,
                        force_search: bool = False) -> PhaseAlignment:
     """Minimize theta -> ||F2 - e^{i theta} F1||_{L^p(Omega)} over the circle.
 
@@ -206,17 +244,21 @@ def align_phase_global(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
     residual 0.  A DomainPartition as mask stands for its active cells.
     force_search runs the search path at p = 2 as well, for cross-checking
     the closed form.
+
+    F1 and F2 may also be PackedFields that hold the same cells; mask None
+    then means every held cell, and a mask must lie inside them.  The
+    packed values are those of the full grids, so the result is the same
+    bit for bit.
     """
     if F1.geometry != F2.geometry:
         raise ValueError("phase-space grids must share one geometry")
     _check_exponent(p)
     geom = F1.geometry
-    v1, v2 = F1.values, F2.values
+    P1, P2 = _held(F1), _held(F2)
+    if P1.mask is not P2.mask and not np.array_equal(P1.mask, P2.mask):
+        raise ValueError("packed fields must hold the same cells")
     mask = active_mask(mask, geom.extents)
-    if mask is None:
-        sel1, sel2 = v1.ravel(), v2.ravel()
-    else:
-        sel1, sel2 = v1[mask], v2[mask]
+    sel1, sel2 = P1.select(mask), P2.select(mask)
     vol = geom.cell_volume
     if p == 2.0 and not force_search:
         inner = complex(np.sum(sel2 * np.conj(sel1)) * vol)
@@ -268,9 +310,13 @@ class MulticomponentAlignment:
     total_residual: float
 
 
-def align_phase_multicomponent(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
+def align_phase_multicomponent(F1: PhaseSpaceGrid | PackedField,
+                               F2: PhaseSpaceGrid | PackedField, p: float,
                                partition: DomainPartition) -> MulticomponentAlignment:
-    """Align the phase independently on every component of the partition."""
+    """Align the phase independently on every component of the partition.
+
+    Packed fields must hold every active cell of the partition.
+    """
     grid_array(partition.labels, F1.geometry.extents, None, "partition")
     parts = []
     for i in range(1, partition.num_components + 1):
@@ -611,12 +657,16 @@ def _assemble_terms(transforms, p: float, q: float,
     the achieved noise level epsilon = dnorm(|Gf| + gamma - |Gg|) and the
     noise bound (1 + h^{-1}) (epsilon + dnorm(gamma)) are added.
 
-    transforms yields Gf, then Gg, and the caller keeps neither, so each
-    complex field lives only while a step reads it.  Gf is pulled first
-    and gives |Gf|, Omega, z0 and the coarsened weight; Gg is pulled, the
-    Cheeger solve runs, and the phases are aligned.  Then Gf is dropped,
-    |Gg| is taken and Gg is dropped, so the norm terms run on the two
-    spectrograms alone.
+    transforms yields Gf, then Gg, and the caller keeps neither, so no
+    full complex field is alive during the Cheeger solve or the alignment:
+      1. Gf is pulled; it gives |Gf|, z0, Omega and the fine weight.  Gf is
+         packed on keep (Omega, or Omega and the partition's active cells)
+         and the full Gf is dropped.
+      2. The weight is coarsened, the fine weight dropped, and the Cheeger
+         solve runs, then the coarse weight is dropped.
+      3. Gg is pulled, |Gg| taken, Gg packed on keep and the full Gg dropped.
+      4. The packed pair is aligned (per component too, with a partition)
+         and dropped; the norm terms run on the two spectrograms.
     """
     transforms = iter(transforms)
     F1 = next(transforms)
@@ -627,18 +677,21 @@ def _assemble_terms(transforms, p: float, q: float,
     z0 = S1.argmax_location
     weight = weight_from_spectrogram(S1, power=p)
     omega = weight.mask
-    # Rebinding drops the fine weight, 8 bytes a cell, before Gg is pulled.
-    weight = weight.coarsen(cheeger_coarsen)
-    F2 = next(transforms)
-    # The solve runs before the alignment: freed heap stays resident, and
-    # the solve's Krylov basis would otherwise stack on the alignment's.
-    est = sweep_cut_cheeger(weight)
-    h = est.h
-    lhs = align_phase_global(F1, F2, p, mask=omega).residual
-    multi = None if partition is None else align_phase_multicomponent(F1, F2, p, partition)
+    keep = omega if partition is None else omega | active_mask(partition, pg.extents)
+    P1 = PackedField.pack(F1, keep)
     del F1
+    weight = weight.coarsen(cheeger_coarsen)
+    est = sweep_cut_cheeger(weight)
+    del weight
+    h = est.h
+    F2 = next(transforms)
     S2 = spectrogram(F2)
+    P2 = PackedField.pack(F2, keep)
     del F2
+    # Without a partition the packed cells are Omega: mask None reads them all.
+    lhs = align_phase_global(P1, P2, p, mask=None if partition is None else omega).residual
+    multi = None if partition is None else align_phase_multicomponent(P1, P2, p, partition)
+    del P1, P2
     cells = fdiff.MaskCells(pg, omega)
     route = _route_terms(lhs, S1, S2, p, cells, h)
     sobolev = route.value_term + route.gradient_term
@@ -670,7 +723,8 @@ def _assemble_terms(transforms, p: float, q: float,
         if noise.geometry != pg:
             raise ValueError("noise field must live on the phase-space grid")
         gamma_dnorm = dnorm(noise.values, pg, p, q, z0, mask=cells)
-        achieved = S1.values + noise.values - S2.values
+        achieved = S1.values + noise.values
+        achieved -= S2.values
         epsilon = dnorm(achieved, pg, p, q, z0, mask=cells)
         report["noise_epsilon"] = epsilon
         report["noise_gamma_dnorm"] = gamma_dnorm

@@ -260,6 +260,18 @@ class TestWeightFromSpectrogram:
         assert np.array_equal(w.mask, S.values >= 1e-3 * S.values.max())
         assert not w.mask.all()
 
+    def test_power_one_shares_the_spectrogram(self):
+        S = self._spec()
+        w = weight_from_spectrogram(S, 1.0)
+        assert np.shares_memory(w.values, S.values)
+        assert np.array_equal(w.values, S.values ** 1.0)
+
+    def test_power_two_is_a_new_array(self):
+        S = self._spec()
+        w = weight_from_spectrogram(S, 2.0)
+        assert not np.shares_memory(w.values, S.values)
+        assert np.array_equal(w.values, S.values ** 2)
+
     def test_default_threshold_keeps_core(self):
         w = weight_from_spectrogram(self._spec())
         assert w.mask[32, 32]

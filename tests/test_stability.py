@@ -23,6 +23,7 @@ from gaborstab.stability import (
     GOLDEN_TOL,
     SCAN_HEAVY_LEVEL,
     NoiseSpec,
+    PackedField,
     PhaseAlignment,
     _brent_minimize,
     _scan,
@@ -438,6 +439,68 @@ class TestMulticomponent:
         F = PhaseSpaceGrid(geom, np.ones((4, 4)))
         with pytest.raises(ValueError):
             align_phase_multicomponent(F, F, 2.0, part)
+
+
+class TestPackedAlignment:
+    """A PackedField pair aligns exactly as the full grids it was packed from."""
+
+    @staticmethod
+    def _case(seed, shape=(40, 45)):
+        """A pair, a random Omega and a three-component partition that reaches outside it."""
+        F1, F2 = (heavy_tailed_pair if seed % 2 == 0 else random_pair)(seed, shape)
+        rng = np.random.default_rng(seed + 100)
+        omega = rng.random(shape) < 0.5
+        labels = rng.integers(1, 4, shape) * (rng.random(shape) < 0.4)
+        labels[0, :3] = [1, 2, 3]
+        part = DomainPartition(F1.geometry, labels)
+        assert np.any(part.active & ~omega)
+        return F1, F2, omega, part
+
+    @staticmethod
+    def _packed(F1, F2, mask):
+        return PackedField.pack(F1, mask), PackedField.pack(F2, mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p, force", [(1.0, False), (1.5, False), (2.0, False),
+                                          (2.0, True)])
+    def test_packed_pair_equals_full_grids(self, seed, p, force):
+        F1, F2, omega, part = self._case(seed)
+        P1, P2 = self._packed(F1, F2, omega)
+        assert (align_phase_global(P1, P2, p, force_search=force)
+                == align_phase_global(F1, F2, p, mask=omega, force_search=force))
+        keep = omega | part.active
+        Q1, Q2 = self._packed(F1, F2, keep)
+        for mask in (None, omega, part, part.component(2)):
+            full_mask = keep if mask is None else mask
+            assert (align_phase_global(Q1, Q2, p, mask=mask, force_search=force)
+                    == align_phase_global(F1, F2, p, mask=full_mask, force_search=force))
+        assert (align_phase_multicomponent(Q1, Q2, p, part)
+                == align_phase_multicomponent(F1, F2, p, part))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_all_true_mask_keeps_a_view(self, p):
+        F1, F2 = heavy_tailed_pair(0)
+        P1, P2 = self._packed(F1, F2, np.ones(F1.geometry.extents, bool))
+        assert P1.mask is None and np.shares_memory(P1.values, F1.values)
+        assert align_phase_global(P1, P2, p) == align_phase_global(F1, F2, p)
+
+    def test_mask_outside_the_held_cells_rejected(self):
+        F1, F2, omega, part = self._case(0)
+        P1, P2 = self._packed(F1, F2, omega)
+        with pytest.raises(ValueError, match="does not hold"):
+            align_phase_global(P1, P2, 1.0, mask=part)
+        with pytest.raises(ValueError, match="does not hold"):
+            align_phase_multicomponent(P1, P2, 2.0, part)
+        with pytest.raises(ValueError, match="does not match grid extents"):
+            PackedField.pack(F1, omega[:-1])
+
+    def test_pair_must_hold_the_same_cells(self):
+        F1, F2, omega, part = self._case(1)
+        with pytest.raises(ValueError, match="same cells"):
+            align_phase_global(PackedField.pack(F1, omega),
+                               PackedField.pack(F2, omega | part.active), 1.0)
+        with pytest.raises(ValueError, match="same cells"):
+            align_phase_global(PackedField.pack(F1, omega), F2, 2.0, mask=omega)
 
 
 class TestNormTerms:
@@ -929,29 +992,37 @@ class TestFieldLifetime:
         return refs
 
     @staticmethod
-    def _live_at_first_norm_term(monkeypatch, refs):
-        """Per norm-term start, how many recorded transforms are still alive."""
+    def _live_at(monkeypatch, refs, name):
+        """Per call of stability.<name>: (transforms made, transforms alive) at its start."""
         from gaborstab import stability
 
         live = []
-        first_term = stability.sobolev_diff_pieces
+        step = getattr(stability, name)
 
-        def checking(*args):
+        def checking(*args, **kwargs):
             live.append((len(refs), sum(r() is not None for r in refs)))
-            return first_term(*args)
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(stability, "sobolev_diff_pieces", checking)
+        monkeypatch.setattr(stability, name, checking)
         return live
+
+    def _live_at_first_norm_term(self, monkeypatch, refs):
+        return self._live_at(monkeypatch, refs, "sobolev_diff_pieces")
+
+    @staticmethod
+    def _report_pair(d):
+        """The instability pair at T = 2 and a phase grid on which Omega is not every cell."""
+        if d == 1:
+            sg, pg = box_geometry((257,), -6.0, 6.0), box_geometry((33, 33), -3.0, 3.0)
+        else:
+            sg, pg = box_geometry((48, 48), -6.0, 5.75), box_geometry((9,) * 4, -3.0, 3.0)
+        return make_instability_pair(d, 2.0, sg) + (pg,)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_report_frees_both_transforms_before_the_norm_terms(self, monkeypatch, d):
         from gaborstab import stability
 
-        if d == 1:
-            sg, pg = box_geometry((257,), -6.0, 6.0), box_geometry((33, 33), -3.0, 3.0)
-        else:
-            sg, pg = box_geometry((48, 48), -6.0, 5.75), box_geometry((9,) * 4, -3.0, 3.0)
-        f, g = make_instability_pair(d, 2.0, sg)
+        f, g, pg = self._report_pair(d)
         refs = self._watch_transforms(monkeypatch, stability, "gabor_transform")
         live = self._live_at_first_norm_term(monkeypatch, refs)
         part = DomainPartition.split_along_axis(pg, axis=0, threshold=0.0)
@@ -967,6 +1038,34 @@ class TestFieldLifetime:
         live = self._live_at_first_norm_term(monkeypatch, refs)
         instability_sweep([2.0, 3.0], spacing=1.0 / 8.0)
         assert live == [(2, 0), (4, 0)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_holds_no_full_transform_in_the_solve_or_the_alignment(self, monkeypatch, d):
+        from gaborstab import stability
+
+        f, g, pg = self._report_pair(d)
+        refs = self._watch_transforms(monkeypatch, stability, "gabor_transform")
+        solve = self._live_at(monkeypatch, refs, "sweep_cut_cheeger")
+        align = self._live_at(monkeypatch, refs, "align_phase_global")
+        part = None
+        if d == 2:
+            # Two components on the lower half of the last axis, inside and
+            # outside Omega: the packed cells are Omega and the partition.
+            lower = np.broadcast_to(pg.coordinate_arrays()[-1] < 0.0, pg.extents)
+            part = DomainPartition.split_along_axis(pg, axis=0, threshold=0.0, base_mask=lower)
+        stability_report(f, g, 1.0, 5.0 if d == 2 else 3.0, partition=part, phase_geometry=pg)
+        assert solve == [(1, 0)]
+        assert align == [(2, 0)] * (1 if part is None else 3)
+
+    def test_sweep_holds_no_full_transform_in_the_solve_or_the_alignment(self, monkeypatch):
+        from gaborstab import signals
+
+        refs = self._watch_transforms(monkeypatch, signals, "analytic_gabor_transform")
+        solve = self._live_at(monkeypatch, refs, "sweep_cut_cheeger")
+        align = self._live_at(monkeypatch, refs, "align_phase_global")
+        instability_sweep([2.0, 3.0], spacing=1.0 / 8.0)
+        assert solve == [(1, 0), (3, 0)]
+        assert align == [(2, 0), (4, 0)]
 
     def test_norm_terms_traced_peak_per_omega_cell(self):
         # numpy reports its buffers to tracemalloc, so this figure repeats

@@ -189,20 +189,24 @@ class WeightGraph:
         return (np.bincount(self.edge_tail, weights=self.edge_weight, minlength=n)
                 + np.bincount(self.edge_head, weights=self.edge_weight, minlength=n))
 
-    def laplacian_operator(self, degrees: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def laplacian_operator(self, degrees: np.ndarray) -> Callable[..., np.ndarray]:
         """v -> L v = degrees * v - A v, with A split into two CSR halves built once.
 
         Row i of the tail half holds the edges with tail i, and row i of the
         head half those with head i, each in edge order.  Every row sum of
         A v then adds its products in edge order, the order in which
-        np.bincount over the edge list would add them.
+        np.bincount over the edge list would add them.  The product goes
+        into out when it is given.
         """
         n = self.num_vertices
         tail_rows = _edge_ordered_csr(self.edge_tail, self.edge_head, self.edge_weight, n)
         head_rows = _edge_ordered_csr(self.edge_head, self.edge_tail, self.edge_weight, n)
 
-        def matvec(v: np.ndarray) -> np.ndarray:
-            return degrees * v - tail_rows @ v - head_rows @ v
+        def matvec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.multiply(degrees, v, out=out)
+            out -= tail_rows @ v
+            out -= head_rows @ v
+            return out
 
         return matvec
 
@@ -311,12 +315,21 @@ def _top_ritz_residual(alphas: list[float], betas: list[float], beta: float) -> 
     """Residual estimate beta * |last entry| of the top Ritz vector alone.
 
     One eigenpair of the tridiagonal matrix costs O(k), the full
-    eigensolve O(k^2) per step.
+    eigensolve O(k^2) per step.  The pair comes from the LAPACK calls that
+    eigh_tridiagonal(select="i") makes, bisection (stebz, block order) then
+    inverse iteration (stein), without its per-call argument checks.  A
+    failed call returns 0, which hands the decision to the full eigensolve.
     """
     k = len(alphas)
-    _, vec = scipy.linalg.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas),
-                                           select="i", select_range=(k - 1, k - 1))
-    return beta * abs(float(vec[-1, 0]))
+    if k == 1:
+        # The 1 x 1 Ritz vector is [1].
+        return beta
+    d, e = np.asarray(alphas), np.asarray(betas)
+    m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info:
+        return 0.0
+    vec, info = scipy.linalg.lapack.dstein(d, e, w[:m], iblock, isplit)
+    return 0.0 if info else beta * abs(float(vec[-1, 0]))
 
 
 def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
@@ -351,9 +364,6 @@ def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
     degrees = graph.degrees()
     laplacian = graph.laplacian_operator(degrees)
 
-    def apply_s(v: np.ndarray) -> np.ndarray:
-        return inv_sqrt_m * laplacian(inv_sqrt_m * v)
-
     # Gershgorin upper bound for S: diag + absolute off-diagonal row sums.
     offdiag = graph.edge_weight * inv_sqrt_m[graph.edge_tail] * inv_sqrt_m[graph.edge_head]
     row_off = (np.bincount(graph.edge_tail, weights=offdiag, minlength=n)
@@ -362,8 +372,21 @@ def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
     if sigma <= 0:
         raise ValueError("graph has no edges of positive weight")
 
-    def apply_b(v: np.ndarray) -> np.ndarray:
-        return sigma * v - apply_s(v)
+    # Scratch n-vectors: each step applies B = sigma I - S and updates its
+    # Krylov vector in place, with the operations and order of
+    # sigma * v - inv_sqrt_m * L(inv_sqrt_m * v).
+    scaled, scratch, w = np.empty(n), np.empty(n), np.empty(n)
+
+    def apply_b(v: np.ndarray) -> None:
+        np.multiply(inv_sqrt_m, v, out=scaled)
+        laplacian(scaled, out=w)
+        np.multiply(w, inv_sqrt_m, out=w)
+        np.multiply(v, sigma, out=scratch)
+        np.subtract(scratch, w, out=w)
+
+    def subtract_scaled(c: float, u: np.ndarray) -> None:
+        np.multiply(u, c, out=scratch)
+        np.subtract(w, scratch, out=w)
 
     q0 = np.sqrt(masses)
     q0 /= np.linalg.norm(q0)
@@ -392,18 +415,19 @@ def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
     k = 0
     while True:
         v = basis[k]
-        w = apply_b(v)
+        apply_b(v)
         alpha = float(v @ w)
         alphas.append(alpha)
-        w -= alpha * v
+        subtract_scaled(alpha, v)
         if k > 0:
-            w -= betas[-1] * basis[k - 1]
+            subtract_scaled(betas[-1], basis[k - 1])
         # Full reorthogonalization against the deflated constant and the
         # whole Krylov basis, twice for numerical safety.
         for _ in range(2):
-            w -= q0 * (q0 @ w)
+            subtract_scaled(q0 @ w, q0)
             coeffs = basis[: k + 1] @ w
-            w -= basis[: k + 1].T @ coeffs
+            np.matmul(basis[: k + 1].T, coeffs, out=scratch)
+            w -= scratch
         beta = float(np.linalg.norm(w))
         k += 1
         exhausted = beta <= 1e-14 * sigma
@@ -426,7 +450,7 @@ def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
         if k >= rows:
             raise over_budget(k)
         betas.append(beta)
-        basis[k] = w / beta
+        np.divide(w, beta, out=basis[k])
     y = basis[:k].T @ ritz
     u = inv_sqrt_m * y
     u /= np.linalg.norm(u)

@@ -20,6 +20,10 @@ import numpy as np
 
 from .grids import DomainPartition, GridGeometry, active_mask, grid_array
 
+# The packed stencil walks the cells in blocks of this many, so its per-axis
+# temporaries stay in cache instead of being fresh arrays over all cells.
+STENCIL_BLOCK = 16384
+
 
 class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
@@ -75,16 +79,17 @@ class MaskCells:
             out.append((stride, has_p, has_m))
         return tuple(out)
 
-    def _derivatives(self, at, dtype):
-        """Per-axis first derivatives at the cells, one axis at a time.
+    def _derivatives(self, at, dtype, block: slice = slice(None)):
+        """Per-axis first derivatives at the cells of one block, one axis at a time.
 
         at(flat_indices) gives the field at those flat indices, clipped into
         the grid.  The central difference is taken at every cell; the
         one-sided one, or 0, then replaces it at the cells that miss a
         neighbor.
         """
-        cells = self.flat_index
+        cells = self.flat_index[block]
         for (stride, has_p, has_m), h in zip(self._neighbors, self.geometry.spacing):
+            has_p, has_m = has_p[block], has_m[block]
             g = (at(cells + stride) - at(cells - stride)) / (2.0 * h)
             edge = np.flatnonzero(~(has_p & has_m))
             if edge.size:
@@ -93,6 +98,20 @@ class MaskCells:
                 g[edge] = np.where(has_p[edge], (vp - v) / h,
                                    np.where(has_m[edge], (v - vm) / h, 0))
             yield g.astype(dtype, copy=False)
+
+    def _gradient_norm(self, at, dtype) -> np.ndarray:
+        """|grad| at the cells, STENCIL_BLOCK cells at a time into one packed array.
+
+        Every block runs the same per-cell operations in the same order, so
+        the values equal those of one block over all cells, bit for bit;
+        the per-axis temporaries stay cache-sized.
+        """
+        n = self.flat_index.size
+        out = np.empty(n)
+        for lo in range(0, n, STENCIL_BLOCK):
+            block = slice(lo, lo + STENCIL_BLOCK)
+            gradient_norm(self._derivatives(at, dtype, block), out=out[block])
+        return out
 
     def _field(self, values: np.ndarray):
         flat = self._flat(values)
@@ -104,7 +123,7 @@ class MaskCells:
 
     def gradient_norm(self, values: np.ndarray) -> np.ndarray:
         """|grad v| at the cells."""
-        return gradient_norm(self._derivatives(*self._field(values)))
+        return self._gradient_norm(*self._field(values))
 
     def difference_gradient_norm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|grad (a - b)| at the cells, without the full-grid a - b.
@@ -113,9 +132,9 @@ class MaskCells:
         the same float as (a - b) at that cell.
         """
         fa, fb = self._flat(a), self._flat(b)
-        return gradient_norm(self._derivatives(
+        return self._gradient_norm(
             lambda i: fa.take(i, mode="clip") - fb.take(i, mode="clip"),
-            _derivative_dtype(np.result_type(fa, fb))))
+            _derivative_dtype(np.result_type(fa, fb)))
 
 
 def _derivative_dtype(dtype: np.dtype) -> np.dtype:
@@ -138,17 +157,21 @@ def gradient(values: np.ndarray, geometry: GridGeometry,
     return grads
 
 
-def gradient_norm(grads) -> np.ndarray:
+def gradient_norm(grads, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise Euclidean length of a (possibly complex) gradient stack.
 
     grads is any iterable of per-axis derivatives; a generator is summed
-    one axis at a time, so only one derivative need exist at once.
+    one axis at a time, so only one derivative need exist at once.  The
+    square root goes into out when it is given.
     """
     acc = None
     for g in grads:
         term = np.abs(g) ** 2
-        acc = np.zeros(term.shape) + term if acc is None else acc + term
-    return np.sqrt(acc)
+        if acc is None:
+            acc = np.zeros(term.shape) + term
+        else:
+            acc += term
+    return np.sqrt(acc, out=out)
 
 
 def interior_mask(geometry: GridGeometry) -> np.ndarray:

@@ -4,11 +4,22 @@ The transform implemented here is
     Gf(x, y) = int_{R^d} f(t) e^{-pi|t-x|^2} e^{-2 pi i t.y} dt,
 discretized as a Riemann sum over the signal grid.  Window and Fourier
 factor both split over the d axes, so the sum is taken one signal axis at a
-time: for each window position x_a on axis a, the array is multiplied by the
-window row e^{-pi(t_a - x_a)^2} and t_a is contracted in one call, either
-against the Fourier factor e^{-2 pi i t_a y_a} or by an FFT along t_a.  The
-contracted axis comes out trailing as (x_a, y_a), so after d axes the values
-are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
+time, in one of two shapes:
+
+- per window: for each window position x_a, the array is multiplied by the
+  window row e^{-pi(t_a - x_a)^2} and t_a is contracted in one call, either
+  against the Fourier factor e^{-2 pi i t_a y_a} or by an FFT along t_a.
+  The FFT path always runs this way, and so does the direct path on a
+  single row (every d = 1 signal);
+- folded: where the array in front of axis a has several rows (every axis
+  of a d = 2 signal), the direct path folds the window into the Fourier
+  factor, K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a},
+  and contracts t_a in one matrix product of the rows against K.  The
+  product regroups each term of the sum, so it agrees with the per-window
+  one to a few ulp of the peak, not bit for bit.
+
+The contracted axis comes out trailing as (x_a, y_a), so after d axes the
+values are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
 factors from the absolute coordinates t = t0 + k*dt bakes in the phase
 correction e^{-2 pi i t0 . y} for grids that do not start at the origin.
 That product is the single source of phase truth for the whole package.
@@ -49,10 +60,10 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
     """The Riemann sum of Gf, one signal axis at a time.
 
     axis_contraction(signal_geometry, a, y) returns the contraction for
-    signal axis a: it maps a windowed array whose axis 0 is t_a to the same
-    array with t_a replaced by a trailing y_a axis.  Axis 0 of the working
-    array is always the next signal axis; the window positions of the axis
-    just contracted are stacked in front of its y_a axis.
+    signal axis a: given the working array, whose axis 0 is t_a, and the
+    windows e^{-pi(t_a - x_a)^2} as rows (x_a, t_a), it returns the array
+    with t_a replaced by trailing (x_a, y_a) axes.  Axis 0 of the working
+    array is always the next signal axis.
     """
     d = f.dimension
     if phase_geometry.rank != 2 * d:
@@ -74,30 +85,56 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
     for a, contract in enumerate(contractions):
         t = f.geometry.axis_coordinates(a)
         x = phase_geometry.axis_coordinates(2 * a)
-        windows = np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2)
-        row = (t.size,) + (1,) * (g.ndim - 1)
-        out = np.empty(g.shape[1:] + phase_geometry.extents[2 * a:2 * a + 2], np.complex128)
-        for ix in range(x.size):
-            out[..., ix, :] = contract(g * windows[ix].reshape(row))
-        g = out
+        g = contract(g, np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2))
     # In place: a scaled copy would hold a second full field.
     g *= f.geometry.cell_volume
     return PhaseSpaceGrid(geometry=phase_geometry, values=g)
+
+
+def _per_window(g: np.ndarray, windows: np.ndarray, ny: int, contract) -> np.ndarray:
+    """Window g at each x_a in turn and contract t_a: contract maps the
+    windowed array to one with t_a replaced by a trailing y_a axis."""
+    row = (g.shape[0],) + (1,) * (g.ndim - 1)
+    out = np.empty(g.shape[1:] + (windows.shape[0], ny), np.complex128)
+    for ix in range(windows.shape[0]):
+        out[..., ix, :] = contract(g * windows[ix].reshape(row))
+    return out
 
 
 def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     # Fourier factor from absolute coordinates: e^{-2 pi i t y} carries the
     # origin phase correction exactly.
     fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
-    return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
+
+    def contract(g: np.ndarray, windows: np.ndarray) -> np.ndarray:
+        n = g.shape[0]
+        if g.size == n:
+            # One row: a vector-matrix product per window position.
+            return _per_window(g, windows, y.size,
+                               lambda w: np.tensordot(w, fourier, axes=([0], [0])))
+        # Several rows: the window folds into the Fourier factor,
+        # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of the
+        # rows against K gives (..., x_a, y_a) directly.  The output is
+        # allocated before K: in the other order the freed K splits the heap
+        # and a report's resident peak rose by about 4 MB more.
+        out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
+        kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
+        np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
+        return out
+
+    return contract
 
 
 def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:
     """Sampled Gabor transform of f on a phase-space grid.
 
-    Each signal axis in turn is windowed at every x sample of that axis and
-    contracted against its Fourier factor e^{-2 pi i t y} in one matrix
-    product, so any y samples are allowed.
+    Each signal axis in turn is contracted against its Fourier factor
+    e^{-2 pi i t y}, so any y samples are allowed.  A single row (d = 1)
+    is windowed at every x sample and contracted in one vector-matrix
+    product per sample.  Several rows (every axis of d = 2) are contracted
+    in one matrix product against the window folded into the Fourier
+    factor, e^{-pi(t - x)^2} e^{-2 pi i t y} as a t by (x, y) matrix; that
+    result is within a few ulp of the peak of the per-window one.
 
     Parameters
     ----------
@@ -128,7 +165,9 @@ def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
 def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     k = _fft_frequency_indices(y, geometry.extents[a], geometry.spacing[a])
     origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
-    return lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase
+    return lambda g, windows: _per_window(
+        g, windows, y.size,
+        lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase)
 
 
 def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:

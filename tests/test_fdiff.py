@@ -162,6 +162,35 @@ class TestWhereStencilOracle:
         assert set(vars(cells)) == {"geometry", "mask", "flat_index", "_neighbors"}
 
 
+class TestBlockSeams:
+    """The blocked walk of gradient_norm against the np.where stencil, with
+    blocks of a few cells, so seams fall inside rows and on edge cells."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("extents", [(40,)] + ORACLE_EXTENTS[1:],
+                             ids=lambda e: f"rank{len(e)}")
+    @pytest.mark.parametrize("mask_kind", ["random", "isolated", "grid-edge", "partition"])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_norms_equal_the_oracle_across_block_seams(self, monkeypatch, block, extents,
+                                                       mask_kind, is_complex):
+        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", block)
+        rng = np.random.default_rng(20 + len(extents))
+        geom = GridGeometry(extents, tuple(rng.uniform(0.1, 2.0, len(extents))),
+                            (0.0,) * len(extents))
+        mask = _oracle_masks(extents, rng)[mask_kind]
+        a, b = rng.standard_normal(extents), rng.standard_normal(extents)
+        if is_complex:
+            a = a + 1j * rng.standard_normal(extents)
+            b = b + 1j * rng.standard_normal(extents)
+        cells = fdiff.MaskCells(geom, mask)
+        assert cells.flat_index.size >= 2
+        got = cells.gradient_norm(a)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fdiff.gradient_norm(where_stencil(a, geom, mask)))
+        assert np.array_equal(cells.difference_gradient_norm(a, b),
+                              fdiff.gradient_norm(where_stencil(a - b, geom, mask)))
+
+
 class TestStencil:
     def test_affine_field_is_exact_wherever_a_neighbor_exists(self):
         geom = box_geometry((9, 7), -1.0, 1.0)

@@ -94,13 +94,26 @@ class TestDirectPath:
 
 
 def out_of_place_transform(f, phase_geometry, axis_contraction):
-    """The separable Riemann sum as it was before the cell volume was applied
-    in place: the scaled field is a second full array."""
-    d = f.dimension
-    contractions = [axis_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
-                    for a in range(d)]
+    """The separable Riemann sum through the package's axis contractions, as it
+    was before the cell volume was applied in place: the scaled field is a
+    second full array."""
     g = f.values
-    for a, contract in enumerate(contractions):
+    for a in range(f.dimension):
+        contract = axis_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
+        t = f.geometry.axis_coordinates(a)
+        x = phase_geometry.axis_coordinates(2 * a)
+        g = contract(g, np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2))
+    return g * f.geometry.cell_volume
+
+
+def per_window_transform(f, phase_geometry, window_contraction):
+    """The separable Riemann sum with a loop over the window positions of
+    every axis, as both paths computed it before the direct one folded the
+    window into its Fourier factor.  window_contraction(geometry, a, y) maps
+    a windowed array whose axis 0 is t_a to one with a trailing y_a axis."""
+    g = f.values
+    for a in range(f.dimension):
+        contract = window_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
         t = f.geometry.axis_coordinates(a)
         x = phase_geometry.axis_coordinates(2 * a)
         windows = np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2)
@@ -110,6 +123,17 @@ def out_of_place_transform(f, phase_geometry, axis_contraction):
             out[..., ix, :] = contract(g * windows[ix].reshape(row))
         g = out
     return g * f.geometry.cell_volume
+
+
+def fourier_window_contraction(geometry, a, y):
+    fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
+    return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
+
+
+def fft_window_contraction(geometry, a, y):
+    k = gabor._fft_frequency_indices(y, geometry.extents[a], geometry.spacing[a])
+    origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
+    return lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase
 
 
 class TestInPlaceScaling:
@@ -134,6 +158,52 @@ class TestInPlaceScaling:
         f = make_analytic(spec, sig_geom)
         got = transform(f, phase).values
         want = out_of_place_transform(f, phase, contraction)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def random_tapered_signal(rng):
+    """A random complex signal on a small random 2-d grid, tapered by a
+    Gaussian so it decays below 1e-12 of its peak at the boundary."""
+    extents = tuple(int(n) for n in rng.integers(9, 24, 2))
+    geom = box_geometry(extents, -4.0, 4.0)
+    t1, t2 = geom.coordinate_arrays()
+    values = (rng.standard_normal(extents) + 1j * rng.standard_normal(extents)) \
+        * np.exp(-np.pi * (t1 ** 2 + t2 ** 2))
+    phase = box_geometry(tuple(int(n) for n in rng.integers(3, 10, 4)),
+                         tuple(rng.uniform(-2.0, -0.5, 4)), tuple(rng.uniform(0.5, 2.0, 4)))
+    return SignalGrid(geom, values), phase
+
+
+class TestContractionShapes:
+    """The direct path folds the window into its Fourier factor wherever the
+    array in front of an axis has several rows (every axis of a d = 2
+    signal); a single row and the FFT path keep the per-window loop."""
+
+    @pytest.mark.parametrize("case", ["report-d2", "random-1", "random-2"])
+    def test_folded_gemm_is_within_4_eps_of_the_per_window_loop(self, case):
+        if case == "report-d2":
+            from gaborstab.stability import make_instability_pair
+
+            f, _ = make_instability_pair(2, 3.0, box_geometry((128, 128), -8.0, 7.875))
+            phase = box_geometry((33,) * 4, -4.0, 4.0)
+        else:
+            f, phase = random_tapered_signal(np.random.default_rng(int(case[-1])))
+        got = gabor_transform(f, phase).values
+        want = per_window_transform(f, phase, fourier_window_contraction)
+        peak = float(np.max(np.abs(want)))
+        assert peak > 0.0
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * peak
+
+    @pytest.mark.parametrize("transform, window_contraction, case", [
+        (gabor_transform, fourier_window_contraction, "d1"),
+        (gabor_transform_fft, fft_window_contraction, "d1"),
+        (gabor_transform_fft, fft_window_contraction, "d2"),
+    ], ids=["direct-d1", "fft-d1", "fft-d2"])
+    def test_per_window_paths_are_unchanged(self, transform, window_contraction, case):
+        sig_geom, phase, spec = TestInPlaceScaling.CASES[case]
+        f = make_analytic(spec, sig_geom)
+        got = transform(f, phase).values
+        want = per_window_transform(f, phase, window_contraction)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

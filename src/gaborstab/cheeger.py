@@ -75,10 +75,6 @@ class WeightGrid:
     def total_mass(self) -> float:
         return float(self.values[self.mask].sum() * self.geometry.cell_volume)
 
-    def scaled(self, c: float) -> "WeightGrid":
-        return WeightGrid(geometry=self.geometry, values=self.values * float(c),
-                          mask=self.mask)
-
     def coarsen(self, factor: int) -> "WeightGrid":
         """Block-mean downsample by an integer factor per axis.
 
@@ -130,8 +126,8 @@ def weight_from_spectrogram(S: Spectrogram, power: float = 1.0,
     """WeightGrid with w = |Gf|^power, active where |Gf| >= threshold * max.
 
     At power 1.0 the weight's values are S.values itself, not a copy: x ** 1.0
-    is x bit for bit.  Nothing writes a weight's values in place (scaled and
-    coarsen build new arrays), and that must stay so.
+    is x bit for bit.  Nothing writes a weight's values in place (coarsen
+    builds new arrays), and that must stay so.
     """
     if power <= 0:
         raise ValueError("power must be positive")
@@ -490,11 +486,6 @@ class CutResult:
             return math.inf
         return self.cut_weight / m
 
-    def complemented(self) -> "CutResult":
-        return CutResult(side_assignment=~self.side_assignment,
-                         cut_weight=self.cut_weight,
-                         mass_left=self.mass_right, mass_right=self.mass_left)
-
 
 def evaluate_cut(graph: WeightGraph, left: np.ndarray) -> CutResult:
     """Cut weight and side masses for an explicit side assignment."""
@@ -646,11 +637,3 @@ def exhaustive_cheeger_oracle(w: WeightGrid) -> float:
         ratios = np.where(min_mass > 0, cutw / np.where(min_mass > 0, min_mass, 1.0),
                           math.inf)
     return float(ratios[1:full].min())
-
-
-def poincare_bound(estimate: CheegerEstimate) -> float:
-    """Poincare constant bound 8 / h; infinite when h = 0 (disconnected)."""
-    h = estimate.h
-    if h <= 0.0:
-        return math.inf
-    return 8.0 / h

@@ -29,8 +29,8 @@ class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
 
     A DomainPartition as mask stands for its active cells.  ``flat_index``
-    holds their flat indices; ``axis_index(a)`` and ``index`` give their
-    multi-indices, computed on each call.  ``pack`` and ``gradient_norm``
+    holds their flat indices; ``axis_index(a)`` gives their indices along
+    axis a, computed on each call.  ``pack`` and ``gradient_norm``
     return 1-d arrays in the same cell order, equal bit for bit to
     ``values[mask]`` and ``gradient_norm(gradient(values, geometry, mask))[mask]``.
     The neighbor flags are built on first use and kept, so every field
@@ -52,11 +52,6 @@ class MaskCells:
     def axis_index(self, axis: int) -> np.ndarray:
         """The cells' indices along one axis."""
         return self.flat_index // self._stride(axis) % self.geometry.extents[axis]
-
-    @property
-    def index(self) -> tuple[np.ndarray, ...]:
-        """The cells' multi-indices, one array per axis, as ``np.nonzero`` gives them."""
-        return tuple(self.axis_index(a) for a in range(self.geometry.rank))
 
     def _flat(self, values: np.ndarray) -> np.ndarray:
         return grid_array(values, self.geometry.extents, None, "value array").ravel()
@@ -187,15 +182,13 @@ def interior_mask(geometry: GridGeometry) -> np.ndarray:
     return mask
 
 
-def wirtinger_components(grads: list[np.ndarray],
-                         conjugate: bool = False) -> list[np.ndarray]:
-    """Wirtinger derivatives per complex axis pair, from the gradient of a phase-space field.
+def wirtinger_components(grads: list[np.ndarray]) -> list[np.ndarray]:
+    """Holomorphic Wirtinger derivatives per complex axis pair of a phase-space field.
 
     grads is the per-axis gradient that ``gradient`` returns.  Axis pair a
-    covers grid axes (2a, 2a+1) = (x_a, y_a); the holomorphic derivative is
-    (d/dx - i d/dy)/2, the conjugate one (d/dx + i d/dy)/2.
+    covers grid axes (2a, 2a+1) = (x_a, y_a); its derivative is
+    (d/dx - i d/dy)/2.
     """
     if len(grads) % 2 != 0:
         raise ValueError("wirtinger derivatives need a phase-space (even-rank) grid")
-    sign = 1j if conjugate else -1j
-    return [0.5 * (grads[2 * a] + sign * grads[2 * a + 1]) for a in range(len(grads) // 2)]
+    return [0.5 * (grads[2 * a] - 1j * grads[2 * a + 1]) for a in range(len(grads) // 2)]

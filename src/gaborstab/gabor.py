@@ -33,12 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fdiff
-from .errors import AdmissibilityError
-from .grids import GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask, grid_array
+from .grids import GridGeometry, PhaseSpaceGrid, SignalGrid, grid_array
 
 BOUNDARY_DECAY_TOL = 1e-12
-ESSENTIAL_SUPPORT_TOL = 1e-9
-# The holomorphy diagnostics skip cells where |G| is at most this fraction
+# The spectrogram's argmax is the first row-major cell within this relative
+# distance of the maximum: peaks that tie up to rounding, such as the two
+# bumps of a symmetric pair, then give one z0 whatever their last bits.
+ARGMAX_TIE_TOL = 1e-12
+# gradient_identity_report skips cells where |G| is at most this fraction
 # of its maximum: there the finite-difference ratios are rounding noise.
 HOLOMORPHY_LEVEL = 1e-6
 
@@ -196,41 +198,27 @@ class Spectrogram:
     def __post_init__(self) -> None:
         arr = grid_array(self.values, self.geometry.extents, float, "value array")
         object.__setattr__(self, "values", arr)
-        if arr[self.argmax_index] != arr.max():
-            raise ValueError("argmax index does not attain the maximum")
+        if tuple(self.argmax_index) != _peak_index(arr):
+            raise ValueError("argmax index is not the first cell within "
+                             "ARGMAX_TIE_TOL of the maximum")
+
+
+def _peak_index(mod: np.ndarray) -> tuple[int, ...]:
+    """The first row-major index where mod >= (1 - ARGMAX_TIE_TOL) max mod."""
+    near = mod >= (1.0 - ARGMAX_TIE_TOL) * mod.max()
+    flat = int(np.argmax(near))
+    if not near.flat[flat]:
+        raise ValueError("spectrogram has no maximum: it holds NaN")
+    return tuple(int(i) for i in np.unravel_index(flat, mod.shape))
 
 
 def spectrogram(F: PhaseSpaceGrid) -> Spectrogram:
-    """Spectrogram |F| with argmax taken at the smallest row-major index on ties."""
+    """Spectrogram |F|; its argmax is the first row-major cell within
+    ARGMAX_TIE_TOL of the maximum, so a rounding tie gives the earlier peak."""
     mod = np.abs(F.values)
-    flat = int(np.argmax(mod))
-    idx = tuple(int(i) for i in np.unravel_index(flat, mod.shape))
+    idx = _peak_index(mod)
     loc = F.geometry.index_coordinates(idx)
     return Spectrogram(geometry=F.geometry, values=mod, argmax_index=idx, argmax_location=loc)
-
-
-def _check_exponent(value: float, name: str = "p") -> None:
-    """Every L^p quadrature needs a finite exponent of at least 1."""
-    if not np.isfinite(value) or value < 1.0:
-        raise AdmissibilityError(f"{name} = {value} must be finite and >= 1")
-
-
-def _lp_norm(packed: np.ndarray, geometry: GridGeometry, p: float) -> float:
-    """L^p quadrature with cell-volume weights over values already selected."""
-    return float(np.sum(np.abs(packed) ** p) * geometry.cell_volume) ** (1.0 / p)
-
-
-def modulation_norm(F: PhaseSpaceGrid, p: float, mask=None) -> float:
-    """Discrete L^p norm of a phase-space field with cell-volume weights."""
-    _check_exponent(p)
-    mod = np.abs(F.values)
-    sel = active_mask(mask, F.geometry.extents)
-    peak = float(mod.max())
-    if peak > 0.0 and _boundary_max(F.values) > ESSENTIAL_SUPPORT_TOL * peak:
-        warnings.warn(
-            "field exceeds 1e-9 of its peak at the phase-space boundary; "
-            "the norm misses essential support", stacklevel=2)
-    return _lp_norm(mod if sel is None else mod[sel], F.geometry, p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,28 +239,6 @@ class EntireLift:
     @property
     def dimension(self) -> int:
         return self.lifted.dimension
-
-    def identity_max_rel_error(self) -> float:
-        """Max relative deviation of |lifted| from |base at conjugate| e^{pi|z|^2/2}."""
-        expected = np.abs(_reflect_y(self.base)) * _lift_growth(self.geometry)
-        got = np.abs(self.lifted.values)
-        denom = np.maximum(expected, np.max(expected) * 1e-300 + np.finfo(float).tiny)
-        rel = np.abs(got - expected) / denom
-        rel = np.where(expected == 0.0, np.abs(got), rel)
-        return float(np.max(rel))
-
-
-def _reflect_y(F: PhaseSpaceGrid) -> np.ndarray:
-    """The values of F at (x, -y): an index flip along every y axis."""
-    vals = F.values
-    for a in range(F.dimension):
-        vals = np.flip(vals, axis=2 * a + 1)
-    return vals
-
-
-def _lift_growth(geometry: GridGeometry) -> np.ndarray:
-    """The modulus e^{pi |z|^2 / 2} of eta(z) over the grid."""
-    return np.exp(np.pi * geometry.distance_sq() / 2.0)
 
 
 def _check_y_symmetric(geometry: GridGeometry) -> None:
@@ -299,8 +265,10 @@ def entire_lift(F: PhaseSpaceGrid) -> EntireLift:
     xy = np.zeros(geom.extents)
     for a in range(F.dimension):
         xy = xy + coords[2 * a] * coords[2 * a + 1]
-    eta = _lift_growth(geom) * np.exp(-1j * np.pi * xy)
-    lifted = PhaseSpaceGrid(geometry=geom, values=_reflect_y(F) * eta)
+    eta = np.exp(np.pi * geom.distance_sq() / 2.0) * np.exp(-1j * np.pi * xy)
+    # Gf at (x, -y): an index flip along every y axis.
+    reflected = np.flip(F.values, axis=tuple(range(1, geom.rank, 2)))
+    lifted = PhaseSpaceGrid(geometry=geom, values=reflected * eta)
     return EntireLift(base=F, lifted=lifted)
 
 
@@ -312,11 +280,6 @@ class GradientIdentityReport:
     samples_checked: int
 
 
-def _holomorphy_samples(geometry: GridGeometry, mod: np.ndarray) -> np.ndarray:
-    """Interior cells, where central differences exist, with |G| > HOLOMORPHY_LEVEL max |G|."""
-    return fdiff.interior_mask(geometry) & (mod > HOLOMORPHY_LEVEL * mod.max())
-
-
 def gradient_identity_report(lift: EntireLift) -> GradientIdentityReport:
     """Check the holomorphic gradient identity on the lifted field.
 
@@ -326,7 +289,7 @@ def gradient_identity_report(lift: EntireLift) -> GradientIdentityReport:
     geom = lift.geometry
     G = lift.lifted.values
     mod = np.abs(G)
-    mask = _holomorphy_samples(geom, mod)
+    mask = fdiff.interior_mask(geom) & (mod > HOLOMORPHY_LEVEL * mod.max())
     grads_G = fdiff.gradient(G, geom)
     a = fdiff.gradient_norm(fdiff.gradient(mod, geom))
     b = fdiff.gradient_norm(grads_G) / np.sqrt(2.0)
@@ -338,19 +301,3 @@ def gradient_identity_report(lift: EntireLift) -> GradientIdentityReport:
     return GradientIdentityReport(
         max_rel_error=float(np.max(rel)) if mask.any() else 0.0,
         samples_checked=int(mask.sum()))
-
-
-def wirtinger_residual(lift: EntireLift) -> float:
-    """Max of |d/d(conj z) G| / |G| over interior samples with |G| > HOLOMORPHY_LEVEL max |G|.
-
-    Small values certify that the lifted field is holomorphic to finite
-    difference accuracy.
-    """
-    geom = lift.geometry
-    G = lift.lifted.values
-    mod = np.abs(G)
-    mask = _holomorphy_samples(geom, mod)
-    anti = fdiff.wirtinger_components(fdiff.gradient(G, geom), conjugate=True)
-    res = fdiff.gradient_norm(anti)
-    ratio = np.where(mask, res / np.where(mod == 0.0, 1.0, mod), 0.0)
-    return float(np.max(ratio)) if mask.any() else 0.0

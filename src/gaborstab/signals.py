@@ -106,11 +106,6 @@ def _bump_values(geometry: GridGeometry, a, b) -> np.ndarray:
     return np.exp(-np.pi * geometry.distance_sq(a)) * np.exp(2j * np.pi * phase)
 
 
-def make_gaussian(d: int, geometry: GridGeometry) -> SignalGrid:
-    """Sample the unit Gaussian e^{-pi|t|^2} on a rank-d grid."""
-    return make_analytic(gaussian_spec(d), geometry)
-
-
 def make_analytic(spec: AnalyticSignalSpec, geometry: GridGeometry) -> SignalGrid:
     """Sample an analytic signal spec on a grid of matching rank."""
     if geometry.rank != spec.dimension:

@@ -27,8 +27,7 @@ from . import fdiff
 from .cheeger import sweep_cut_cheeger, weight_from_spectrogram
 from .entire import check_logderiv_exponent, max_admissible_p as max_report_p
 from .errors import AdmissibilityError
-from .gabor import (Spectrogram, _boundary_max, _check_exponent, _lp_norm, gabor_transform,
-                    spectrogram)
+from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
 from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask,
                     box_geometry, box_samples, grid_array)
 from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
@@ -338,10 +337,30 @@ def _check_pair(S1: Spectrogram, S2: Spectrogram) -> None:
         raise ValueError("spectrograms must share one geometry")
 
 
+def _check_exponent(value: float, name: str = "p") -> None:
+    """Every L^p quadrature needs a finite exponent of at least 1."""
+    if not np.isfinite(value) or value < 1.0:
+        raise AdmissibilityError(f"{name} = {value} must be finite and >= 1")
+
+
+def _lp_norm(packed: np.ndarray, geometry: GridGeometry, p: float) -> float:
+    """L^p quadrature with cell-volume weights over values already selected."""
+    return float(np.sum(np.abs(packed) ** p) * geometry.cell_volume) ** (1.0 / p)
+
+
 def _shape_weight(geometry: GridGeometry, z0, cells: fdiff.MaskCells) -> np.ndarray:
-    """The weight 1 + |z - z0|^{2d+2} at the cells."""
-    index = (cells.axis_index(a) for a in range(geometry.rank))
-    return 1.0 + geometry.distance_sq(z0, index) ** (geometry.rank // 2 + 1)
+    """The weight 1 + |z - z0|^{2d+2} at the cells.
+
+    The cells are walked fdiff.STENCIL_BLOCK at a time, so the per-axis
+    index and coordinate temporaries stay block-sized; every cell gets the
+    same operations as in one pass over all of them.
+    """
+    out = np.empty(cells.flat_index.size)
+    for lo in range(0, out.size, fdiff.STENCIL_BLOCK):
+        block = slice(lo, lo + fdiff.STENCIL_BLOCK)
+        index = np.unravel_index(cells.flat_index[block], geometry.extents)
+        out[block] = 1.0 + geometry.distance_sq(z0, index) ** (geometry.rank // 2 + 1)
+    return out
 
 
 def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,

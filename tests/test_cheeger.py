@@ -10,14 +10,12 @@ import scipy.linalg
 from gaborstab import cheeger
 from gaborstab.cheeger import (
     ORACLE_CELL_LIMIT,
-    CheegerEstimate,
     WeightGraph,
     WeightGrid,
     build_weight_graph,
     evaluate_cut,
     exhaustive_cheeger_oracle,
     fiedler_vector,
-    poincare_bound,
     sweep_cut_cheeger,
     weight_from_spectrogram,
 )
@@ -117,13 +115,18 @@ def reference_fiedler(graph, tol=cheeger.LANCZOS_TOL):
 
 
 @pytest.fixture(scope="module")
-def sweep_t6_graph():
-    """The T = 6 graph of an instability sweep at spacing 1/32: the dominant
-    component of the coarsened weight |Gf_+| on Omega."""
+def sweep_t6_weight():
+    """The T = 6 weight of an instability sweep at spacing 1/32: |Gf_+| on
+    Omega, coarsened as the sweep coarsens it."""
     pg = sweep_phase_geometry(6.0, 1.0 / 32.0)
     F = analytic_gabor_transform(two_bump_spec((-3.0,), (0.0,), (3.0,), (0.0,)), pg)
-    w = weight_from_spectrogram(spectrogram(F), 1.0).coarsen(DEFAULT_CHEEGER_COARSEN)
-    graph = build_weight_graph(w)
+    return weight_from_spectrogram(spectrogram(F), 1.0).coarsen(DEFAULT_CHEEGER_COARSEN)
+
+
+@pytest.fixture(scope="module")
+def sweep_t6_graph(sweep_t6_weight):
+    """The dominant component of the T = 6 sweep weight's graph."""
+    graph = build_weight_graph(sweep_t6_weight)
     _, labels = graph.component_labels()
     heaviest = np.argmax(np.bincount(labels, weights=graph.masses))
     return graph.subgraph(labels == heaviest)[0]
@@ -176,7 +179,7 @@ class TestWeightGrid:
     def test_total_mass_and_scaling(self):
         w = unit_grid((4,), values=np.array([1.0, 2.0, 3.0, 4.0]), spacing=0.5)
         assert w.total_mass == pytest.approx(10.0 * 0.5)
-        w2 = w.scaled(3.0)
+        w2 = WeightGrid(geometry=w.geometry, values=w.values * 3.0, mask=w.mask)
         assert w2.total_mass == pytest.approx(3.0 * w.total_mass)
 
     def test_coarsen_block_means(self):
@@ -425,9 +428,6 @@ class TestCuts:
         assert cut.mass_left == pytest.approx(3.0)
         assert cut.mass_right == pytest.approx(7.0)
         assert cut.ratio == pytest.approx(2.5 / 3.0)
-        comp = cut.complemented()
-        assert comp.mass_left == pytest.approx(7.0)
-        assert comp.ratio == cut.ratio
 
     def test_massless_side_gives_infinite_ratio(self):
         w = unit_grid((2,), values=np.array([0.0, 1.0]))
@@ -490,7 +490,8 @@ class TestSweep:
         rng = np.random.default_rng(5)
         w = unit_grid((6, 6), values=rng.uniform(0.1, 1.0, (6, 6)))
         h1 = sweep_cut_cheeger(w).h_upper
-        h2 = sweep_cut_cheeger(w.scaled(37.5)).h_upper
+        h2 = sweep_cut_cheeger(WeightGrid(geometry=w.geometry, values=w.values * 37.5,
+                                          mask=w.mask)).h_upper
         assert h2 == pytest.approx(h1, rel=1e-9)
 
     def test_disconnected_weight_reports_h_zero(self):
@@ -502,7 +503,6 @@ class TestSweep:
         assert est.fiedler_value == 0.0
         assert len(est.component_masses) == 2
         assert est.best_cut.cut_weight == 0.0
-        assert poincare_bound(est) == math.inf
 
     def test_satellite_component_is_dropped_not_disconnecting(self):
         vals = np.ones((8, 8)) * 1e-15
@@ -523,8 +523,31 @@ class TestSweep:
             hs.append(sweep_cut_cheeger(weight_from_spectrogram(S)).h_upper)
         assert hs[0] > hs[1] > hs[2]
 
-    def test_poincare_bound_value(self):
-        est = CheegerEstimate(h_upper=2.0, fiedler_value=1.0,
-                              best_cut=evaluate_cut(build_weight_graph(unit_grid((2,))),
-                                                    np.array([True, False])))
-        assert poincare_bound(est) == pytest.approx(4.0)
+
+class TestOneUlpRobustness:
+    """The sweep's T = 6 Cheeger estimate against six seeded draws of an
+    independent +-1 ulp on every value of its coarse weight."""
+
+    @pytest.fixture(scope="class")
+    def estimates(self, sweep_t6_weight):
+        w = sweep_t6_weight
+        perturbed = []
+        for seed in range(6):
+            up = np.random.default_rng(seed).random(w.values.shape) < 0.5
+            # Down is toward 0, so a zero weight stays a valid weight.
+            values = np.nextafter(w.values, np.where(up, np.inf, 0.0))
+            perturbed.append(sweep_cut_cheeger(WeightGrid(w.geometry, values, w.mask)))
+        return sweep_cut_cheeger(w), perturbed
+
+    def test_h_upper_within_1e_9(self, estimates):
+        base, perturbed = estimates
+        for est in perturbed:
+            assert est.h_upper == pytest.approx(base.h_upper, rel=1e-9, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason="one ulp of the Lanczos theta moves "
+                       "lambda_2 = sigma - theta by ~1e-7 relative at sigma ~ 189 "
+                       "(ROADMAP item 1)")
+    def test_fiedler_value_within_1e_9(self, estimates):
+        base, perturbed = estimates
+        for est in perturbed:
+            assert est.fiedler_value == pytest.approx(base.fiedler_value, rel=1e-9, abs=0.0)

@@ -16,7 +16,6 @@ from gaborstab.signals import (
     gaussian_spec,
     hermite_gaussian,
     make_analytic,
-    make_gaussian,
     shifted_gaussian_spec,
     two_bump_spec,
 )
@@ -97,9 +96,9 @@ class TestClosedFormAgainstQuadrature:
 
 
 class TestSignalSampling:
-    def test_make_gaussian_peak(self):
+    def test_unit_gaussian_peak(self):
         geom = box_geometry((129,), -4.0, 4.0)
-        f = make_gaussian(1, geom)
+        f = make_analytic(gaussian_spec(1), geom)
         assert f.values[64] == pytest.approx(1.0)
         assert abs(f.values[0]) < 1e-21
 
@@ -168,7 +167,7 @@ class TestHermite:
     def test_order_zero_is_normalized_gaussian(self):
         geom = box_geometry((257,), -6.0, 6.0)
         h0 = hermite_gaussian(0, geom)
-        g = make_gaussian(1, geom)
+        g = make_analytic(gaussian_spec(1), geom)
         gnorm = np.sqrt(np.sum(np.abs(g.values) ** 2) * geom.cell_volume)
         assert np.allclose(h0.values, g.values / gnorm, rtol=1e-14)
 

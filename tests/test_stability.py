@@ -15,7 +15,6 @@ from gaborstab.signals import (
     analytic_gabor_transform,
     gaussian_spec,
     make_analytic,
-    make_gaussian,
     two_bump_spec,
 )
 from gaborstab.stability import (
@@ -576,14 +575,21 @@ class TestNormTerms:
         full = fdiff.gradient_norm(fdiff.gradient(S1.values - S2.values, geom, mask))
         assert grad == self.full_grid_lp(full, geom, p, mask)
 
+    # Each shape-weight term is also taken in blocks of 7 cells, whose seams
+    # fall inside rows, before anything else computes the same weights: a
+    # freed array of them could otherwise fill a cell the blocks miss.
+
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("q", [1.0, 3.5])
-    def test_weighted_norm_is_full_grid_formula_bit_for_bit(self, q, masked):
+    def test_weighted_norm_is_full_grid_formula_bit_for_bit(self, monkeypatch, q, masked):
         geom, S1, S2, mask = self.random_case(masked)
         z0 = (0.25, -0.5)
+        with monkeypatch.context() as m:
+            m.setattr(fdiff, "STENCIL_BLOCK", 7)
+            blocked = weighted_lq_diff_norm(S1, S2, q, z0, mask)
         got = weighted_lq_diff_norm(S1, S2, q, z0, mask)
         weight = self.full_grid_weight(geom, z0)
-        assert got == self.full_grid_lp(weight * (S1.values - S2.values), geom, q, mask)
+        assert got == blocked == self.full_grid_lp(weight * (S1.values - S2.values), geom, q, mask)
 
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -606,16 +612,19 @@ class TestNormTerms:
         assert got.excluded_mass_fraction == excluded
 
     @pytest.mark.parametrize("masked", [True, False])
-    def test_dnorm_is_full_grid_formula_bit_for_bit(self, masked):
+    def test_dnorm_is_full_grid_formula_bit_for_bit(self, monkeypatch, masked):
         geom, S1, S2, mask = self.random_case(masked)
         field = S1.values - S2.values
         z0 = (-0.5, 0.125)
+        with monkeypatch.context() as m:
+            m.setattr(fdiff, "STENCIL_BLOCK", 7)
+            blocked = dnorm(field, geom, 1.2, 3.5, z0, mask)
         got = dnorm(field, geom, 1.2, 3.5, z0, mask)
         grad = fdiff.gradient_norm(fdiff.gradient(field, geom, mask))
         weight = self.full_grid_weight(geom, z0)
-        assert got == (self.full_grid_lp(field, geom, 1.2, mask)
-                       + self.full_grid_lp(grad, geom, 1.2, mask)
-                       + self.full_grid_lp(weight * field, geom, 3.5, mask))
+        assert got == blocked == (self.full_grid_lp(field, geom, 1.2, mask)
+                                  + self.full_grid_lp(grad, geom, 1.2, mask)
+                                  + self.full_grid_lp(weight * field, geom, 3.5, mask))
 
     def test_masked_dnorm_pinned(self):
         # The exact float64 value: the shape weight is shared with
@@ -867,13 +876,13 @@ class TestStabilityReport:
 
     def test_admissibility_gate_runs_first(self):
         geom = box_geometry((65,), -4.0, 4.0)
-        f = make_gaussian(1, geom)
+        f = make_analytic(gaussian_spec(1), geom)
         with pytest.raises(AdmissibilityError):
             stability_report(f, f, p=2.0, q=2.0)
 
     def test_signal_geometry_mismatch(self):
-        f = make_gaussian(1, box_geometry((65,), -4.0, 4.0))
-        g = make_gaussian(1, box_geometry((65,), -5.0, 5.0))
+        f = make_analytic(gaussian_spec(1), box_geometry((65,), -4.0, 4.0))
+        g = make_analytic(gaussian_spec(1), box_geometry((65,), -5.0, 5.0))
         with pytest.raises(ValueError):
             stability_report(f, g, p=1.0, q=3.0)
 
@@ -882,14 +891,14 @@ class TestStabilityReport:
 
         geom = box_geometry((65,), -4.0, 4.0)
         zero = SignalGrid(geom, np.zeros(65))
-        g = make_gaussian(1, geom)
+        g = make_analytic(gaussian_spec(1), geom)
         with pytest.raises(ValueError, match="zero spectrogram"):
             stability_report(zero, g, p=1.0, q=3.0,
                              phase_geometry=box_geometry((33, 33), -2.0, 2.0))
 
     def test_noise_geometry_must_match(self):
         geom = box_geometry((129,), -4.0, 4.0)
-        f = make_gaussian(1, geom)
+        f = make_analytic(gaussian_spec(1), geom)
         noise = noise_gaussian_bump(box_geometry((33, 33), -2.0, 2.0), 0.01, 1.0)
         with pytest.raises(ValueError, match="noise"):
             stability_report(f, f, p=1.0, q=3.0, noise=noise)

@@ -429,6 +429,15 @@ class TestCuts:
         assert cut.mass_right == pytest.approx(7.0)
         assert cut.ratio == pytest.approx(2.5 / 3.0)
 
+    def test_complement_swaps_the_sides_and_keeps_the_ratio(self):
+        w = unit_grid((4,), values=np.array([1.0, 2.0, 3.0, 4.0]))
+        g = build_weight_graph(w)
+        side = np.array([True, True, False, False])
+        cut, comp = evaluate_cut(g, side), evaluate_cut(g, ~side)
+        assert (comp.mass_left, comp.mass_right) == (cut.mass_right, cut.mass_left)
+        assert comp.cut_weight == cut.cut_weight
+        assert comp.ratio == cut.ratio
+
     def test_massless_side_gives_infinite_ratio(self):
         w = unit_grid((2,), values=np.array([0.0, 1.0]))
         g = build_weight_graph(w)

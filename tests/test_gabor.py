@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborstab import gabor
+from gaborstab import fdiff, gabor
 from gaborstab.gabor import (
     EntireLift,
     Spectrogram,
@@ -35,6 +35,30 @@ def lattice_signal_geometry():
 def sup_err(A, B):
     scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))))
     return float(np.max(np.abs(A - B))) / scale
+
+
+def lift_identity_error(lift):
+    """Max relative deviation of |G| from |Gf(x, -y)| e^{pi |z|^2 / 2}."""
+    geom = lift.geometry
+    reflected = np.flip(lift.base.values, axis=tuple(range(1, geom.rank, 2)))
+    expected = np.abs(reflected) * np.exp(np.pi * geom.distance_sq() / 2.0)
+    got = np.abs(lift.lifted.values)
+    denom = np.maximum(expected, np.max(expected) * 1e-300 + np.finfo(float).tiny)
+    rel = np.where(expected == 0.0, got, np.abs(got - expected) / denom)
+    return float(np.max(rel))
+
+
+def antiholomorphic_residual(lift):
+    """Max of |d/d(conj z) G| / |G| over the samples gradient_identity_report checks."""
+    geom = lift.geometry
+    G = lift.lifted.values
+    mod = np.abs(G)
+    mask = fdiff.interior_mask(geom) & (mod > gabor.HOLOMORPHY_LEVEL * mod.max())
+    grads = fdiff.gradient(G, geom)
+    anti = [0.5 * (grads[2 * a] + 1j * grads[2 * a + 1]) for a in range(lift.dimension)]
+    res = fdiff.gradient_norm(anti)
+    ratio = np.where(mask, res / np.where(mod == 0.0, 1.0, mod), 0.0)
+    return float(np.max(ratio)) if mask.any() else 0.0
 
 
 class TestDirectPath:
@@ -375,7 +399,39 @@ class TestSpectrogram:
             assert S.argmax_location == (-1.5, 0.0, 0.0, 0.0)
 
 
+class TestModulationNorm:
+    """L^p norms of the closed-form transform of the unit Gaussian on a grid."""
+
+    @staticmethod
+    def lp_norm(F, p):
+        return float(np.sum(np.abs(F.values) ** p) * F.geometry.cell_volume) ** (1.0 / p)
+
+    def test_gaussian_l2(self):
+        phase = box_geometry((193, 193), -6.0, 6.0)
+        F = analytic_gabor_transform(gaussian_spec(1), phase)
+        assert self.lp_norm(F, 2.0) == pytest.approx(2.0 ** -0.5, rel=1e-12)
+
+    def test_gaussian_l1(self):
+        phase = box_geometry((193, 193), -6.0, 6.0)
+        F = analytic_gabor_transform(gaussian_spec(1), phase)
+        assert self.lp_norm(F, 1.0) == pytest.approx(2.0 ** 0.5, rel=1e-12)
+
+
 class TestEntireLift:
+    def _lift(self, a=0.2, b=0.2, half=3.0, n=97):
+        phase = box_geometry((n, n), -half, half)
+        F = analytic_gabor_transform(shifted_gaussian_spec((a,), (b,)), phase)
+        return entire_lift(F)
+
+    def test_identity_error_tiny(self):
+        assert lift_identity_error(self._lift()) < 1e-12
+
+    def test_identity_check_has_teeth(self):
+        lift = self._lift()
+        bad = EntireLift(base=lift.base,
+                         lifted=PhaseSpaceGrid(lift.geometry, lift.lifted.values * 1.01))
+        assert lift_identity_error(bad) > 5e-3
+
     def test_centered_gaussian_lifts_to_constant_modulus(self):
         phase = box_geometry((49, 49), -1.5, 1.5)
         F = analytic_gabor_transform(gaussian_spec(1), phase)
@@ -404,6 +460,21 @@ class TestEntireLift:
         report = gradient_identity_report(fake)
         assert report.max_rel_error > 1e-2
 
+    def test_wirtinger_residual_small(self):
+        phase = box_geometry((193, 193), -3.0, 3.0)
+        F = analytic_gabor_transform(shifted_gaussian_spec((0.2,), (0.2,)), phase)
+        assert antiholomorphic_residual(entire_lift(F)) < 1e-3
+
+    def test_wirtinger_residual_large_for_antiholomorphic(self):
+        # the lift of a shifted bump is a nonconstant exponential; its
+        # conjugate is antiholomorphic and the residual must flag it
+        phase = box_geometry((49, 49), -1.5, 1.5)
+        F = analytic_gabor_transform(shifted_gaussian_spec((0.4,), (0.3,)), phase)
+        lift = entire_lift(F)
+        conj = EntireLift(base=F, lifted=PhaseSpaceGrid(lift.geometry,
+                                                        np.conj(lift.lifted.values)))
+        assert antiholomorphic_residual(conj) > 0.1
+
 
 class TestRouteIndependence:
     def test_paths_not_shortcircuited(self):
@@ -418,7 +489,7 @@ class TestRouteIndependence:
 
 
 class TestPinnedLiftValues:
-    """Exact float64 values of the lift and its holomorphy diagnostic.
+    """Exact float64 values of the lift and its holomorphy diagnostics.
 
     No benchmark fingerprint reaches them: the lift in the benchmark's CLI
     chain has no included cell within its radii.
@@ -436,9 +507,15 @@ class TestPinnedLiftValues:
         assert vals[32, 32] == 0.5662902006675803 + 0.10802563319374034j
         assert vals[60, 5] == 8.268193975508275 - 2.579213850710102j
 
+    def test_identity_max_rel_error(self, lift):
+        assert lift_identity_error(lift) == 5.340987192092645e-16
+
     def test_gradient_identity_report(self, lift):
         report = gradient_identity_report(lift)
         assert (report.max_rel_error, report.samples_checked) == (0.0004794469647746443, 3969)
+
+    def test_wirtinger_residual(self, lift):
+        assert antiholomorphic_residual(lift) == 0.0009461792545879092
 
     def test_diagnostics_skip_cells_below_the_level(self):
         # The lift of f1 - f2 vanishes inside the box: one interior cell is
@@ -448,6 +525,7 @@ class TestPinnedLiftValues:
         lift = entire_lift(analytic_gabor_transform(spec, phase))
         report = gradient_identity_report(lift)
         assert (report.max_rel_error, report.samples_checked) == (0.7598838432651329, 3968)
+        assert antiholomorphic_residual(lift) == 0.38786021665738696
 
 
 class TestReadmeSession:

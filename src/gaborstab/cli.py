@@ -43,9 +43,6 @@ THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-COMMANDS = ("gen", "gabor", "cheeger", "entire", "stability")
-
-
 class ConfigError(ValueError):
     """A config file that cannot be interpreted; maps to exit code 2."""
 
@@ -322,8 +319,8 @@ def _weight_from(block: _Block):
     import numpy as np
 
     from .cheeger import WeightGrid, weight_from_spectrogram
-    from .gabor import spectrogram
-    from .grids import PhaseSpaceGrid, read_grid
+    from .gabor import Spectrogram
+    from .grids import read_grid
 
     kind = block.text("kind")
     with block.errors():
@@ -336,7 +333,7 @@ def _weight_from(block: _Block):
                 raise block.error("input", f"{kind} input must be real")
             if kind == "grid-file":
                 return WeightGrid(geometry=geom, values=values)
-            S = spectrogram(PhaseSpaceGrid(geometry=geom, values=values.astype(np.complex128)))
+            S = Spectrogram(geom, np.abs(values))
             opts = {key: block.number(key) for key in ("power", "threshold") if key in block}
             return weight_from_spectrogram(S, **opts)
     raise block.error("kind", f"unknown weight kind '{kind}'")
@@ -551,25 +548,26 @@ def _run_stability(cfg: _Block, out_dir: str, seed) -> list[str]:
             f"rhs_weighted_shape={report.rhs_weighted_shape!r}, ratio={report.ratio!r})"]
 
 
-_HANDLERS = {
-    "gen": _run_gen,
-    "gabor": _run_gabor,
-    "cheeger": _run_cheeger,
-    "entire": _run_entire,
-    "stability": _run_stability,
+# Subcommand name -> (handler, help line).
+COMMANDS = {
+    "gen": (_run_gen, "sample an analytic signal onto a grid and write it as GGR1"),
+    "gabor": (_run_gabor, "compute a Gabor transform (and optional spectrogram)"),
+    "cheeger": (_run_cheeger, "estimate the Cheeger constant of a weight grid"),
+    "entire": (_run_entire, "growth checks and log-derivative ball-norm sweeps"),
+    "stability": (_run_stability, "stability reports and instability T-sweeps"),
 }
 
 
 def run_config(command: str, cfg: dict, out_dir: str = ".", seed=None) -> list[str]:
     """Execute one config under the named subcommand; returns summary lines."""
-    if command not in _HANDLERS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
     root = _Block(cfg, command)
     declared = root.text("command", default=command)
     if declared != command:
         raise ConfigError(
             f"config declares command '{declared}' but was run as '{command}'")
-    return _HANDLERS[command](root, out_dir, seed)
+    return COMMANDS[command][0](root, out_dir, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gaborstab",
         description="Desk-scale numerics for the stability of Gabor phase retrieval.")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "gen": "sample an analytic signal onto a grid and write it as GGR1",
-        "gabor": "compute a Gabor transform (and optional spectrogram)",
-        "cheeger": "estimate the Cheeger constant of a weight grid",
-        "entire": "growth checks and log-derivative ball-norm sweeps",
-        "stability": "stability reports and instability T-sweeps",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=help_lines[name])
+    for name, (_, help_line) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--threads", type=int, default=None,

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import fdiff
 from .errors import AdmissibilityError
-from .gabor import EntireLift
-from .grids import GridGeometry
+from .grids import GridGeometry, PhaseSpaceGrid
 
 NEAR_ZERO_EXCLUSION = 1e-12
 # Equispaced nodes on each circle |z| = r: the growth maximum, the
@@ -47,14 +46,14 @@ class EntireFunctionSpec:
     kind "polynomial": coefficients in ascending order, one variable.
     kind "gaussian-exponential": e^{c z^2} for a complex constant c, one
     variable; never vanishes.
-    kind "lifted-gabor": a sampled EntireLift, any dimension.
+    kind "lifted-gabor": a grid from gabor.entire_lift, any dimension.
     G(0) must be nonzero in every case.
     """
 
     kind: str
     coefficients: tuple[complex, ...] | None = None
     quadratic_coeff: complex | None = None
-    lift: EntireLift | None = None
+    lift: PhaseSpaceGrid | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -77,7 +76,7 @@ class EntireFunctionSpec:
             object.__setattr__(self, "quadratic_coeff", c)
         else:
             if self.lift is None:
-                raise ValueError("lifted-gabor needs an EntireLift")
+                raise ValueError("lifted-gabor needs a lifted grid")
             if abs(self._origin_sample()) == 0.0:
                 raise ValueError("G(0) = 0 is rejected: lift vanishes at the sample nearest the origin")
 
@@ -136,7 +135,7 @@ class EntireFunctionSpec:
         geom = self.lift.geometry
         coords = [geom.axis_coordinates(a) for a in range(geom.rank)]
         idx = tuple(int(np.argmin(np.abs(c))) for c in coords)
-        return complex(self.lift.lifted.values[idx])
+        return complex(self.lift.values[idx])
 
     def origin_value(self) -> complex:
         if self.kind == "lifted-gabor":
@@ -152,7 +151,7 @@ def gaussian_exponential_spec(c: complex) -> EntireFunctionSpec:
     return EntireFunctionSpec(kind="gaussian-exponential", quadratic_coeff=c)
 
 
-def lifted_spec(lift: EntireLift) -> EntireFunctionSpec:
+def lifted_spec(lift: PhaseSpaceGrid) -> EntireFunctionSpec:
     return EntireFunctionSpec(kind="lifted-gabor", lift=lift)
 
 
@@ -217,7 +216,7 @@ def growth_class_check(G: EntireFunctionSpec, spec: GrowthClassSpec,
     if G.kind == "lifted-gabor":
         geom = G.lift.geometry
         r2 = geom.distance_sq()
-        mod = np.abs(G.lift.lifted.values)
+        mod = np.abs(G.lift.values)
         for r in radii:
             _check_ball_coverage(geom, r)
             inside = r2 <= r * r
@@ -272,7 +271,7 @@ def log_derivative_field(G: EntireFunctionSpec, geometry: GridGeometry | None = 
         if geometry is not None and geometry != lift_geom:
             raise ValueError("lifted log-derivatives use the lift's own grid")
         geometry = lift_geom
-        vals = G.lift.lifted.values
+        vals = G.lift.values
         mod = np.abs(vals)
         included = mod >= NEAR_ZERO_EXCLUSION * mod.max()
         wirt = fdiff.wirtinger_components(fdiff.gradient(vals, geometry))

@@ -6,9 +6,8 @@ zero where a cell has no neighbor along an axis.
 
 The stencil runs on the mask cells only, packed in row-major order: the
 neighbors of a cell along axis a sit at flat-index offsets of +-stride(a).
-``MaskCells`` evaluates it there, and ``gradient`` scatters the same
-per-axis derivatives into full grids, so both give identical values at
-every mask cell.
+``MaskCells`` evaluates it there; ``gradient`` is its every-cell case,
+shaped as full grids.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainPartition, GridGeometry, active_mask, grid_array
+from .grids import GridGeometry, active_mask, grid_array
 
 # The packed stencil walks the cells in blocks of this many, so its per-axis
 # temporaries stay in cache instead of being fresh arrays over all cells.
@@ -28,18 +27,16 @@ STENCIL_BLOCK = 16384
 class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
 
-    A DomainPartition as mask stands for its active cells.  ``flat_index``
-    holds their flat indices; ``axis_index(a)`` gives their indices along
-    axis a, computed on each call.  ``pack`` and ``gradient_norm``
-    return 1-d arrays in the same cell order, equal bit for bit to
-    ``values[mask]`` and ``gradient_norm(gradient(values, geometry, mask))[mask]``.
+    ``flat_index`` holds their flat indices; ``axis_index(a)`` gives their
+    indices along axis a, computed on each call.  ``pack``, ``derivatives``
+    and ``gradient_norm`` return 1-d arrays in the same cell order; ``pack``
+    equals ``values[mask]`` bit for bit.
     The neighbor flags are built on first use and kept, so every field
     differentiated through one instance shares them; no other per-cell
     array is kept.
     """
 
-    def __init__(self, geometry: GridGeometry,
-                 mask: np.ndarray | DomainPartition | None = None):
+    def __init__(self, geometry: GridGeometry, mask: np.ndarray | None = None):
         mask = active_mask(mask, geometry.extents)
         self.geometry = geometry
         # A copy: the neighbor flags are built from it later.
@@ -137,19 +134,9 @@ def _derivative_dtype(dtype: np.dtype) -> np.dtype:
     return dtype if np.issubdtype(dtype, np.complexfloating) else np.dtype(float)
 
 
-def gradient(values: np.ndarray, geometry: GridGeometry,
-             mask: np.ndarray | None = None) -> list[np.ndarray]:
-    """Per-axis first derivatives; central inside, one-sided at mask/grid edges.
-
-    Cells outside the mask get 0.
-    """
-    cells = MaskCells(geometry, mask)
-    grads = []
-    for g in cells.derivatives(values):
-        full = np.zeros(geometry.extents, dtype=g.dtype)
-        np.put(full, cells.flat_index, g)
-        grads.append(full)
-    return grads
+def gradient(values: np.ndarray, geometry: GridGeometry) -> list[np.ndarray]:
+    """Per-axis first derivatives over the grid; central inside, one-sided at its edges."""
+    return [g.reshape(geometry.extents) for g in MaskCells(geometry).derivatives(values)]
 
 
 def gradient_norm(grads, out: np.ndarray | None = None) -> np.ndarray:

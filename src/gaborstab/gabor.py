@@ -28,7 +28,7 @@ That product is the single source of phase truth for the whole package.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,57 +188,35 @@ def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpa
 
 @dataclass(frozen=True, slots=True)
 class Spectrogram:
-    """Modulus of a Gabor transform plus the location of its largest sample."""
+    """Modulus of a Gabor transform plus the location of its largest sample.
+
+    The peak is derived from the values: argmax_index is the first
+    row-major cell within ARGMAX_TIE_TOL of the maximum, so a rounding tie
+    gives the earlier peak, and argmax_location holds its coordinates.
+    """
 
     geometry: GridGeometry
     values: np.ndarray
-    argmax_index: tuple[int, ...]
-    argmax_location: tuple[float, ...]
+    argmax_index: tuple[int, ...] = field(init=False)
+    argmax_location: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = grid_array(self.values, self.geometry.extents, float, "value array")
-        object.__setattr__(self, "values", arr)
-        if tuple(self.argmax_index) != _peak_index(arr):
-            raise ValueError("argmax index is not the first cell within "
-                             "ARGMAX_TIE_TOL of the maximum")
-
-
-def _peak_index(mod: np.ndarray) -> tuple[int, ...]:
-    """The first row-major index where mod >= (1 - ARGMAX_TIE_TOL) max mod."""
-    near = mod >= (1.0 - ARGMAX_TIE_TOL) * mod.max()
-    flat = int(np.argmax(near))
-    if not near.flat[flat]:
-        raise ValueError("spectrogram has no maximum: it holds NaN")
-    return tuple(int(i) for i in np.unravel_index(flat, mod.shape))
+        if self.geometry.rank % 2 != 0:
+            raise ValueError("phase-space grids need even rank")
+        mod = grid_array(self.values, self.geometry.extents, float, "value array")
+        near = mod >= (1.0 - ARGMAX_TIE_TOL) * mod.max()
+        flat = int(np.argmax(near))
+        if not near.flat[flat]:
+            raise ValueError("spectrogram has no maximum: it holds NaN")
+        index = tuple(int(i) for i in np.unravel_index(flat, mod.shape))
+        object.__setattr__(self, "values", mod)
+        object.__setattr__(self, "argmax_index", index)
+        object.__setattr__(self, "argmax_location", self.geometry.index_coordinates(index))
 
 
 def spectrogram(F: PhaseSpaceGrid) -> Spectrogram:
-    """Spectrogram |F|; its argmax is the first row-major cell within
-    ARGMAX_TIE_TOL of the maximum, so a rounding tie gives the earlier peak."""
-    mod = np.abs(F.values)
-    idx = _peak_index(mod)
-    loc = F.geometry.index_coordinates(idx)
-    return Spectrogram(geometry=F.geometry, values=mod, argmax_index=idx, argmax_location=loc)
-
-
-@dataclass(frozen=True, slots=True)
-class EntireLift:
-    """A Gabor transform together with its entire lift G(z) = Gf(conj z) eta(z).
-
-    eta(z) = e^{pi |z|^2 / 2 - pi i x.y} for z = x + iy; the lifted field
-    satisfies |G(z)| = |Gf(x, -y)| e^{pi |z|^2 / 2} sample by sample.
-    """
-
-    base: PhaseSpaceGrid
-    lifted: PhaseSpaceGrid
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return self.lifted.geometry
-
-    @property
-    def dimension(self) -> int:
-        return self.lifted.dimension
+    """The spectrogram |F| of a phase-space field."""
+    return Spectrogram(F.geometry, np.abs(F.values))
 
 
 def _check_y_symmetric(geometry: GridGeometry) -> None:
@@ -253,11 +231,13 @@ def _check_y_symmetric(geometry: GridGeometry) -> None:
                 f"(covers [{lo}, {hi}]); the entire lift needs y -> -y on-grid")
 
 
-def entire_lift(F: PhaseSpaceGrid) -> EntireLift:
-    """Entire lift of a Gabor transform sampled on a y-symmetric phase grid.
+def entire_lift(F: PhaseSpaceGrid) -> PhaseSpaceGrid:
+    """Entire lift G(z) = Gf(conj z) eta(z) of a Gabor transform on a y-symmetric grid.
 
-    Reflecting y -> -y is an exact index flip on a symmetric grid, so no
-    interpolation enters; the result is multiplied by eta(z).
+    eta(z) = e^{pi |z|^2 / 2 - pi i x.y} for z = x + iy, so
+    |G(z)| = |Gf(x, -y)| e^{pi |z|^2 / 2} sample by sample.  Reflecting
+    y -> -y is an exact index flip on a symmetric grid, so no interpolation
+    enters.
     """
     geom = F.geometry
     _check_y_symmetric(geom)
@@ -268,8 +248,7 @@ def entire_lift(F: PhaseSpaceGrid) -> EntireLift:
     eta = np.exp(np.pi * geom.distance_sq() / 2.0) * np.exp(-1j * np.pi * xy)
     # Gf at (x, -y): an index flip along every y axis.
     reflected = np.flip(F.values, axis=tuple(range(1, geom.rank, 2)))
-    lifted = PhaseSpaceGrid(geometry=geom, values=reflected * eta)
-    return EntireLift(base=F, lifted=lifted)
+    return PhaseSpaceGrid(geometry=geom, values=reflected * eta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,14 +259,14 @@ class GradientIdentityReport:
     samples_checked: int
 
 
-def gradient_identity_report(lift: EntireLift) -> GradientIdentityReport:
-    """Check the holomorphic gradient identity on the lifted field.
+def gradient_identity_report(lift: PhaseSpaceGrid) -> GradientIdentityReport:
+    """Check the holomorphic gradient identity on a lifted field (entire_lift).
 
     Central finite differences only, so the comparison runs on interior
     samples where |G| exceeds HOLOMORPHY_LEVEL times its maximum.
     """
     geom = lift.geometry
-    G = lift.lifted.values
+    G = lift.values
     mod = np.abs(G)
     mask = fdiff.interior_mask(geom) & (mod > HOLOMORPHY_LEVEL * mod.max())
     grads_G = fdiff.gradient(G, geom)

@@ -239,33 +239,21 @@ class DomainPartition:
         return cls(geometry=geometry, labels=labels)
 
     @classmethod
-    def split_along_axis(cls, geometry: GridGeometry, axis: int, threshold: float,
-                         base_mask: np.ndarray | None = None) -> "DomainPartition":
-        """Two components: active cells with coordinate below / at-or-above a threshold.
+    def split_along_axis(cls, geometry: GridGeometry, axis: int,
+                         threshold: float) -> "DomainPartition":
+        """Two components: cells with coordinate below / at-or-above a threshold.
 
-        axis must lie in [0, rank); base_mask (default: every cell) is a mask
-        argument as active_mask takes it.
+        axis must lie in [0, rank).
         """
         if not 0 <= axis < geometry.rank:
             raise ValueError(f"axis {axis} is out of range for a rank-{geometry.rank} grid")
-        coords = geometry.coordinate_arrays()[axis]
-        below = np.broadcast_to(coords < threshold, geometry.extents)
-        active = active_mask(base_mask, geometry.extents)
-        if active is None:
-            active = np.ones(geometry.extents, dtype=bool)
-        labels = np.zeros(geometry.extents, dtype=np.int64)
-        labels[active & below] = 1
-        labels[active & ~below] = 2
-        return cls(geometry=geometry, labels=labels)
+        coords = np.broadcast_to(geometry.coordinate_arrays()[axis], geometry.extents)
+        return cls(geometry=geometry, labels=np.where(coords < threshold, 1, 2))
 
 
 def active_mask(mask, shape) -> np.ndarray | None:
-    """Normalize an optional mask argument (bool array or DomainPartition) to a bool array."""
-    if mask is None:
-        return None
-    if isinstance(mask, DomainPartition):
-        mask = mask.active
-    return grid_array(mask, shape, bool, "mask")
+    """An optional mask argument: None, or a bool array of the grid's shape."""
+    return None if mask is None else grid_array(mask, shape, bool, "mask")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fdiff
 from .cheeger import sweep_cut_cheeger, weight_from_spectrogram
-from .entire import check_logderiv_exponent, max_admissible_p as max_report_p
+from .entire import check_logderiv_exponent
 from .errors import AdmissibilityError
 from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
 from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask,
@@ -226,7 +226,7 @@ def _held(F: PhaseSpaceGrid | PackedField) -> PackedField:
 
 
 def align_phase_global(F1: PhaseSpaceGrid | PackedField, F2: PhaseSpaceGrid | PackedField,
-                       p: float, mask: np.ndarray | DomainPartition | None = None,
+                       p: float, mask: np.ndarray | None = None,
                        force_search: bool = False) -> PhaseAlignment:
     """Minimize theta -> ||F2 - e^{i theta} F1||_{L^p(Omega)} over the circle.
 
@@ -240,9 +240,8 @@ def align_phase_global(F1: PhaseSpaceGrid | PackedField, F2: PhaseSpaceGrid | Pa
     scan point and only moves to points at least as low, so a minimum with
     a corner exactly on a scan point (theta = 0 or pi, as for F2 = +-F1 on
     Omega) is returned at that point.  An empty Omega gives theta = 0 and
-    residual 0.  A DomainPartition as mask stands for its active cells.
-    force_search runs the search path at p = 2 as well, for cross-checking
-    the closed form.
+    residual 0.  force_search runs the search path at p = 2 as well, for
+    cross-checking the closed form.
 
     F1 and F2 may also be PackedFields that hold the same cells; mask None
     then means every held cell, and a mask must lie inside them.  The
@@ -387,19 +386,11 @@ def sobolev_diff_norm(S1: Spectrogram, S2: Spectrogram, p: float,
 
 
 def weighted_lq_diff_norm(S1: Spectrogram, S2: Spectrogram, q: float, z0,
-                          mask: np.ndarray | fdiff.MaskCells | None = None,
-                          p: float | None = None) -> float:
-    """L^q norm of (1 + |z - z0|^{2d+2}) (|Gf| - |Gg|) over Omega.
-
-    Passing p validates the (p, q) admissibility pair for the grid's
-    dimension; without it only q >= 1 is required.
-    """
+                          mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
+    """L^q norm of (1 + |z - z0|^{2d+2}) (|Gf| - |Gg|) over Omega, for q >= 1."""
     _check_pair(S1, S2)
     geom = S1.geometry
-    if p is not None:
-        check_admissible(p, q, geom.rank // 2)
-    else:
-        _check_exponent(q, "q")
+    _check_exponent(q, "q")
     cells = _cells(geom, mask)
     weight = _shape_weight(geom, z0, cells)
     return _lp_norm(weight * (cells.pack(S1.values) - cells.pack(S2.values)), geom, q)
@@ -696,7 +687,7 @@ def _assemble_terms(transforms, p: float, q: float,
     z0 = S1.argmax_location
     weight = weight_from_spectrogram(S1, power=p)
     omega = weight.mask
-    keep = omega if partition is None else omega | active_mask(partition, pg.extents)
+    keep = omega if partition is None else omega | active_mask(partition.active, pg.extents)
     P1 = PackedField.pack(F1, keep)
     del F1
     weight = weight.coarsen(cheeger_coarsen)

@@ -12,10 +12,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaborstab import cli, stability
-from gaborstab.grids import box_geometry
+from gaborstab.grids import DomainPartition, PhaseSpaceGrid, box_geometry
 from gaborstab.stability import make_instability_pair, stability_report
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -63,3 +64,30 @@ def test_traced_run_fills_the_work_counts(spans, tmp_path):
                 "grids.write.bytes", "gabor.transform.mults"):
         assert counts[key] > 0, key
     assert (counts["grids.write.calls"], counts["grids.read.calls"]) == (2, 1)
+
+
+def test_traced_multicomponent_alignment_counts_every_component_cell(spans):
+    # Each component is aligned by align_phase_global on its bool mask, so
+    # the traced cells sum the component sizes.  A partition passed as the
+    # mask itself is refused, so it cannot be counted as a single cell.
+    rng = np.random.default_rng(0)
+    geom = box_geometry((12, 10), -1.0, 1.0)
+    F1, F2 = (PhaseSpaceGrid(geom, rng.standard_normal(geom.extents)
+                             + 1j * rng.standard_normal(geom.extents)) for _ in range(2))
+    labels = rng.integers(0, 4, geom.extents)
+    labels[0, :3] = [1, 2, 3]
+    part = DomainPartition(geom, labels)
+    tracer = spans.Tracer()
+    tracer.begin_call()
+    tracer.install()
+    try:
+        with pytest.raises(ValueError, match="mask shape"):
+            stability.align_phase_global(F1, F2, 1.5, part)
+        stability.align_phase_multicomponent(F1, F2, 1.5, part)
+    finally:
+        tracer.remove()
+    _, counts = tracer.call_summary()
+    sizes = [np.count_nonzero(part.component(i)) for i in range(1, 4)]
+    assert counts["stability.align_multi.calls"] == 1
+    assert counts["stability.align.calls"] == 1 + len(sizes)
+    assert counts["stability.align.cells"] == sum(sizes) == np.count_nonzero(part.active)

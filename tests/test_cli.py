@@ -24,7 +24,7 @@ from gaborstab import cli
 from gaborstab.cheeger import WeightGrid, sweep_cut_cheeger
 from gaborstab.errors import ConvergenceError
 from gaborstab.gabor import gabor_transform, gabor_transform_fft, spectrogram
-from gaborstab.grids import (DomainPartition, box_geometry, read_grid,
+from gaborstab.grids import (DomainPartition, PhaseSpaceGrid, box_geometry, read_grid,
                              read_signal, write_grid)
 from gaborstab.signals import gaussian_spec, hermite_gaussian, make_analytic
 from gaborstab.stability import (make_instability_pair, noise_gaussian_bump,
@@ -287,6 +287,30 @@ class TestCheeger:
         report = load_json(str(tmp_path / "h.json"))
         assert report["h_upper"] > 0
         assert report["disconnected"] is False
+
+    def test_spectrogram_file_reads_the_modulus(self, tmp_path):
+        # A real file with negative samples: the weight is |S|, bit for bit
+        # the library's spectrogram of the same samples.
+        from gaborstab.cheeger import weight_from_spectrogram
+
+        geom = box_geometry((9, 9), -2.0, 2.0)
+        values = np.exp(-geom.distance_sq()) * np.cos(2.0 * geom.coordinate_arrays()[0])
+        write_grid(str(tmp_path / "S.ggr"), geom, values)
+        cfg = write_cfg(tmp_path, "cheeger.json", {
+            "weight": {"kind": "spectrogram-file", "input": str(tmp_path / "S.ggr")},
+            "coarsen": 1, "output": "h.json"})
+        assert run_main("cheeger", cfg, tmp_path) == 0
+        want = sweep_cut_cheeger(weight_from_spectrogram(spectrogram(PhaseSpaceGrid(geom, values))))
+        assert load_json(str(tmp_path / "h.json"))["h_upper"] == want.h_upper
+
+    def test_spectrogram_file_of_odd_rank_rejected(self, tmp_path, capsys):
+        geom = box_geometry((4, 4, 4), 0.0, 3.0)
+        write_grid(str(tmp_path / "S.ggr"), geom, np.ones((4, 4, 4)))
+        cfg = write_cfg(tmp_path, "cheeger.json", {
+            "weight": {"kind": "spectrogram-file", "input": str(tmp_path / "S.ggr")},
+            "output": "h.json"})
+        assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_CONFIG
+        assert "even rank" in capsys.readouterr().err
 
     def test_complex_weight_grid_rejected(self, tmp_path, capsys):
         geom = box_geometry((4, 4), 0.0, 3.0)
@@ -618,7 +642,7 @@ class TestExitCodes:
         def explode(cfg, out_dir, seed):
             raise ConvergenceError("eigensolve stalled")
 
-        monkeypatch.setitem(cli._HANDLERS, "cheeger", explode)
+        monkeypatch.setitem(cli.COMMANDS, "cheeger", (explode, "cheeger"))
         cfg = write_cfg(tmp_path, "cheeger.json", {"output": "h.json"})
         assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_CONVERGENCE
         assert "non-convergence" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from gaborstab import fdiff, gabor
 from gaborstab.gabor import (
-    EntireLift,
+    ARGMAX_TIE_TOL,
     Spectrogram,
     entire_lift,
     gabor_transform,
@@ -37,12 +37,12 @@ def sup_err(A, B):
     return float(np.max(np.abs(A - B))) / scale
 
 
-def lift_identity_error(lift):
-    """Max relative deviation of |G| from |Gf(x, -y)| e^{pi |z|^2 / 2}."""
+def lift_identity_error(F, lift):
+    """Max relative deviation of |G| from |Gf(x, -y)| e^{pi |z|^2 / 2}, lift G of Gf = F."""
     geom = lift.geometry
-    reflected = np.flip(lift.base.values, axis=tuple(range(1, geom.rank, 2)))
+    reflected = np.flip(F.values, axis=tuple(range(1, geom.rank, 2)))
     expected = np.abs(reflected) * np.exp(np.pi * geom.distance_sq() / 2.0)
-    got = np.abs(lift.lifted.values)
+    got = np.abs(lift.values)
     denom = np.maximum(expected, np.max(expected) * 1e-300 + np.finfo(float).tiny)
     rel = np.where(expected == 0.0, got, np.abs(got - expected) / denom)
     return float(np.max(rel))
@@ -51,7 +51,7 @@ def lift_identity_error(lift):
 def antiholomorphic_residual(lift):
     """Max of |d/d(conj z) G| / |G| over the samples gradient_identity_report checks."""
     geom = lift.geometry
-    G = lift.lifted.values
+    G = lift.values
     mod = np.abs(G)
     mask = fdiff.interior_mask(geom) & (mod > gabor.HOLOMORPHY_LEVEL * mod.max())
     grads = fdiff.gradient(G, geom)
@@ -347,13 +347,36 @@ class TestSpectrogram:
         assert S.argmax_index == (0, 0)
         assert np.all(S.values == 0.0)
 
-    def test_argmax_consistency_enforced(self):
+    def test_peak_is_not_a_constructor_argument(self):
         geom = box_geometry((3, 3), -1.0, 1.0)
         vals = np.zeros((3, 3))
         vals[1, 1] = 1.0
-        with pytest.raises(ValueError):
-            Spectrogram(geometry=geom, values=vals, argmax_index=(0, 0),
-                        argmax_location=(-1.0, -1.0))
+        with pytest.raises(TypeError):
+            Spectrogram(geometry=geom, values=vals, argmax_index=(1, 1),
+                        argmax_location=(99.0, -7.0))
+        S = Spectrogram(geom, vals)
+        assert (S.argmax_index, S.argmax_location) == ((1, 1), (0.0, 0.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constructor_derives_the_first_peak_within_the_tolerance(self, seed):
+        # Random fields with planted near-ties of the maximum M: one ulp
+        # either side, and just inside and just outside ARGMAX_TIE_TOL.
+        rng = np.random.default_rng(seed)
+        extents = (7, 6) if seed % 2 == 0 else (4, 3, 5, 4)
+        geom = GridGeometry(extents, tuple(rng.uniform(0.1, 2.0, len(extents))),
+                            tuple(rng.uniform(-3.0, 3.0, len(extents))))
+        vals = rng.random(extents)
+        top = 1.0 + rng.random()
+        planted = [np.nextafter(top, 0.0), top, np.nextafter(top, np.inf),
+                   top * (1.0 - 0.5 * ARGMAX_TIE_TOL), top * (1.0 - 2.0 * ARGMAX_TIE_TOL)]
+        cells = rng.choice(vals.size, size=len(planted), replace=False)
+        vals.flat[cells] = planted
+        level = (1.0 - ARGMAX_TIE_TOL) * vals.max()
+        want = next(i for i in np.ndindex(*extents) if vals[i] >= level)
+        S = Spectrogram(geom, vals)
+        assert S.argmax_index == want
+        assert S.argmax_location == geom.index_coordinates(want)
+        assert S.argmax_index == spectrogram(PhaseSpaceGrid(geom, vals)).argmax_index
 
     @staticmethod
     def two_peaks(later):
@@ -368,12 +391,6 @@ class TestSpectrogram:
     ])
     def test_later_peak_wins_only_beyond_the_tie_tolerance(self, later, index):
         assert spectrogram(self.two_peaks(later)).argmax_index == index
-
-    def test_stored_index_must_be_the_first_peak_within_the_tolerance(self):
-        F = self.two_peaks(np.nextafter(0.5, 1.0))
-        with pytest.raises(ValueError, match="first cell"):
-            Spectrogram(geometry=F.geometry, values=np.abs(F.values), argmax_index=(2, 3),
-                        argmax_location=F.geometry.index_coordinates((2, 3)))
 
     def test_nan_field_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -418,25 +435,25 @@ class TestModulationNorm:
 
 
 class TestEntireLift:
-    def _lift(self, a=0.2, b=0.2, half=3.0, n=97):
+    def _transform(self, a=0.2, b=0.2, half=3.0, n=97):
         phase = box_geometry((n, n), -half, half)
-        F = analytic_gabor_transform(shifted_gaussian_spec((a,), (b,)), phase)
-        return entire_lift(F)
+        return analytic_gabor_transform(shifted_gaussian_spec((a,), (b,)), phase)
 
     def test_identity_error_tiny(self):
-        assert lift_identity_error(self._lift()) < 1e-12
+        F = self._transform()
+        assert lift_identity_error(F, entire_lift(F)) < 1e-12
 
     def test_identity_check_has_teeth(self):
-        lift = self._lift()
-        bad = EntireLift(base=lift.base,
-                         lifted=PhaseSpaceGrid(lift.geometry, lift.lifted.values * 1.01))
-        assert lift_identity_error(bad) > 5e-3
+        F = self._transform()
+        lift = entire_lift(F)
+        bad = PhaseSpaceGrid(lift.geometry, lift.values * 1.01)
+        assert lift_identity_error(F, bad) > 5e-3
 
     def test_centered_gaussian_lifts_to_constant_modulus(self):
         phase = box_geometry((49, 49), -1.5, 1.5)
         F = analytic_gabor_transform(gaussian_spec(1), phase)
         lift = entire_lift(F)
-        mods = np.abs(lift.lifted.values)
+        mods = np.abs(lift.values)
         assert np.allclose(mods, 2.0 ** -0.5, rtol=1e-12)
 
     def test_rejects_asymmetric_y_axis(self):
@@ -456,8 +473,7 @@ class TestEntireLift:
         # the identity needs the lift; the raw transform violates it
         phase = box_geometry((193, 193), -3.0, 3.0)
         F = analytic_gabor_transform(shifted_gaussian_spec((0.2,), (0.2,)), phase)
-        fake = EntireLift(base=F, lifted=F)
-        report = gradient_identity_report(fake)
+        report = gradient_identity_report(F)
         assert report.max_rel_error > 1e-2
 
     def test_wirtinger_residual_small(self):
@@ -471,8 +487,7 @@ class TestEntireLift:
         phase = box_geometry((49, 49), -1.5, 1.5)
         F = analytic_gabor_transform(shifted_gaussian_spec((0.4,), (0.3,)), phase)
         lift = entire_lift(F)
-        conj = EntireLift(base=F, lifted=PhaseSpaceGrid(lift.geometry,
-                                                        np.conj(lift.lifted.values)))
+        conj = PhaseSpaceGrid(lift.geometry, np.conj(lift.values))
         assert antiholomorphic_residual(conj) > 0.1
 
 
@@ -496,19 +511,22 @@ class TestPinnedLiftValues:
     """
 
     @pytest.fixture(scope="class")
-    def lift(self):
+    def transform(self):
         phase = box_geometry((65, 65), -2.0, 2.0)
-        F = analytic_gabor_transform(shifted_gaussian_spec((0.3,), (0.2,)), phase)
-        return entire_lift(F)
+        return analytic_gabor_transform(shifted_gaussian_spec((0.3,), (0.2,)), phase)
+
+    @pytest.fixture(scope="class")
+    def lift(self, transform):
+        return entire_lift(transform)
 
     def test_lift_samples(self, lift):
-        vals = lift.lifted.values
+        vals = lift.values
         assert vals[10, 20] == 0.04735632885220524 - 0.24825056957082642j
         assert vals[32, 32] == 0.5662902006675803 + 0.10802563319374034j
         assert vals[60, 5] == 8.268193975508275 - 2.579213850710102j
 
-    def test_identity_max_rel_error(self, lift):
-        assert lift_identity_error(lift) == 5.340987192092645e-16
+    def test_identity_max_rel_error(self, transform, lift):
+        assert lift_identity_error(transform, lift) == 5.340987192092645e-16
 
     def test_gradient_identity_report(self, lift):
         report = gradient_identity_report(lift)

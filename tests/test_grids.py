@@ -188,24 +188,19 @@ class TestDomainPartition:
         assert np.all(part.labels[2:, :] == 2)
         assert np.array_equal(part.component(1), part.labels == 1)
 
-    def test_split_respects_base_mask(self):
-        geom = box_geometry((4, 4), -1.0, 1.0)
-        base = np.zeros((4, 4), dtype=bool)
-        base[0, :] = True
-        part = DomainPartition.split_along_axis(geom, axis=0, threshold=0.0, base_mask=base)
-        assert part.component(1).sum() == 4
-        assert np.array_equal(part.active, base)
+    def test_split_puts_a_sample_on_the_threshold_above_it(self):
+        geom = box_geometry((2, 3, 5), -1.0, 1.0)
+        part = DomainPartition.split_along_axis(geom, axis=2, threshold=0.0)
+        assert part.labels.dtype == np.int64
+        assert np.array_equal(part.labels[1, 2], [1, 1, 2, 2, 2])
+        assert np.array_equal(part.labels, np.broadcast_to(part.labels[0, 0], (2, 3, 5)))
+        assert part.active.all()
 
     @pytest.mark.parametrize("axis", [2, -1])
     def test_split_rejects_an_axis_outside_the_rank(self, axis):
         geom = box_geometry((4, 4), -1.0, 1.0)
         with pytest.raises(ValueError, match=f"axis {axis} is out of range"):
             DomainPartition.split_along_axis(geom, axis=axis, threshold=0.0)
-
-    def test_split_rejects_a_base_mask_of_the_wrong_shape(self):
-        geom = box_geometry((4, 4), -1.0, 1.0)
-        with pytest.raises(ValueError, match="mask shape"):
-            DomainPartition.split_along_axis(geom, 0, 0.0, base_mask=np.ones((4, 3), bool))
 
     def test_from_masks_rejects_overlap(self):
         geom = box_geometry((3,), 0.0, 1.0)
@@ -243,11 +238,13 @@ class TestActiveMask:
     def test_none_passes_through(self):
         assert active_mask(None, (3, 2)) is None
 
-    def test_partition_gives_active(self):
+    def test_partition_is_not_a_mask(self):
+        # Callers pass partition.active; the partition itself is refused.
         geom = box_geometry((3,), 0.0, 1.0)
         part = DomainPartition(geom, np.array([0, 1, 2]))
-        mask = active_mask(part, (3,))
-        assert np.array_equal(mask, [False, True, True])
+        with pytest.raises(ValueError, match="mask shape"):
+            active_mask(part, (3,))
+        assert np.array_equal(active_mask(part.active, (3,)), [False, True, True])
 
     def test_bool_array_passthrough(self):
         arr = np.array([True, False])

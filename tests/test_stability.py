@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gaborstab import fdiff
+from gaborstab.entire import max_admissible_p
 from gaborstab.errors import AdmissibilityError
 from gaborstab.gabor import gabor_transform, spectrogram
 from gaborstab.grids import MAX_GRID_CELLS, DomainPartition, PhaseSpaceGrid, box_geometry
@@ -36,7 +37,6 @@ from gaborstab.stability import (
     instability_sweep,
     logderiv_term,
     make_instability_pair,
-    max_report_p,
     min_report_q,
     noise_band_limited,
     noise_gaussian_bump,
@@ -145,8 +145,8 @@ def random_mask(shape, seed):
 
 class TestAdmissibility:
     def test_report_exponent_boundaries(self):
-        assert max_report_p(1) == pytest.approx(2.0)
-        assert max_report_p(2) == pytest.approx(4.0 / 3.0)
+        assert max_admissible_p(1) == pytest.approx(2.0)
+        assert max_admissible_p(2) == pytest.approx(4.0 / 3.0)
         assert min_report_q(1.0, 1) == pytest.approx(2.0)
         assert min_report_q(1.2, 1) == pytest.approx(3.0)
 
@@ -291,13 +291,15 @@ class TestPhaseAlignment:
             assert 0.0 <= res.theta_star < 2.0 * np.pi
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    def test_partition_mask_equals_its_active_cells(self, p):
-        F1, F2, rng = self._random_pair()
-        partition = DomainPartition.split_along_axis(
-            F1.geometry, 0, 0.0, base_mask=rng.random(F1.geometry.extents) < 0.6)
-        by_partition = align_phase_global(F1, F2, p, partition)
-        by_mask = align_phase_global(F1, F2, p, partition.active)
-        assert by_partition == by_mask
+    def test_a_partition_is_not_a_mask(self, p):
+        # Callers pass partition.active; the partition itself is refused,
+        # not read as one cell.
+        F1, F2, _ = self._random_pair()
+        partition = DomainPartition.split_along_axis(F1.geometry, 0, 0.0)
+        with pytest.raises(ValueError, match="mask shape"):
+            align_phase_global(F1, F2, p, partition)
+        assert (align_phase_global(F1, F2, p, partition.active)
+                == align_phase_global(F1, F2, p))
 
     def test_mask_restricts_comparison(self):
         geom = box_geometry((4, 4), -1.0, 1.0)
@@ -469,7 +471,7 @@ class TestPackedAlignment:
                 == align_phase_global(F1, F2, p, mask=omega, force_search=force))
         keep = omega | part.active
         Q1, Q2 = self._packed(F1, F2, keep)
-        for mask in (None, omega, part, part.component(2)):
+        for mask in (None, omega, part.active, part.component(2)):
             full_mask = keep if mask is None else mask
             assert (align_phase_global(Q1, Q2, p, mask=mask, force_search=force)
                     == align_phase_global(F1, F2, p, mask=full_mask, force_search=force))
@@ -487,7 +489,7 @@ class TestPackedAlignment:
         F1, F2, omega, part = self._case(0)
         P1, P2 = self._packed(F1, F2, omega)
         with pytest.raises(ValueError, match="does not hold"):
-            align_phase_global(P1, P2, 1.0, mask=part)
+            align_phase_global(P1, P2, 1.0, mask=part.active)
         with pytest.raises(ValueError, match="does not hold"):
             align_phase_multicomponent(P1, P2, 2.0, part)
         with pytest.raises(ValueError, match="does not match grid extents"):
@@ -551,6 +553,14 @@ class TestNormTerms:
         return float(np.sum(mag ** p) * geom.cell_volume) ** (1.0 / p)
 
     @staticmethod
+    def full_grid_gradient_norm(values, geom, mask):
+        """|grad| of the stencil on the cells of mask (all for None), 0 elsewhere."""
+        cells = fdiff.MaskCells(geom, mask)
+        out = np.zeros(geom.extents)
+        np.put(out, cells.flat_index, fdiff.gradient_norm(cells.derivatives(values)))
+        return out
+
+    @staticmethod
     def random_case(masked, seed=11):
         rng = np.random.default_rng(seed)
         geom = box_geometry((61, 67), -1.0, 1.0)
@@ -572,7 +582,7 @@ class TestNormTerms:
     def test_gradient_piece_is_full_grid_formula_bit_for_bit(self, p, masked):
         geom, S1, S2, mask = self.random_case(masked)
         _, grad = sobolev_diff_pieces(S1, S2, p, mask)
-        full = fdiff.gradient_norm(fdiff.gradient(S1.values - S2.values, geom, mask))
+        full = self.full_grid_gradient_norm(S1.values - S2.values, geom, mask)
         assert grad == self.full_grid_lp(full, geom, p, mask)
 
     # Each shape-weight term is also taken in blocks of 7 cells, whose seams
@@ -603,7 +613,7 @@ class TestNormTerms:
         base = np.ones(geom.extents, bool) if mask is None else mask
         included = base & (S1.values > 1e-12 * S1.values.max())
         assert 0 < included.sum() < base.sum()
-        grad = fdiff.gradient_norm(fdiff.gradient(S1.values, geom, included))
+        grad = self.full_grid_gradient_norm(S1.values, geom, included)
         field = np.zeros(geom.extents)
         field[included] = (grad[included] / S1.values[included]
                            * (S1.values - S2.values)[included])
@@ -620,7 +630,7 @@ class TestNormTerms:
             m.setattr(fdiff, "STENCIL_BLOCK", 7)
             blocked = dnorm(field, geom, 1.2, 3.5, z0, mask)
         got = dnorm(field, geom, 1.2, 3.5, z0, mask)
-        grad = fdiff.gradient_norm(fdiff.gradient(field, geom, mask))
+        grad = self.full_grid_gradient_norm(field, geom, mask)
         weight = self.full_grid_weight(geom, z0)
         assert got == blocked == (self.full_grid_lp(field, geom, 1.2, mask)
                                   + self.full_grid_lp(grad, geom, 1.2, mask)
@@ -664,11 +674,9 @@ class TestNormTerms:
             + 3.0 * math.factorial(4) / a ** 5 + math.factorial(6) / a ** 7)
         assert got == pytest.approx(integral ** (1.0 / 3.0), rel=1e-10)
 
-    def test_weighted_norm_validates_pair_when_p_given(self):
+    def test_weighted_norm_rejects_q_below_one(self):
         S1 = spectrogram(gaussian_field(n=33))
         S0 = zero_spectrogram_like(S1)
-        with pytest.raises(AdmissibilityError):
-            weighted_lq_diff_norm(S1, S0, 2.9, (0.0, 0.0), p=1.2)
         with pytest.raises(AdmissibilityError):
             weighted_lq_diff_norm(S1, S0, 0.5, (0.0, 0.0))
 
@@ -1061,7 +1069,8 @@ class TestFieldLifetime:
             # Two components on the lower half of the last axis, inside and
             # outside Omega: the packed cells are Omega and the partition.
             lower = np.broadcast_to(pg.coordinate_arrays()[-1] < 0.0, pg.extents)
-            part = DomainPartition.split_along_axis(pg, axis=0, threshold=0.0, base_mask=lower)
+            left = np.broadcast_to(pg.coordinate_arrays()[0] < 0.0, pg.extents)
+            part = DomainPartition.from_masks(pg, [lower & left, lower & ~left])
         stability_report(f, g, 1.0, 5.0 if d == 2 else 3.0, partition=part, phase_geometry=pg)
         assert solve == [(1, 0)]
         assert align == [(2, 0)] * (1 if part is None else 3)

@@ -243,9 +243,10 @@ def _signal_from(block: _Block, geometry):
 
 
 def _write_text(path: str, text: str) -> None:
-    from .grids import atomic_write
+    from .grids import atomic_file
 
-    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _write_json(path: str, obj) -> None:
@@ -289,29 +290,50 @@ def _signal_pair_or_input(cfg: _Block):
 
 
 def _run_gabor(cfg: _Block, out_dir: str, seed) -> list[str]:
-    from .gabor import gabor_transform, gabor_transform_fft, spectrogram
-    from .grids import write_grid
+    import numpy as np
+
+    from .gabor import FirstPeak, gabor_transform, gabor_transform_fft
+    from .grids import GridWriter, atomic_file, write_grid
 
     sig = _signal_pair_or_input(cfg)
     pg = cfg.geometry("phase_geometry")
     method = cfg.text("method", default="direct")
-    if method == "direct":
-        F = gabor_transform(sig, pg)
-    elif method == "fft":
-        F = gabor_transform_fft(sig, pg)
-    else:
+    transforms = {"direct": gabor_transform, "fft": gabor_transform_fft}
+    if method not in transforms:
         raise cfg.error("method", f"expected 'direct' or 'fft', got '{method}'")
-    lines = []
     path = cfg.output("output", out_dir)
-    write_grid(path, pg, F.values)
-    # |F| is taken once: the printed peak is the spectrogram's maximum.
-    S = spectrogram(F)
-    peak = float(S.values[S.argmax_index])
-    lines.append(f"gabor: wrote {path} (method={method}, peak={peak!r})")
-    if "spectrogram_output" in cfg:
-        spath = cfg.output("spectrogram_output", out_dir)
-        write_grid(spath, pg, S.values)
-        lines.append(f"gabor: wrote {spath} (spectrogram, argmax at {list(S.argmax_location)})")
+    spath = cfg.output("spectrogram_output", out_dir) if "spectrogram_output" in cfg else None
+    peak = FirstPeak()
+
+    def moduli_to(fh, slabs):
+        """The slabs of F, passed on; their moduli go to the peak and to fh."""
+        out = None if fh is None else GridWriter(fh, pg)
+        for slab in slabs:
+            mod = np.abs(slab)
+            peak.feed(mod)
+            if out is not None:
+                out.write(mod)
+            del mod
+            yield slab
+            del slab  # not held while the next slab is computed
+        # Before F's rename, and so before S's: a short stream or a NaN
+        # leaves both old files.
+        if out is not None:
+            out.finish()
+        peak.cell()
+
+    def write(slabs):
+        with contextlib.nullcontext() if spath is None else atomic_file(spath) as fh:
+            write_grid(path, pg, moduli_to(fh, slabs))
+
+    # F and |F| go to their files one slab at a time, so neither field is
+    # ever held whole.
+    transforms[method](sig, pg, consume=write)
+    index, value = peak.cell()
+    lines = [f"gabor: wrote {path} (method={method}, peak={value!r})"]
+    if spath is not None:
+        location = pg.index_coordinates(tuple(int(i) for i in np.unravel_index(index, pg.extents)))
+        lines.append(f"gabor: wrote {spath} (spectrogram, argmax at {list(location)})")
     return lines
 
 

@@ -23,6 +23,11 @@ values are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
 factors from the absolute coordinates t = t0 + k*dt bakes in the phase
 correction e^{-2 pi i t0 . y} for grids that do not start at the origin.
 That product is the single source of phase truth for the whole package.
+
+Both transforms can also hand Gf to a consumer a slab of leading rows at a
+time (their consume argument), so that a consumer such as the gabor command
+writes Gf without ever holding it whole; the slabs carry the whole
+transform's bits.
 """
 
 from __future__ import annotations
@@ -58,39 +63,74 @@ def _boundary_max(values: np.ndarray) -> float:
 
 
 def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
-                         axis_contraction) -> PhaseSpaceGrid:
-    """The Riemann sum of Gf, one signal axis at a time.
+                         axis_contraction, slab_rows: int | None):
+    """The Riemann sum of Gf, one signal axis at a time, as an iterator of slabs.
 
     axis_contraction(signal_geometry, a, y) returns the contraction for
     signal axis a: given the working array, whose axis 0 is t_a, and the
     windows e^{-pi(t_a - x_a)^2} as rows (x_a, t_a), it returns the array
     with t_a replaced by trailing (x_a, y_a) axes.  Axis 0 of the working
-    array is always the next signal axis.
+    array is always the next signal axis.  Every axis but the last is
+    contracted in full, the last one for slab_rows (None: all) leading
+    rows at a time, a row being one cell of (x_1, y_1, ..., y_{d-1}); a
+    d = 1 signal is one row.  The slabs, shaped (rows, x_d, y_d), are
+    Gf in row-major order.  Checks and warnings come before the first slab.
     """
     d = f.dimension
     if phase_geometry.rank != 2 * d:
         raise ValueError(
             f"phase geometry rank {phase_geometry.rank} does not match 2 x signal dimension {2 * d}"
         )
+    tail = phase_geometry.extents[-2:]
+    rows = phase_geometry.num_cells // (tail[0] * tail[1])
+    step = slab_rows or rows
+    # A one-row tail joins the slab before it: on one row the folded GEMM
+    # becomes a matrix-vector product, whose sums round differently.
+    stops = list(range(step, rows - 1, step)) + [rows]
+    bounds = list(zip([0] + stops, stops))
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
-        return PhaseSpaceGrid(geometry=phase_geometry,
-                              values=np.zeros(phase_geometry.extents, np.complex128))
+        return (np.zeros((stop - start,) + tail, np.complex128) for start, stop in bounds)
     if _boundary_max(f.values) > BOUNDARY_DECAY_TOL * peak:
         warnings.warn(
             "signal does not decay below 1e-12 of its peak at the grid boundary; "
-            "the transform is truncated", stacklevel=3)
-
+            "the transform is truncated", stacklevel=4)
     contractions = [axis_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
                     for a in range(d)]
-    g = f.values
-    for a, contract in enumerate(contractions):
+
+    def windows(a):
         t = f.geometry.axis_coordinates(a)
         x = phase_geometry.axis_coordinates(2 * a)
-        g = contract(g, np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2))
-    # In place: a scaled copy would hold a second full field.
-    g *= f.geometry.cell_volume
-    return PhaseSpaceGrid(geometry=phase_geometry, values=g)
+        return np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2)
+
+    def slabs():
+        g = f.values
+        for a in range(d - 1):
+            g = contractions[a](g, windows(a))
+        g = g if d == 1 else g.reshape(g.shape[0], -1)
+        last = windows(d - 1)
+        for start, stop in bounds:
+            slab = contractions[-1](g if d == 1 else g[:, start:stop], last)
+            # In place: a scaled copy would hold a second slab.
+            slab *= f.geometry.cell_volume
+            yield slab.reshape((stop - start,) + tail)
+            del slab  # not held while the next slab is computed
+
+    return slabs()
+
+
+# Leading rows per slab of a consumed transform: 128 rows of a 33^4 field
+# are 2.2 MiB, where the whole field is 18.1 MiB.  At least 2, so no slab
+# is a single row (see _separable_transform).
+SLAB_ROWS = 128
+
+
+def _transform(f: SignalGrid, phase_geometry: GridGeometry, axis_contraction, consume):
+    """The whole PhaseSpaceGrid, or consume's result on its slabs."""
+    if consume is not None:
+        return consume(_separable_transform(f, phase_geometry, axis_contraction, SLAB_ROWS))
+    (values,) = _separable_transform(f, phase_geometry, axis_contraction, None)
+    return PhaseSpaceGrid(geometry=phase_geometry, values=values.reshape(phase_geometry.extents))
 
 
 def _per_window(g: np.ndarray, windows: np.ndarray, ny: int, contract) -> np.ndarray:
@@ -127,7 +167,7 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     return contract
 
 
-def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:
+def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None):
     """Sampled Gabor transform of f on a phase-space grid.
 
     Each signal axis in turn is contracted against its Fourier factor
@@ -145,8 +185,14 @@ def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGr
         the grid boundary (a warning is emitted otherwise).
     phase_geometry : GridGeometry
         Rank 2d grid with axes ordered (x_1, y_1, ..., x_d, y_d).
+    consume : callable, optional
+        Called once with an iterator over Gf in slabs of SLAB_ROWS leading
+        rows, shaped (rows, x_d, y_d) and in row-major order, instead of
+        building the whole grid; its result is returned.  The slabs carry
+        the bits of the whole grid, and a d = 1 signal is one slab.
+        Argument errors and the boundary warning come before the call.
     """
-    return _separable_transform(f, phase_geometry, _fourier_contraction)
+    return _transform(f, phase_geometry, _fourier_contraction, consume)
 
 
 def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
@@ -172,7 +218,7 @@ def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
         lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase)
 
 
-def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpaceGrid:
+def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None):
     """The same Riemann sum as gabor_transform, evaluated with batched FFTs.
 
     Each signal axis in turn is windowed at every x sample of that axis and
@@ -181,18 +227,71 @@ def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry) -> PhaseSpa
     evaluates the sum for all y at once.  The origin phase e^{-2 pi i t0 y}
     is applied afterwards, from the same absolute-coordinate convention as
     the direct path.  Off-lattice y grids are an error, not an
-    approximation: use gabor_transform for those.
+    approximation: use gabor_transform for those.  consume works as in
+    gabor_transform.
     """
-    return _separable_transform(f, phase_geometry, _fft_contraction)
+    return _transform(f, phase_geometry, _fft_contraction, consume)
+
+
+class FirstPeak:
+    """The spectrogram's argmax rule over values fed in row-major pieces:
+    the first cell within ARGMAX_TIE_TOL of the maximum of all of them.
+
+    Of the cells fed so far it keeps those that a larger maximum in a later
+    piece could still leave within the tolerance, and of those only the
+    ones above every earlier cell: an earlier cell at least as large wins
+    whenever a later one would.  That is a few cells unless many tie.
+    """
+
+    # Cells compared per step: bounds the temporaries on a field of ties.
+    _CHUNK = 1 << 16
+
+    def __init__(self):
+        self._maximum = -np.inf
+        self._cells = np.empty(0, np.int64)
+        self._values = np.empty(0)
+        self._fed = 0
+
+    def feed(self, values) -> None:
+        """Take the next row-major piece of the field."""
+        flat = np.ravel(values)
+        for start in range(0, flat.size, self._CHUNK):
+            self._feed(flat[start:start + self._CHUNK])
+
+    def _feed(self, v: np.ndarray) -> None:
+        # np.maximum keeps a NaN, which then leaves no cell within the level.
+        self._maximum = float(np.maximum(self._maximum, v.max()))
+        level = (1.0 - ARGMAX_TIE_TOL) * self._maximum
+        # The kept values increase, so the ones below the level are a prefix.
+        drop = int(np.searchsorted(self._values, level))
+        cells, kept = self._cells[drop:], self._values[drop:]
+        near = np.flatnonzero(v >= level)
+        values = v[near]
+        # A near cell is kept if it exceeds every near cell before it; with
+        # none kept so far, the first one is.
+        first = int(kept.size == 0)
+        earlier = np.maximum.accumulate(np.concatenate((kept[-1:], values)))
+        above = np.ones(values.size, bool)
+        above[first:] = values[first:] > earlier[:-1]
+        self._cells = np.concatenate((cells, near[above] + self._fed))
+        self._values = np.concatenate((kept, values[above]))
+        self._fed += v.size
+
+    def cell(self) -> tuple[int, float]:
+        """Row-major index and value of the chosen cell; ValueError if a NaN was fed."""
+        if self._values.size == 0:
+            raise ValueError("spectrogram has no maximum: it holds NaN")
+        return int(self._cells[0]), float(self._values[0])
 
 
 @dataclass(frozen=True, slots=True)
 class Spectrogram:
     """Modulus of a Gabor transform plus the location of its largest sample.
 
-    The peak is derived from the values: argmax_index is the first
-    row-major cell within ARGMAX_TIE_TOL of the maximum, so a rounding tie
-    gives the earlier peak, and argmax_location holds its coordinates.
+    The peak is derived from the values by FirstPeak: argmax_index is the
+    first row-major cell within ARGMAX_TIE_TOL of the maximum, so a
+    rounding tie gives the earlier peak, and argmax_location holds its
+    coordinates.
     """
 
     geometry: GridGeometry
@@ -204,11 +303,9 @@ class Spectrogram:
         if self.geometry.rank % 2 != 0:
             raise ValueError("phase-space grids need even rank")
         mod = grid_array(self.values, self.geometry.extents, float, "value array")
-        near = mod >= (1.0 - ARGMAX_TIE_TOL) * mod.max()
-        flat = int(np.argmax(near))
-        if not near.flat[flat]:
-            raise ValueError("spectrogram has no maximum: it holds NaN")
-        index = tuple(int(i) for i in np.unravel_index(flat, mod.shape))
+        peak = FirstPeak()
+        peak.feed(mod)
+        index = tuple(int(i) for i in np.unravel_index(peak.cell()[0], mod.shape))
         object.__setattr__(self, "values", mod)
         object.__setattr__(self, "argmax_index", index)
         object.__setattr__(self, "argmax_location", self.geometry.index_coordinates(index))

@@ -8,8 +8,11 @@ phase-space grids interleave axes as (x_1, y_1, ..., x_d, y_d).
 
 from __future__ import annotations
 
+import collections.abc
+import contextlib
 import math
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass, field
@@ -270,19 +273,23 @@ _HEAD = struct.Struct("<4sIBB")
 _AXIS = struct.Struct("<Qdd")
 
 
-def atomic_write(path, write) -> None:
-    """Run write(fh) on a temp file beside path, then rename it into place.
+@contextlib.contextmanager
+def atomic_file(path):
+    """A binary handle on a temp file beside path, renamed into place when
+    the block exits without an exception.
 
-    A failed write leaves the old file and no temp file.  The file keeps
+    A failed block leaves the old file and no temp file.  The file keeps
     the mode 0600 that mkstemp gives it.  The temp file is written through
     its mkstemp descriptor: reopening it with "wb" would truncate it, and
-    some filesystems (ext4) then flush the whole file at close.
+    some filesystems (ext4) then flush the whole file at close.  Of nested
+    blocks the inner file is renamed first, so a check that must pass
+    before either rename goes inside the inner block.
     """
     parent = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            write(fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -290,59 +297,114 @@ def atomic_write(path, write) -> None:
         raise
 
 
+class GridWriter:
+    """GGR1 encoding of a grid whose values arrive in row-major pieces.
+
+    The header goes out with the first piece, whose dtype (real or
+    complex) every later piece must share.  finish raises ValueError
+    unless exactly num_cells values were written, so a caller can refuse
+    a short stream before it renames the file into place.
+    """
+
+    def __init__(self, fh, geometry: GridGeometry):
+        self._fh = fh
+        self.geometry = geometry
+        self._dtype_code = None
+        self._written = 0
+
+    def write(self, values) -> None:
+        arr = np.asarray(values)
+        dtype_code = _DTYPE_COMPLEX if np.iscomplexobj(arr) else _DTYPE_REAL
+        geom = self.geometry
+        if self._dtype_code is None:
+            self._fh.write(_HEAD.pack(GRID_MAGIC, GRID_VERSION, geom.rank, dtype_code)
+                           + b"".join(map(_AXIS.pack, geom.extents, geom.spacing, geom.origin)))
+            self._dtype_code = dtype_code
+        elif dtype_code != self._dtype_code:
+            raise ValueError("a grid stream must keep one dtype, real or complex")
+        if self._written + arr.size > geom.num_cells:
+            raise ValueError(f"a grid stream got more than the grid's {geom.num_cells} values")
+        payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_code][0])
+        self._fh.write(memoryview(payload).cast("B"))
+        self._written += arr.size
+
+    def finish(self) -> None:
+        if self._written != self.geometry.num_cells:
+            raise ValueError(f"a grid stream got {self._written} of the grid's "
+                             f"{self.geometry.num_cells} values")
+
+
 def write_grid_to(fh, geometry: GridGeometry, values: np.ndarray) -> None:
     """Encode a real or complex grid as GGR1 bytes into an open binary file."""
-    arr = grid_array(values, geometry.extents, None, "value array")
-    dtype_code = _DTYPE_COMPLEX if np.iscomplexobj(arr) else _DTYPE_REAL
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_code][0])
-    head = [_HEAD.pack(GRID_MAGIC, GRID_VERSION, geometry.rank, dtype_code)]
-    for a in range(geometry.rank):
-        head.append(_AXIS.pack(geometry.extents[a], geometry.spacing[a], geometry.origin[a]))
-    fh.write(b"".join(head))
-    fh.write(memoryview(payload).cast("B"))
+    out = GridWriter(fh, geometry)
+    out.write(grid_array(values, geometry.extents, None, "value array"))
+    out.finish()
 
 
-def write_grid(path, geometry: GridGeometry, values: np.ndarray) -> None:
-    """Write a real or complex grid to a GGR1 file, atomically (atomic_write)."""
-    atomic_write(path, lambda fh: write_grid_to(fh, geometry, values))
+def write_grid(path, geometry: GridGeometry, values) -> None:
+    """Write a real or complex grid to a GGR1 file, atomically (atomic_file).
+
+    values is the value array, or an iterator over its row-major pieces,
+    which is drained into the file without the whole grid being held.  A
+    stream of more or fewer than num_cells values, or of two dtypes,
+    leaves the old file.
+    """
+    with atomic_file(path) as fh:
+        if not isinstance(values, collections.abc.Iterator):
+            write_grid_to(fh, geometry, values)
+            return
+        out = GridWriter(fh, geometry)
+        for piece in values:
+            out.write(piece)
+            del piece  # not held while the next piece is made
+        out.finish()
 
 
 def read_grid(path) -> tuple[GridGeometry, np.ndarray]:
-    """Read a GGR1 file; returns (geometry, values) with values real or complex."""
+    """Read a GGR1 file; returns (geometry, values) with values real or complex.
+
+    The payload size of a regular file is checked against the file size
+    before the values are allocated, and the payload is read once,
+    straight into them.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEAD.size:
-        raise GridFormatError("file too short for a grid header")
-    magic, version, rank, dtype_code = _HEAD.unpack_from(raw, 0)
-    if magic != GRID_MAGIC:
-        raise GridFormatError(f"bad magic {magic!r}")
-    if version != GRID_VERSION:
-        raise GridFormatError(f"unsupported version {version}")
-    if dtype_code not in _DTYPES:
-        raise GridFormatError(f"unknown dtype code {dtype_code}")
-    offset = _HEAD.size
-    if len(raw) < offset + rank * _AXIS.size:
-        raise GridFormatError("truncated axis table")
-    extents, spacing, origin = [], [], []
-    for _ in range(rank):
-        n, s, o = _AXIS.unpack_from(raw, offset)
-        offset += _AXIS.size
-        extents.append(int(n))
-        spacing.append(s)
-        origin.append(o)
-    try:
-        geometry = GridGeometry(tuple(extents), tuple(spacing), tuple(origin))
-    except ValueError as exc:
-        raise GridFormatError(f"invalid geometry in header: {exc}") from exc
-    count = geometry.num_cells
-    stored, native = _DTYPES[dtype_code]
-    expected = count * np.dtype(stored).itemsize
-    if len(raw) - offset != expected:
-        raise GridFormatError(
-            f"payload has {len(raw) - offset} bytes, expected {expected}"
-        )
-    values = np.frombuffer(raw, dtype=stored, count=count, offset=offset)
-    return geometry, values.reshape(geometry.extents).astype(native)
+        head = fh.read(_HEAD.size)
+        if len(head) < _HEAD.size:
+            raise GridFormatError("file too short for a grid header")
+        magic, version, rank, dtype_code = _HEAD.unpack(head)
+        if magic != GRID_MAGIC:
+            raise GridFormatError(f"bad magic {magic!r}")
+        if version != GRID_VERSION:
+            raise GridFormatError(f"unsupported version {version}")
+        if dtype_code not in _DTYPES:
+            raise GridFormatError(f"unknown dtype code {dtype_code}")
+        table = fh.read(rank * _AXIS.size)
+        if len(table) < rank * _AXIS.size:
+            raise GridFormatError("truncated axis table")
+        # (extents, spacings, origins); a rank-0 header fails GridGeometry.
+        columns = tuple(zip(*_AXIS.iter_unpack(table))) or ((), (), ())
+        try:
+            geometry = GridGeometry(*columns)
+        except ValueError as exc:
+            raise GridFormatError(f"invalid geometry in header: {exc}") from exc
+        stored, native = _DTYPES[dtype_code]
+        expected = geometry.num_cells * np.dtype(stored).itemsize
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            size = st.st_size - fh.tell()
+            if size == expected:
+                values = np.fromfile(fh, dtype=stored, count=geometry.num_cells)
+                size = values.nbytes
+        else:
+            # A pipe has no size to check first: it is read to its end and
+            # copied, so the payload is held twice.
+            raw = fh.read()
+            size = len(raw)
+            if size == expected:
+                values = np.frombuffer(raw, dtype=stored).copy()
+    if size != expected:
+        raise GridFormatError(f"payload has {size} bytes, expected {expected}")
+    return geometry, values.reshape(geometry.extents).astype(native, copy=False)
 
 
 def read_signal(path) -> SignalGrid:

@@ -199,6 +199,126 @@ class TestGabor:
         assert "method" in capsys.readouterr().err
 
 
+class TestGaborStream:
+    """The gabor command writes F and |F| slab by slab; with 7-row slabs,
+    which divide no row count here, its files and summary lines equal
+    write_grid of the whole-grid transform and its spectrogram."""
+
+    SIGNALS = {
+        # d -> (signal block, signal grid, phase grid): y on the FFT lattice.
+        1: ({"kind": "two-bump", "center1": [-1.0], "frequency1": [0.0],
+             "center2": [1.0], "frequency2": [0.5], "sign": -1},
+            {"extents": [512], "lo": -8.0, "hi": 8.0 - 1.0 / 32.0}, PHASE_2D),
+        2: ({"kind": "two-bump", "center1": [-0.75, 0.0], "frequency1": [0.0, 0.0],
+             "center2": [0.75, 0.0], "frequency2": [0.0, 0.25], "sign": 1},
+            {"extents": [32, 32], "lo": -4.0, "hi": 3.75},
+            {"extents": [5, 9, 5, 9], "lo": [-2.0, -0.5, -1.0, -0.5],
+             "hi": [2.0, 0.5, 1.0, 0.5]}),
+    }
+
+    def config(self, d, method):
+        signal, geometry, phase = self.SIGNALS[d]
+        return {"signal": signal, "geometry": geometry, "phase_geometry": phase,
+                "method": method, "output": "F.ggr", "spectrogram_output": "S.ggr"}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_files_and_lines_equal_the_whole_grid_transform(self, tmp_path, monkeypatch,
+                                                            method, d):
+        from gaborstab import gabor
+
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 7)
+        cfg = self.config(d, method)
+        lines = cli.run_config("gabor", cfg, str(tmp_path / "stream"))
+        cli_block = cli._Block(cfg, "gabor")
+        sig = cli._signal_from(cli_block.block("signal"), cli_block.geometry("geometry"))
+        pg = cli_block.geometry("phase_geometry")
+        F = (gabor_transform if method == "direct" else gabor_transform_fft)(sig, pg)
+        S = spectrogram(F)
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        write_grid(str(whole / "F.ggr"), pg, F.values)
+        write_grid(str(whole / "S.ggr"), pg, S.values)
+        for name in ("F.ggr", "S.ggr"):
+            assert (tmp_path / "stream" / name).read_bytes() == (whole / name).read_bytes()
+        out = tmp_path / "stream"
+        assert lines == [
+            f"gabor: wrote {out / 'F.ggr'} (method={method}, "
+            f"peak={float(S.values[S.argmax_index])!r})",
+            f"gabor: wrote {out / 'S.ggr'} (spectrogram, argmax at {list(S.argmax_location)})"]
+
+    def test_near_tie_across_a_slab_seam_picks_the_first_cell(self, tmp_path, monkeypatch):
+        from gaborstab import gabor
+
+        # Two slabs of 4 x 5 x 3 cells: the first ends on a peak of |F| = 2,
+        # the second starts one ulp above it.  The first cell is the peak,
+        # and the printed peak is its value, not the running maximum.
+        slabs = [np.zeros((4, 5, 3), complex), np.zeros((4, 5, 3), complex)]
+        slabs[0][-1, -1, -1] = 2.0j
+        slabs[1][0, 0, 0] = -np.nextafter(2.0, 3.0)
+        monkeypatch.setattr(gabor, "gabor_transform",
+                            lambda f, pg, *, consume: consume(iter(slabs)))
+        cfg = self.config(2, "direct")
+        cfg["phase_geometry"] = {"extents": [2, 4, 5, 3], "lo": -1.0, "hi": 1.0}
+        lines = cli.run_config("gabor", cfg, str(tmp_path))
+        pg = box_geometry((2, 4, 5, 3), -1.0, 1.0)
+        assert lines[0].endswith("peak=2.0)")
+        assert lines[1].endswith(f"argmax at {list(pg.index_coordinates((0, 3, 4, 2)))})")
+        _, S = read_grid(str(tmp_path / "S.ggr"))
+        assert S[1, 0, 0, 0] > S[0, 3, 4, 2] == 2.0
+
+    def test_failed_slab_write_keeps_the_old_files_and_exits_5(self, tmp_path, monkeypatch,
+                                                               capsys):
+        from gaborstab import gabor, grids
+
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 7)
+        cfg = write_cfg(tmp_path, "gabor.json", self.config(2, "fft"))
+        assert run_main("gabor", cfg, tmp_path) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in ("F.ggr", "S.ggr")}
+        write = grids.GridWriter.write
+        calls = []
+
+        def failing(self, values):
+            calls.append(values.shape)
+            if len(calls) == 4:  # F's second slab, after S's second
+                raise OSError("disk full")
+            write(self, values)
+
+        monkeypatch.setattr(grids.GridWriter, "write", failing)
+        capsys.readouterr()
+        assert run_main("gabor", cfg, tmp_path) == cli.EXIT_IO
+        assert "I/O failure: disk full" in capsys.readouterr().err
+        assert len(calls) == 4
+        assert sorted(os.listdir(tmp_path)) == ["F.ggr", "S.ggr", "gabor.json"]
+        for name, data in before.items():
+            assert (tmp_path / name).read_bytes() == data
+
+    def test_traced_peak_of_the_cli_chain_step_is_under_half_a_field(self, tmp_path):
+        import tracemalloc
+
+        # The d = 2 gabor step of the cli-chain benchmark: one complex field
+        # on its 33^4 phase grid is 18.1 MiB.  Streamed, the step holds the
+        # working array, one slab, its modulus and the window temporaries.
+        two_bump = {"kind": "two-bump", "center1": [-1.5, 0.0], "frequency1": [0.0, 0.0],
+                    "center2": [1.5, 0.0], "frequency2": [0.0, 0.0], "sign": 1}
+        cfg = {"geometry": {"extents": [128, 128], "lo": -8.0, "hi": 7.875},
+               "signal": two_bump,
+               "phase_geometry": {"extents": [33] * 4, "lo": -4.0, "hi": 4.0},
+               "method": "fft", "output": "F2.ggr", "spectrogram_output": "S2.ggr"}
+        field = 33 ** 4 * 16
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cli.run_config("gabor", cfg, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 0.5 * field
+
+
 class TestCheeger:
     def test_gaussian_weight_matches_library(self, tmp_path):
         cfg = write_cfg(tmp_path, "cheeger.json", {

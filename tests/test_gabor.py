@@ -228,6 +228,67 @@ class TestContractionShapes:
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+class TestConsumedSlabs:
+    """The slabs a consume callback gets against the whole-grid transforms,
+    at 7-row slabs that divide no row count here."""
+
+    # case -> (signal grid, phase grid, signal, rows per slab)
+    CASES = {
+        "d1": (box_geometry((512,), -8.0, 8.0 - 1.0 / 32.0),
+               box_geometry((33, 65), (-1.5, -2.0), (1.5, 2.0)),
+               two_bump_spec((-1.0,), (0.0,), (1.0,), (0.5,), sign=-1), [1]),
+        # 5 x 9 = 45 rows: six slabs of 7 and a tail of 3.
+        "d2": (box_geometry((64, 64), -4.0, 4.0 - 1.0 / 8.0),
+               box_geometry((5, 9, 7, 9), -1.0, 1.0),
+               shifted_gaussian_spec((0.25, -0.5), (0.0, 0.5)), [7] * 6 + [3]),
+        # 3 x 5 = 15 rows: a one-row tail, which joins the slab before it.
+        "d2-tail": (box_geometry((64, 64), -4.0, 4.0 - 1.0 / 8.0),
+                    box_geometry((3, 5, 7, 9), -1.0, 1.0),
+                    two_bump_spec((-0.5, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0), sign=1),
+                    [7, 8]),
+        # x_1 = y_1 = 1: one row, contracted per window as a whole grid is.
+        "d2-one-row": (box_geometry((64, 64), -4.0, 4.0 - 1.0 / 8.0),
+                       GridGeometry((1, 1, 7, 9), (1.0, 1.0, 1.0 / 3.0, 0.25),
+                                    (0.25, 0.0, -1.0, -1.0)),
+                       shifted_gaussian_spec((0.25, -0.5), (0.0, 0.5)), [1]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("transform", [gabor_transform, gabor_transform_fft])
+    def test_slabs_concatenate_to_the_transform(self, monkeypatch, case, transform):
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 7)
+        sig_geom, phase, spec, rows = self.CASES[case]
+        f = make_analytic(spec, sig_geom)
+        slabs = transform(f, phase, consume=list)
+        assert [s.shape for s in slabs] == [(n,) + phase.extents[-2:] for n in rows]
+        got = np.concatenate([s.reshape(-1) for s in slabs]).reshape(phase.extents)
+        want = transform(f, phase).values
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_zero_signal_gives_zero_slabs(self, monkeypatch):
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 7)
+        phase = box_geometry((5, 9, 7, 9), -1.0, 1.0)
+        f = SignalGrid(box_geometry((16, 16), -4.0, 4.0), np.zeros((16, 16)))
+        slabs = gabor_transform(f, phase, consume=list)
+        assert sum(s.shape[0] for s in slabs) == 45
+        assert all(np.all(s == 0.0) for s in slabs)
+
+    def test_errors_and_warnings_come_before_consume(self):
+        f = make_analytic(gaussian_spec(1), lattice_signal_geometry())
+        consumed = []
+        with pytest.raises(ValueError, match="rank"):
+            gabor_transform_fft(f, box_geometry((5, 5, 5, 5), -1.0, 1.0), consume=consumed.append)
+        with pytest.raises(ValueError, match="lattice"):
+            gabor_transform_fft(f, box_geometry((5, 7), -1.0, 1.0), consume=consumed.append)
+        assert consumed == []
+        truncated = make_analytic(gaussian_spec(1), box_geometry((17,), -1.0, 1.0))
+        with pytest.warns(UserWarning, match="boundary") as record:
+            gabor_transform(truncated, box_geometry((5, 5), -1.0, 1.0),
+                            consume=consumed.append)
+        assert record[0].filename == __file__
+        assert len(consumed) == 1
+
+
 class TestFftPath:
     @pytest.mark.parametrize(
         "spec",
@@ -414,6 +475,70 @@ class TestSpectrogram:
         for field in fields:
             S = spectrogram(PhaseSpaceGrid(phase, field))
             assert S.argmax_location == (-1.5, 0.0, 0.0, 0.0)
+
+
+class TestFirstPeak:
+    """FirstPeak fed in row-major pieces gives the cell Spectrogram takes
+    from the whole field."""
+
+    @staticmethod
+    def fed(values, cuts):
+        peak = gabor.FirstPeak()
+        for piece in np.split(values.reshape(-1), cuts):
+            peak.feed(piece)
+        return peak.cell()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_cut_gives_the_whole_field_peak(self, seed):
+        rng = np.random.default_rng(seed)
+        geom = box_geometry((6, 5, 4, 7), -1.0, 1.0)
+        vals = rng.random(geom.extents)
+        top = 1.0 + rng.random()
+        # A chain of values one ulp apart within the tolerance of top, which
+        # the maximum top * (1 + tol / 2) leaves behind, and a value just
+        # outside the tolerance.
+        chain = [top * (1.0 - 0.9 * ARGMAX_TIE_TOL)]
+        for _ in range(6):
+            chain.append(np.nextafter(chain[-1], np.inf))
+        planted = chain + [top, top * (1.0 + 0.5 * ARGMAX_TIE_TOL),
+                           top * (1.0 - 2.0 * ARGMAX_TIE_TOL)]
+        cells = rng.choice(vals.size, size=len(planted), replace=False)
+        vals.flat[cells] = planted
+        want = np.ravel_multi_index(Spectrogram(geom, vals).argmax_index, geom.extents)
+        for cuts in ([], sorted(rng.choice(np.arange(1, vals.size), 9, replace=False)),
+                     list(range(1, vals.size)), list(range(7, vals.size, 7))):
+            assert self.fed(vals, cuts) == (want, vals.flat[want])
+
+    def test_a_later_maximum_leaves_the_first_cell_still_within_it(self):
+        # The maximum arrives last and lifts the level past cell 1 but not
+        # past cell 2, which is under cell 1's level when it is fed: the
+        # first cell within the final level is 2 however the field is cut.
+        tol = ARGMAX_TIE_TOL
+        vals = np.array([0.5, 1.0, 1.0 + 0.6 * tol, 0.3, 1.0 + 1.2 * tol, 1.0 + 0.9 * tol])
+        for cuts in ([], [1], [2], [3], [4], [5], [1, 3], [2, 4], list(range(1, 6))):
+            assert self.fed(vals, cuts) == (2, vals[2])
+
+    @pytest.mark.parametrize("later", [np.nextafter(0.5, 1.0), 0.5 * (1.0 + 0.5e-12)])
+    def test_near_tie_across_a_seam_picks_the_first_cell(self, later):
+        vals = np.zeros(14)
+        vals[6], vals[7] = 0.5, later
+        # The seam sits between the two cells: the first piece ends on 0.5.
+        assert self.fed(vals, [7]) == (6, 0.5)
+        vals[7] = 0.5 * (1.0 + 2e-12)
+        assert self.fed(vals, [7]) == (7, vals[7])
+
+    def test_chunks_of_a_constant_field(self):
+        peak = gabor.FirstPeak()
+        peak.feed(np.ones(3 * gabor.FirstPeak._CHUNK + 5))
+        assert peak.cell() == (0, 1.0)
+
+    def test_nan_rejected_in_any_piece(self):
+        peak = gabor.FirstPeak()
+        peak.feed(np.array([1.0, 2.0]))
+        peak.feed(np.array([np.nan]))
+        peak.feed(np.array([3.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            peak.cell()
 
 
 class TestModulationNorm:

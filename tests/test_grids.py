@@ -1,6 +1,9 @@
 """Grid geometry, partitions, and the GGR1 binary format."""
 
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +13,18 @@ from gaborstab.grids import (
     MAX_GRID_CELLS,
     DomainPartition,
     GridGeometry,
+    GridWriter,
     PhaseSpaceGrid,
     SignalGrid,
     active_mask,
+    atomic_file,
     box_geometry,
     box_samples,
     read_grid,
     read_phase_grid,
     read_signal,
     write_grid,
+    write_grid_to,
 )
 
 
@@ -363,3 +369,140 @@ class TestGgrCorruption:
         assert geometry.num_cells == 1 << 64
         self._expect_error(tmp_path, struct.pack("<4sIBB", b"GGR1", 1, 2, 0)
                            + struct.pack("<Qdd", 1 << 32, 1.0, 0.0) * 2)
+
+
+class TestGridWriter:
+    """GGR1 written in row-major pieces, as the gabor command streams it."""
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_pieces_encode_like_write_grid_to(self, tmp_path, is_complex):
+        rng = np.random.default_rng(5)
+        geom = box_geometry((5, 4, 3), -1.0, 1.0)
+        values = rng.standard_normal(geom.extents)
+        if is_complex:
+            values = values + 1j * rng.standard_normal(geom.extents)
+        with open(tmp_path / "whole.ggr", "wb") as fh:
+            write_grid_to(fh, geom, values)
+        with open(tmp_path / "pieces.ggr", "wb") as fh:
+            out = GridWriter(fh, geom)
+            for piece in np.split(values.reshape(-1), [7, 8, 31]):
+                out.write(piece)
+            out.finish()
+        assert (tmp_path / "pieces.ggr").read_bytes() == (tmp_path / "whole.ggr").read_bytes()
+
+    @pytest.mark.parametrize("pieces, message", [
+        ([np.ones(5)], "got 5 of the grid's 6 values"),
+        ([np.ones(4), np.ones(3)], "more than the grid's 6 values"),
+        ([np.ones(3), np.ones(3, complex)], "one dtype"),
+        ([], "got 0 of the grid's 6 values"),
+    ])
+    def test_bad_stream_refused_before_either_rename(self, tmp_path, pieces, message):
+        geom = box_geometry((2, 3), -1.0, 1.0)
+        for name in ("F.ggr", "S.ggr"):
+            write_grid(str(tmp_path / name), geom, np.zeros((2, 3)))
+        before = {name: (tmp_path / name).read_bytes() for name in ("F.ggr", "S.ggr")}
+        with pytest.raises(ValueError, match=message):
+            with atomic_file(str(tmp_path / "F.ggr")) as fh_f, \
+                    atomic_file(str(tmp_path / "S.ggr")) as fh_s:
+                good, bad = GridWriter(fh_f, geom), GridWriter(fh_s, geom)
+                good.write(np.ones(6))
+                for piece in pieces:
+                    bad.write(piece)
+                good.finish()
+                bad.finish()
+        assert sorted(os.listdir(tmp_path)) == ["F.ggr", "S.ggr"]
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_write_grid_drains_an_iterator_of_pieces(self, tmp_path, is_complex):
+        rng = np.random.default_rng(6)
+        geom = box_geometry((5, 4, 3), -1.0, 1.0)
+        values = rng.standard_normal(geom.extents)
+        if is_complex:
+            values = values + 1j * rng.standard_normal(geom.extents)
+        write_grid(str(tmp_path / "whole.ggr"), geom, values)
+        write_grid(str(tmp_path / "pieces.ggr"), geom, iter(np.split(values, [1, 3])))
+        assert (tmp_path / "pieces.ggr").read_bytes() == (tmp_path / "whole.ggr").read_bytes()
+
+    @pytest.mark.parametrize("pieces", [[np.ones(5)], [np.ones(4), np.ones(3)],
+                                        [np.ones(3), np.ones(3, complex)]])
+    def test_write_grid_refuses_a_bad_stream(self, tmp_path, pieces):
+        geom = box_geometry((2, 3), -1.0, 1.0)
+        write_grid(str(tmp_path / "F.ggr"), geom, np.zeros((2, 3)))
+        before = (tmp_path / "F.ggr").read_bytes()
+        with pytest.raises(ValueError, match="grid stream"):
+            write_grid(str(tmp_path / "F.ggr"), geom, iter(pieces))
+        assert os.listdir(tmp_path) == ["F.ggr"]
+        assert (tmp_path / "F.ggr").read_bytes() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestReadGridFromPipe:
+    """A pipe has no file size to check first: read_grid reads it to its end."""
+
+    @staticmethod
+    def read_through_fifo(tmp_path, data):
+        fifo = str(tmp_path / "grid.fifo")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            return read_grid(fifo)
+        finally:
+            writer.join()
+
+    @staticmethod
+    def grid_bytes(tmp_path):
+        geom = box_geometry((5, 4), -1.0, 1.0)
+        values = np.arange(20.0).reshape(5, 4) * (1.0 - 2.0j)
+        write_grid(str(tmp_path / "g.ggr"), geom, values)
+        return geom, values, (tmp_path / "g.ggr").read_bytes()
+
+    def test_valid_grid(self, tmp_path):
+        geom, values, data = self.grid_bytes(tmp_path)
+        got_geom, got = self.read_through_fifo(tmp_path, data)
+        assert got_geom == geom and np.array_equal(got, values)
+        got[0, 0] = 1.0  # writable, as from a regular file
+
+    @pytest.mark.parametrize("cut", [slice(None, -8), slice(None, None)])
+    def test_wrong_payload_size(self, tmp_path, cut):
+        _, _, data = self.grid_bytes(tmp_path)
+        data = data[cut] if cut.stop else data + b"\x00" * 8
+        with pytest.raises(GridFormatError, match="payload has"):
+            self.read_through_fifo(tmp_path, data)
+
+    def test_huge_header_does_not_allocate(self, tmp_path):
+        data = (struct.pack("<4sIBB", b"GGR1", 1, 2, 1)
+                + struct.pack("<Qdd", 1 << 20, 1.0, 0.0) * 2)
+        with pytest.raises(GridFormatError, match="payload has 0 bytes"):
+            self.read_through_fifo(tmp_path, data)
+
+
+class TestReadGridMemory:
+    def test_payload_is_held_once(self, tmp_path):
+        # numpy reports its buffers to tracemalloc.  Reading the whole file
+        # and then converting it held the payload twice (a peak of 2.0x).
+        geom = box_geometry((512, 512), -1.0, 1.0)
+        values = np.ones(geom.extents, complex)
+        payload = values.nbytes
+        assert payload == 4 << 20
+        path = str(tmp_path / "big.ggr")
+        write_grid(path, geom, values)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got_geom, got = read_grid(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert got_geom == geom and np.array_equal(got, values)
+        assert peak <= 1.1 * payload

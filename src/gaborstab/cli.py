@@ -511,7 +511,8 @@ def _stability_pair(cfg: _Block):
         else:
             sg = box_geometry((513,), -8.0, 8.0)
         f = make_analytic(gaussian_spec(1), sg)
-        h = hermite_gaussian(k, sg)
+        with pair.errors():
+            h = hermite_gaussian(k, sg)
         g = SignalGrid(geometry=sg, values=f.values + amplitude * h.values)
         return f, g
     raise pair.error("kind", f"unknown pair kind '{kind}'")

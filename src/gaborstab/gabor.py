@@ -52,14 +52,7 @@ HOLOMORPHY_LEVEL = 1e-6
 
 def _boundary_max(values: np.ndarray) -> float:
     """Largest modulus on any boundary face of the array."""
-    worst = 0.0
-    for axis in range(values.ndim):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = 0
-        worst = max(worst, float(np.max(np.abs(values[tuple(idx)]))))
-        idx[axis] = values.shape[axis] - 1
-        worst = max(worst, float(np.max(np.abs(values[tuple(idx)]))))
-    return worst
+    return max(float(np.abs(np.take(values, [0, -1], axis=a)).max()) for a in range(values.ndim))
 
 
 def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
@@ -237,51 +230,43 @@ class FirstPeak:
     """The spectrogram's argmax rule over values fed in row-major pieces:
     the first cell within ARGMAX_TIE_TOL of the maximum of all of them.
 
-    Of the cells fed so far it keeps those that a larger maximum in a later
-    piece could still leave within the tolerance, and of those only the
-    ones above every earlier cell: an earlier cell at least as large wins
-    whenever a later one would.  That is a few cells unless many tie.
+    Each chunk of a piece keeps its cells within the tolerance of the
+    chunk's own maximum that exceed every earlier cell of the chunk: a few
+    cells unless many tie.  The first cell within the final level is
+    always kept, since the cells before it in its chunk lie below it, so
+    the first kept cell within that level is the answer.
     """
 
     # Cells compared per step: bounds the temporaries on a field of ties.
     _CHUNK = 1 << 16
 
     def __init__(self):
-        self._maximum = -np.inf
-        self._cells = np.empty(0, np.int64)
-        self._values = np.empty(0)
         self._fed = 0
+        self._chunks = []  # (maximum, kept cells, kept values) per chunk
 
     def feed(self, values) -> None:
         """Take the next row-major piece of the field."""
         flat = np.ravel(values)
         for start in range(0, flat.size, self._CHUNK):
-            self._feed(flat[start:start + self._CHUNK])
-
-    def _feed(self, v: np.ndarray) -> None:
-        # np.maximum keeps a NaN, which then leaves no cell within the level.
-        self._maximum = float(np.maximum(self._maximum, v.max()))
-        level = (1.0 - ARGMAX_TIE_TOL) * self._maximum
-        # The kept values increase, so the ones below the level are a prefix.
-        drop = int(np.searchsorted(self._values, level))
-        cells, kept = self._cells[drop:], self._values[drop:]
-        near = np.flatnonzero(v >= level)
-        values = v[near]
-        # A near cell is kept if it exceeds every near cell before it; with
-        # none kept so far, the first one is.
-        first = int(kept.size == 0)
-        earlier = np.maximum.accumulate(np.concatenate((kept[-1:], values)))
-        above = np.ones(values.size, bool)
-        above[first:] = values[first:] > earlier[:-1]
-        self._cells = np.concatenate((cells, near[above] + self._fed))
-        self._values = np.concatenate((kept, values[above]))
-        self._fed += v.size
+            v = flat[start:start + self._CHUNK]
+            # A NaN maximum leaves no cell near it; cell() then refuses it.
+            maximum = v.max()
+            near = np.flatnonzero(v >= (1.0 - ARGMAX_TIE_TOL) * maximum)
+            above = np.ones(near.size, bool)
+            above[1:] = v[near[1:]] > np.maximum.accumulate(v[near])[:-1]
+            kept = near[above]
+            self._chunks.append((maximum, kept + self._fed + start, v[kept]))
+        self._fed += flat.size
 
     def cell(self) -> tuple[int, float]:
         """Row-major index and value of the chosen cell; ValueError if a NaN was fed."""
-        if self._values.size == 0:
+        maxima, cells, values = zip(*self._chunks)
+        maximum = np.max(maxima)
+        if np.isnan(maximum):
             raise ValueError("spectrogram has no maximum: it holds NaN")
-        return int(self._cells[0]), float(self._values[0])
+        cells, values = np.concatenate(cells), np.concatenate(values)
+        first = np.argmax(values >= (1.0 - ARGMAX_TIE_TOL) * maximum)
+        return int(cells[first]), float(values[first])
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,14 +302,11 @@ def spectrogram(F: PhaseSpaceGrid) -> Spectrogram:
 
 
 def _check_y_symmetric(geometry: GridGeometry) -> None:
-    d = geometry.rank // 2
-    for a in range(d):
-        axis = 2 * a + 1
-        lo = geometry.origin[axis]
-        hi = geometry.axis_upper(axis)
+    for axis in range(1, geometry.rank, 2):
+        lo, hi = geometry.origin[axis], geometry.axis_upper(axis)
         if abs(lo + hi) > 1e-9 * geometry.spacing[axis]:
             raise ValueError(
-                f"phase grid y-axis {a} is not symmetric about 0 "
+                f"phase grid y-axis {axis // 2} is not symmetric about 0 "
                 f"(covers [{lo}, {hi}]); the entire lift needs y -> -y on-grid")
 
 

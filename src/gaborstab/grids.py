@@ -334,25 +334,17 @@ class GridWriter:
                              f"{self.geometry.num_cells} values")
 
 
-def write_grid_to(fh, geometry: GridGeometry, values: np.ndarray) -> None:
-    """Encode a real or complex grid as GGR1 bytes into an open binary file."""
-    out = GridWriter(fh, geometry)
-    out.write(grid_array(values, geometry.extents, None, "value array"))
-    out.finish()
-
-
 def write_grid(path, geometry: GridGeometry, values) -> None:
     """Write a real or complex grid to a GGR1 file, atomically (atomic_file).
 
-    values is the value array, or an iterator over its row-major pieces,
-    which is drained into the file without the whole grid being held.  A
-    stream of more or fewer than num_cells values, or of two dtypes,
-    leaves the old file.
+    values is the value array, which is written as one piece, or an
+    iterator over its row-major pieces, which is drained into the file
+    without the whole grid being held.  A stream of more or fewer than
+    num_cells values, or of two dtypes, leaves the old file.
     """
+    if not isinstance(values, collections.abc.Iterator):
+        values = [grid_array(values, geometry.extents, None, "value array")]
     with atomic_file(path) as fh:
-        if not isinstance(values, collections.abc.Iterator):
-            write_grid_to(fh, geometry, values)
-            return
         out = GridWriter(fh, geometry)
         for piece in values:
             out.write(piece)
@@ -408,10 +400,8 @@ def read_grid(path) -> tuple[GridGeometry, np.ndarray]:
 
 
 def read_signal(path) -> SignalGrid:
-    geometry, values = read_grid(path)
-    return SignalGrid(geometry=geometry, values=np.asarray(values, np.complex128))
+    return SignalGrid(*read_grid(path))
 
 
 def read_phase_grid(path) -> PhaseSpaceGrid:
-    geometry, values = read_grid(path)
-    return PhaseSpaceGrid(geometry=geometry, values=np.asarray(values, np.complex128))
+    return PhaseSpaceGrid(*read_grid(path))

@@ -1,20 +1,20 @@
 """Analytic test signals and their closed-form Gabor transforms.
 
-The generator family is deliberately small: the unit Gaussian, the
-time-frequency shifted Gaussian, and two-bump superpositions of shifted
-Gaussians.  Each member has a closed-form Gabor transform, which the rest of
+A spec is a signed sum of time-frequency shifted Gaussians: the unit
+Gaussian, one shifted Gaussian, or the two bumps f1 +- f2 of the
+instability pair.  Each has a closed-form Gabor transform, which the rest of
 the package uses as an independent reference for the sampled transform path.
+Hermite functions are sampled too, without a closed form.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridGeometry, PhaseSpaceGrid, SignalGrid
-
-_VALID_KINDS = ("gaussian", "shifted-gaussian", "two-bump")
 
 
 def _as_vector(v, d: int, name: str) -> tuple[float, ...]:
@@ -28,73 +28,64 @@ def _as_vector(v, d: int, name: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True, slots=True)
 class AnalyticSignalSpec:
-    """Parameters for one analytic test signal.
+    """A signal on R^d as a signed sum of shifted Gaussian terms.
 
-    kind "gaussian": the unit Gaussian e^{-pi|t|^2}.
-    kind "shifted-gaussian": e^{2 pi i b.t} e^{-pi|t-a|^2} with time shift a
-    and frequency shift b.
-    kind "two-bump": bump1 + sign * bump2 for two shifted Gaussians.  The
-    exactly cancelling configuration (identical bumps with sign -1) is
-    rejected; identical bumps with sign +1 are allowed and double the signal.
+    Each term (sign, center, frequency) is sign * e^{2 pi i b.t} e^{-pi|t-a|^2}
+    with time shift a = center and frequency shift b = frequency, and sign
+    +1 or -1.  An error names the first term's vectors center and
+    frequency, and those of term k > 1 center<k> and frequency<k>.  Terms
+    that cancel exactly, such as two identical bumps of opposite sign, are
+    rejected; two identical bumps of equal sign double the signal.
     """
 
-    kind: str
     dimension: int
-    center: tuple[float, ...] = ()
-    frequency: tuple[float, ...] = ()
-    center2: tuple[float, ...] = ()
-    frequency2: tuple[float, ...] = ()
-    sign: int = 1
+    terms: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
         d = int(self.dimension)
         if d < 1:
             raise ValueError("dimension must be at least 1")
         object.__setattr__(self, "dimension", d)
-        zeros = tuple(0.0 for _ in range(d))
-        center = _as_vector(self.center, d, "center") if self.center else zeros
-        freq = _as_vector(self.frequency, d, "frequency") if self.frequency else zeros
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "frequency", freq)
-        if self.kind == "two-bump":
-            if self.sign not in (-1, 1):
-                raise ValueError("two-bump sign must be +1 or -1")
-            c2 = _as_vector(self.center2, d, "center2") if self.center2 else zeros
-            f2 = _as_vector(self.frequency2, d, "frequency2") if self.frequency2 else zeros
-            object.__setattr__(self, "center2", c2)
-            object.__setattr__(self, "frequency2", f2)
-            if self.sign == -1 and c2 == center and f2 == freq:
-                raise ValueError("two-bump with sign -1 and identical bumps cancels exactly")
-        else:
-            object.__setattr__(self, "center2", ())
-            object.__setattr__(self, "frequency2", ())
-            object.__setattr__(self, "sign", 1)
+        terms, net = [], collections.Counter()
+        for k, (sign, center, frequency) in enumerate(self.terms, start=1):
+            if sign not in (-1, 1):
+                raise ValueError("two-bump sign must be +1 or -1" if len(self.terms) == 2
+                                 else "term signs must be +1 or -1")
+            suffix = "" if k == 1 else str(k)
+            term = (sign, _as_vector(center, d, "center" + suffix),
+                    _as_vector(frequency, d, "frequency" + suffix))
+            terms.append(term)
+            net[term[1:]] += sign
+        if not any(net.values()):
+            raise ValueError("a signal whose terms sum to zero cancels exactly")
+        object.__setattr__(self, "terms", tuple(terms))
 
 
 def gaussian_spec(d: int = 1) -> AnalyticSignalSpec:
-    return AnalyticSignalSpec(kind="gaussian", dimension=d)
+    return AnalyticSignalSpec(d, ((1, (0.0,) * d, (0.0,) * d),))
 
 
 def shifted_gaussian_spec(center, frequency) -> AnalyticSignalSpec:
     """The dimension is the length of center."""
-    return AnalyticSignalSpec(kind="shifted-gaussian",
-                              dimension=np.atleast_1d(np.asarray(center, float)).shape[0],
-                              center=tuple(np.atleast_1d(center)),
-                              frequency=tuple(np.atleast_1d(frequency)))
+    return AnalyticSignalSpec(len(np.atleast_1d(center)), ((1, center, frequency),))
 
 
 def two_bump_spec(center1, frequency1, center2, frequency2,
                   sign: int = 1) -> AnalyticSignalSpec:
-    """The dimension is the length of center1."""
-    return AnalyticSignalSpec(kind="two-bump",
-                              dimension=np.atleast_1d(np.asarray(center1, float)).shape[0],
-                              center=tuple(np.atleast_1d(center1)),
-                              frequency=tuple(np.atleast_1d(frequency1)),
-                              center2=tuple(np.atleast_1d(center2)),
-                              frequency2=tuple(np.atleast_1d(frequency2)),
-                              sign=int(sign))
+    """bump1 + sign * bump2; the dimension is the length of center1."""
+    return AnalyticSignalSpec(len(np.atleast_1d(center1)),
+                              ((1, center1, frequency1), (int(sign), center2, frequency2)))
+
+
+def _signed_sum(spec: AnalyticSignalSpec, term, geometry: GridGeometry) -> np.ndarray:
+    """The terms' sum, first to last: the first term (negated for sign -1),
+    then values + sign * term(geometry, center, frequency) for each later one."""
+    (sign, center, frequency), *rest = spec.terms
+    values = term(geometry, center, frequency)
+    values = values if sign == 1 else -values
+    for sign, center, frequency in rest:
+        values = values + sign * term(geometry, center, frequency)
+    return values
 
 
 def _bump_values(geometry: GridGeometry, a, b) -> np.ndarray:
@@ -112,9 +103,7 @@ def make_analytic(spec: AnalyticSignalSpec, geometry: GridGeometry) -> SignalGri
         raise ValueError(
             f"geometry rank {geometry.rank} does not match signal dimension {spec.dimension}"
         )
-    values = _bump_values(geometry, spec.center, spec.frequency)
-    if spec.kind == "two-bump":
-        values = values + spec.sign * _bump_values(geometry, spec.center2, spec.frequency2)
+    values = _signed_sum(spec, _bump_values, geometry)
     return SignalGrid(geometry=geometry, values=values)
 
 
@@ -130,8 +119,14 @@ def hermite_gaussian(k: int, geometry: GridGeometry) -> SignalGrid:
     t = geometry.axis_coordinates(0)
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
-    values = np.polynomial.hermite.hermval(np.sqrt(2 * np.pi) * t, coeffs) * np.exp(-np.pi * t * t)
-    norm = np.sqrt(np.sum(np.abs(values) ** 2) * geometry.cell_volume)
+    # On a +-8 grid the sum of squares overflows from order about 150 and the
+    # values do by order 300: that norm is refused, not divided into zeros or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.polynomial.hermite.hermval(np.sqrt(2 * np.pi) * t, coeffs)
+                  * np.exp(-np.pi * t * t))
+        norm = np.sqrt(np.sum(np.abs(values) ** 2) * geometry.cell_volume)
+    if not np.isfinite(norm):
+        raise ValueError(f"order {k} overflows float64 on this grid")
     if norm == 0.0:
         raise ValueError("grid too coarse for the requested order")
     return SignalGrid(geometry=geometry, values=(values / norm).astype(np.complex128))
@@ -162,7 +157,5 @@ def analytic_gabor_transform(spec: AnalyticSignalSpec, phase_geometry: GridGeome
     """Closed-form Gabor transform of an analytic signal on a phase-space grid."""
     if phase_geometry.rank != 2 * spec.dimension:
         raise ValueError("phase geometry rank must be twice the signal dimension")
-    values = _bump_transform(phase_geometry, spec.center, spec.frequency)
-    if spec.kind == "two-bump":
-        values = values + spec.sign * _bump_transform(phase_geometry, spec.center2, spec.frequency2)
+    values = _signed_sum(spec, _bump_transform, phase_geometry)
     return PhaseSpaceGrid(geometry=phase_geometry, values=values)

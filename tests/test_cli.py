@@ -114,7 +114,7 @@ class TestGen:
 class TestGridArtifacts:
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_artifact_bytes_equal_write_grid(self, tmp_path, is_complex):
-        from gaborstab.grids import write_grid_to
+        from gaborstab.grids import GridWriter
 
         rng = np.random.default_rng(2)
         geom = box_geometry((5, 4, 3), -1.0, 1.0)
@@ -123,7 +123,9 @@ class TestGridArtifacts:
             values = values + 1j * rng.standard_normal(geom.extents)
         write_grid(str(tmp_path / "atomic.ggr"), geom, values)
         with open(tmp_path / "plain.ggr", "wb") as fh:
-            write_grid_to(fh, geom, values)
+            out = GridWriter(fh, geom)
+            out.write(values)
+            out.finish()
         assert (tmp_path / "atomic.ggr").read_bytes() == (tmp_path / "plain.ggr").read_bytes()
 
     def test_failing_write_leaves_no_temp_file_and_keeps_the_old_artifact(
@@ -135,11 +137,11 @@ class TestGridArtifacts:
         write_grid(path, geom, np.ones((4, 4)))
         before = (tmp_path / "a.ggr").read_bytes()
 
-        def broken(fh, geometry, values):
-            fh.write(b"GGR1 partial")
+        def broken(self, values):
+            self._fh.write(b"GGR1 partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(grids, "write_grid_to", broken)
+        monkeypatch.setattr(grids.GridWriter, "write", broken)
         with pytest.raises(OSError, match="disk full"):
             write_grid(path, geom, np.zeros((4, 4)))
         assert os.listdir(tmp_path) == ["a.ggr"]
@@ -1063,6 +1065,23 @@ class TestConfigKeys:
         assert run_main("gen", write_cfg(tmp_path, "cfg.json", cfg),
                         tmp_path) == cli.EXIT_CONFIG
         assert "gen.signal: two-bump sign must be +1 or -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [200, 300])
+    def test_hermite_order_past_float64_exits_2(self, tmp_path, capsys, k):
+        # On the default 513-sample +-8 grid: no grid of zeros or NaN is
+        # written, and f is not compared with itself.
+        pair_cfg = {key: value for key, value in HERMITE_PAIR_CFG.items()
+                    if key != "signal_geometry"}
+        for command, cfg, key in [
+                ("gen", {**GEN_CFG, "geometry": {"extents": [513], "lo": -8.0, "hi": 8.0},
+                         "signal": {"kind": "hermite", "k": k}}, "gen.signal"),
+                ("stability", {**pair_cfg, "pair": {**pair_cfg["pair"], "k": k}},
+                 "stability.pair")]:
+            out = tmp_path / command
+            assert run_main(command, write_cfg(tmp_path, "cfg.json", cfg),
+                            out) == cli.EXIT_CONFIG
+            assert f"{key}: order {k} overflows float64" in capsys.readouterr().err
+            assert os.listdir(out) == []
 
     def test_grid_header_beyond_int64_exits_5(self, tmp_path, capsys):
         # 2^32 x 2^32 cells with no payload; an int64 cell count wraps to 0.

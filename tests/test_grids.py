@@ -24,7 +24,6 @@ from gaborstab.grids import (
     read_phase_grid,
     read_signal,
     write_grid,
-    write_grid_to,
 )
 
 
@@ -375,20 +374,24 @@ class TestGridWriter:
     """GGR1 written in row-major pieces, as the gabor command streams it."""
 
     @pytest.mark.parametrize("is_complex", [False, True])
-    def test_pieces_encode_like_write_grid_to(self, tmp_path, is_complex):
+    def test_pieces_encode_like_the_whole_array(self, tmp_path, is_complex):
         rng = np.random.default_rng(5)
         geom = box_geometry((5, 4, 3), -1.0, 1.0)
         values = rng.standard_normal(geom.extents)
         if is_complex:
             values = values + 1j * rng.standard_normal(geom.extents)
-        with open(tmp_path / "whole.ggr", "wb") as fh:
-            write_grid_to(fh, geom, values)
+        write_grid(str(tmp_path / "whole.ggr"), geom, values)
         with open(tmp_path / "pieces.ggr", "wb") as fh:
             out = GridWriter(fh, geom)
             for piece in np.split(values.reshape(-1), [7, 8, 31]):
                 out.write(piece)
             out.finish()
-        assert (tmp_path / "pieces.ggr").read_bytes() == (tmp_path / "whole.ggr").read_bytes()
+        layout = (struct.pack("<4sIBB", b"GGR1", 1, 3, int(is_complex))
+                  + b"".join(map(struct.Struct("<Qdd").pack, geom.extents, geom.spacing,
+                                 geom.origin))
+                  + values.astype("<c16" if is_complex else "<f8").tobytes())
+        assert (tmp_path / "whole.ggr").read_bytes() == layout
+        assert (tmp_path / "pieces.ggr").read_bytes() == layout
 
     @pytest.mark.parametrize("pieces, message", [
         ([np.ones(5)], "got 5 of the grid's 6 values"),

@@ -118,34 +118,71 @@ class TestSignalSampling:
 
 
 class TestSpecValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            AnalyticSignalSpec(kind="chirp", dimension=1)
-
     def test_bad_dimension(self):
-        with pytest.raises(ValueError):
-            AnalyticSignalSpec(kind="gaussian", dimension=0)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            AnalyticSignalSpec(0, ((1, (), ()),))
 
     def test_vector_length_mismatch(self):
-        with pytest.raises(ValueError):
-            AnalyticSignalSpec(kind="shifted-gaussian", dimension=2, center=(1.0,))
+        with pytest.raises(ValueError, match="center must be a length-2 vector"):
+            AnalyticSignalSpec(2, ((1, (1.0,), (0.0, 0.0)),))
+
+    def test_later_terms_name_their_vectors(self):
+        with pytest.raises(ValueError, match="center2 must be a length-1 vector"):
+            two_bump_spec((0.0,), (0.0,), (1.0, 2.0), (0.0,))
+        with pytest.raises(ValueError, match="frequency3 must be finite"):
+            AnalyticSignalSpec(1, ((1, 0.0, 0.0), (1, 1.0, 0.0), (-1, 2.0, np.inf)))
 
     def test_nonfinite_center(self):
-        with pytest.raises(ValueError):
-            AnalyticSignalSpec(kind="shifted-gaussian", dimension=1, center=(np.nan,))
+        with pytest.raises(ValueError, match="center must be finite"):
+            shifted_gaussian_spec((np.nan,), (0.0,))
 
     def test_two_bump_cancelling_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cancels exactly"):
             two_bump_spec((0.5,), (0.0,), (0.5,), (0.0,), sign=-1)
 
-    def test_two_bump_bad_sign(self):
-        with pytest.raises(ValueError):
-            two_bump_spec((0.0,), (0.0,), (1.0,), (0.0,), sign=2)
+    def test_terms_cancelling_in_any_order_rejected(self):
+        a, b = (1, (0.5,), (0.0,)), (1, (-0.5,), (0.25,))
+        minus = lambda term: (-term[0],) + term[1:]
+        with pytest.raises(ValueError, match="cancels exactly"):
+            AnalyticSignalSpec(1, (a, b, minus(a), minus(b)))
+        # Opposite terms that leave a third one are a signal.
+        AnalyticSignalSpec(1, (a, minus(a), b))
 
-    def test_defaults_are_zero_vectors(self):
-        spec = AnalyticSignalSpec(kind="gaussian", dimension=3)
-        assert spec.center == (0.0, 0.0, 0.0)
-        assert spec.frequency == (0.0, 0.0, 0.0)
+    def test_two_bump_bad_sign(self):
+        with pytest.raises(ValueError, match="two-bump sign must be"):
+            two_bump_spec((0.0,), (0.0,), (1.0,), (0.0,), sign=2)
+        with pytest.raises(ValueError, match="term signs must be"):
+            AnalyticSignalSpec(1, ((0, (0.0,), (0.0,)),))
+
+    def test_gaussian_is_one_term_at_the_origin(self):
+        assert gaussian_spec(3) == AnalyticSignalSpec(3, ((1, (0.0,) * 3, (0.0,) * 3),))
+        assert gaussian_spec(3).terms == ((1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),)
+
+
+class TestSignedSum:
+    """Samples and closed forms of a spec are its terms summed first to last,
+    values + sign * term, bit for bit."""
+
+    TERMS = ((1, (0.25,), (0.5,)), (-1, (-1.0,), (0.0,)), (1, (1.5,), (-0.75,)))
+
+    @pytest.mark.parametrize("build, geom", [
+        (make_analytic, box_geometry((65,), -4.0, 4.0)),
+        (analytic_gabor_transform, box_geometry((33, 33), -3.0, 3.0)),
+    ])
+    def test_terms_summed_first_to_last(self, build, geom):
+        one = lambda term: build(AnalyticSignalSpec(1, ((1,) + term[1:],)), geom).values
+        for count in (1, 2, 3):
+            want = one(self.TERMS[0])
+            for term in self.TERMS[1:count]:
+                want = want + term[0] * one(term)
+            got = build(AnalyticSignalSpec(1, self.TERMS[:count]), geom).values
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_negative_first_term_is_negated(self):
+        geom = box_geometry((65,), -4.0, 4.0)
+        plus = make_analytic(shifted_gaussian_spec((0.5,), (0.25,)), geom).values
+        minus = make_analytic(AnalyticSignalSpec(1, ((-1, (0.5,), (0.25,)),)), geom).values
+        assert minus.tobytes() == (-plus).tobytes()
 
 
 class TestHermite:
@@ -178,3 +215,15 @@ class TestHermite:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             hermite_gaussian(-1, box_geometry((9,), -1.0, 1.0))
+
+    @pytest.mark.parametrize("k", [200, 300])
+    def test_order_past_float64_rejected(self, k):
+        # The norm overflows at 200 and the values at 300; neither may come
+        # back as zeros or NaN, nor warn.
+        with pytest.raises(ValueError, match=f"order {k} overflows float64"):
+            hermite_gaussian(k, box_geometry((513,), -8.0, 8.0))
+
+    def test_order_120_is_normalized(self):
+        geom = box_geometry((513,), -8.0, 8.0)
+        h = hermite_gaussian(120, geom)
+        assert np.sum(np.abs(h.values) ** 2) * geom.cell_volume == pytest.approx(1.0, rel=1e-12)

@@ -1,8 +1,10 @@
 """Phase alignment, norm terms, noise model, and stability report assembly."""
 
+import json
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from gaborstab.signals import (
 )
 from gaborstab.stability import (
     COARSE_SCAN_POINTS,
+    DEFAULT_CHEEGER_COARSEN,
     GOLDEN_TOL,
     SCAN_HEAVY_LEVEL,
     NoiseSpec,
     PackedField,
     PhaseAlignment,
+    _assemble_terms,
     _brent_minimize,
     _scan,
     _wrap_angle,
@@ -1112,3 +1116,39 @@ class TestFieldLifetime:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak / np.count_nonzero(omega) <= 90.0
+
+
+class TestOneUlpTransforms:
+    """report-d2's pinned scalars against three seeded draws of an
+    independent +-1 ulp on every real and imaginary part of its two
+    transforms: each stays within the references' rtol of the unperturbed
+    run."""
+
+    REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+    @staticmethod
+    def nudged(F, rng):
+        values = np.empty_like(F.values)
+        for part in ("real", "imag"):
+            x = getattr(F.values, part)
+            setattr(values, part, np.nextafter(x, np.where(rng.random(x.shape) < 0.5,
+                                                           np.inf, -np.inf)))
+        return PhaseSpaceGrid(F.geometry, values)
+
+    def test_pinned_scalars_within_1e_9(self):
+        pinned = json.loads(self.REFERENCES.read_text(encoding="utf-8"))["report-d2"]
+        f, g = make_instability_pair(2, 3.0, box_geometry((128, 128), -8.0, 7.875))
+        pg = box_geometry((33,) * 4, -4.0, 4.0)
+        F, G = gabor_transform(f, pg), gabor_transform(g, pg)
+
+        def scalars(transforms):
+            report = _assemble_terms(transforms, 1.0, 5.0, None, None,
+                                     DEFAULT_CHEEGER_COARSEN).to_dict()
+            return {key: report[key] for key in pinned}
+
+        base = scalars([F, G])
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            got = scalars([self.nudged(F, rng), self.nudged(G, rng)])
+            for key, value in base.items():
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key

@@ -84,9 +84,7 @@ class WeightGrid:
         The blocks are summed by strided slices in numpy's order for a
         reshape-and-mean (_block_reduce), then divided once by k^rank.
         """
-        k = int(factor)
-        if k < 1:
-            raise ValueError("coarsening factor must be >= 1")
+        k = check_coarsen_factor(factor)
         if k == 1:
             return self
         geom = self.geometry
@@ -102,6 +100,14 @@ class WeightGrid:
         return WeightGrid(geometry=new_geom,
                           values=_block_reduce(self.values[sl], k, operator.add) / k ** geom.rank,
                           mask=_block_reduce(self.mask[sl], k, operator.or_))
+
+
+def check_coarsen_factor(factor) -> int:
+    """The block size of WeightGrid.coarsen as an int; ValueError below 1."""
+    k = int(factor)
+    if k < 1:
+        raise ValueError("coarsening factor must be >= 1")
+    return k
 
 
 def _block_reduce(a: np.ndarray, k: int, op) -> np.ndarray:

@@ -5,9 +5,10 @@ inside the mask); one-sided differences where only one neighbor exists;
 zero where a cell has no neighbor along an axis.
 
 The stencil runs on the mask cells only, packed in row-major order: the
-neighbors of a cell along axis a sit at flat-index offsets of +-stride(a).
-``MaskCells`` evaluates it there; ``gradient`` is its every-cell case,
-shaped as full grids.
+neighbors of a cell along axis a sit at flat-index offsets of +-stride(a),
+and a full-grid map from flat index to packed position finds their values
+in a packed field.  ``MaskCells`` evaluates it there; ``gradient`` is its
+every-cell case, shaped as full grids.
 """
 
 from __future__ import annotations
@@ -28,12 +29,15 @@ class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
 
     ``flat_index`` holds their flat indices; ``axis_index(a)`` gives their
-    indices along axis a, computed on each call.  ``pack``, ``derivatives``
-    and ``gradient_norm`` return 1-d arrays in the same cell order; ``pack``
-    equals ``values[mask]`` bit for bit.
-    The neighbor flags are built on first use and kept, so every field
-    differentiated through one instance shares them; no other per-cell
-    array is kept.
+    indices along axis a, computed on each call.  ``pack`` gathers a
+    full-grid array at the cells and equals ``values[mask]`` bit for bit.
+    ``derivatives``, ``gradient_norm`` and ``difference_gradient_norm``
+    take fields either on the full grid, which they pack first, or already
+    packed (one value per cell, in cell order), and return 1-d arrays in
+    cell order.
+    The neighbor flags and, for a mask, the full-grid position map are
+    built on first use and kept, so every field differentiated through one
+    instance shares them; no other per-cell array is kept.
     """
 
     def __init__(self, geometry: GridGeometry, mask: np.ndarray | None = None):
@@ -50,43 +54,70 @@ class MaskCells:
         """The cells' indices along one axis."""
         return self.flat_index // self._stride(axis) % self.geometry.extents[axis]
 
-    def _flat(self, values: np.ndarray) -> np.ndarray:
-        return grid_array(values, self.geometry.extents, None, "value array").ravel()
-
     def pack(self, values: np.ndarray) -> np.ndarray:
-        """The values at the cells."""
-        return self._flat(values).take(self.flat_index)
+        """The values of a full-grid array at the cells."""
+        flat = grid_array(values, self.geometry.extents, None, "value array").ravel()
+        return flat.take(self.flat_index)
+
+    def packed(self, values: np.ndarray) -> np.ndarray:
+        """A field at the cells: a full-grid array is packed (on every cell, a
+        flat view), a 1-d array of one value per cell is taken as packed."""
+        arr = np.asarray(values)
+        extents = tuple(self.geometry.extents)
+        if arr.shape == extents:
+            return arr.ravel() if arr.size == self.flat_index.size else self.pack(arr)
+        if arr.shape != self.flat_index.shape:
+            raise ValueError(f"value array shape {arr.shape} matches neither the grid "
+                             f"extents {extents} nor the {self.flat_index.size} cells")
+        return arr
+
+    @cached_property
+    def _position(self) -> np.ndarray | None:
+        # Packed position of every grid cell (0 off the mask, read only where
+        # a neighbor flag discards it); None when the cells are every cell,
+        # whose positions are their flat indices.
+        n = self.flat_index.size
+        if n == self.mask.size:
+            return None
+        position = np.zeros(self.mask.size, np.int32)
+        position[self.flat_index] = np.arange(n, dtype=np.int32)
+        return position
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         # Per axis: the flat stride and whether the +1 / -1 neighbor is a
-        # mask cell.  Clipped offsets stay in range; the axis bounds mask
-        # them out.
-        flat, cells = self.mask.ravel(), self.flat_index
+        # mask cell, from the mask shifted by one cell along the axis.
         out = []
         for axis, n in enumerate(self.geometry.extents):
-            stride, index = self._stride(axis), self.axis_index(axis)
-            has_p = (index < n - 1) & flat.take(cells + stride, mode="clip")
-            has_m = (index > 0) & flat.take(cells - stride, mode="clip")
-            out.append((stride, has_p, has_m))
+            lo = (slice(None),) * axis + (slice(0, n - 1),)
+            hi = (slice(None),) * axis + (slice(1, n),)
+            plus, minus = np.zeros_like(self.mask), np.zeros_like(self.mask)
+            plus[lo], minus[hi] = self.mask[hi], self.mask[lo]
+            out.append((self._stride(axis), plus[self.mask], minus[self.mask]))
         return tuple(out)
+
+    def _locate(self, flat: np.ndarray) -> np.ndarray:
+        """Packed positions of flat indices; the field reads clip them into range."""
+        return flat if self._position is None else self._position.take(flat, mode="clip")
 
     def _derivatives(self, at, dtype, block: slice = slice(None)):
         """Per-axis first derivatives at the cells of one block, one axis at a time.
 
-        at(flat_indices) gives the field at those flat indices, clipped into
-        the grid.  The central difference is taken at every cell; the
-        one-sided one, or 0, then replaces it at the cells that miss a
-        neighbor.
+        at(positions) gives the field at those packed positions, clipped
+        into range.  Each neighbor's positions are gathered once, and at
+        reads every field of a difference there.  The central difference
+        is taken at every cell; the one-sided one, or 0, then replaces it
+        at the cells that miss a neighbor.
         """
         cells = self.flat_index[block]
+        first = block.start or 0
         for (stride, has_p, has_m), h in zip(self._neighbors, self.geometry.spacing):
             has_p, has_m = has_p[block], has_m[block]
-            g = (at(cells + stride) - at(cells - stride)) / (2.0 * h)
+            plus, minus = self._locate(cells + stride), self._locate(cells - stride)
+            g = (at(plus) - at(minus)) / (2.0 * h)
             edge = np.flatnonzero(~(has_p & has_m))
             if edge.size:
-                e = cells[edge]
-                v, vp, vm = at(e), at(e + stride), at(e - stride)
+                v, vp, vm = at(edge + first), at(plus[edge]), at(minus[edge])
                 g[edge] = np.where(has_p[edge], (vp - v) / h,
                                    np.where(has_m[edge], (v - vm) / h, 0))
             yield g.astype(dtype, copy=False)
@@ -106,8 +137,8 @@ class MaskCells:
         return out
 
     def _field(self, values: np.ndarray):
-        flat = self._flat(values)
-        return (lambda i: flat.take(i, mode="clip")), _derivative_dtype(flat.dtype)
+        packed = self.packed(values)
+        return (lambda i: packed.take(i, mode="clip")), _derivative_dtype(packed.dtype)
 
     def derivatives(self, values: np.ndarray) -> list[np.ndarray]:
         """Per-axis first derivatives at the cells."""
@@ -118,15 +149,15 @@ class MaskCells:
         return self._gradient_norm(*self._field(values))
 
     def difference_gradient_norm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """|grad (a - b)| at the cells, without the full-grid a - b.
+        """|grad (a - b)| at the cells, without the difference field a - b.
 
-        The stencil gathers a and b at each neighbor and subtracts there:
+        The stencil reads a and b at each neighbor and subtracts there:
         the same float as (a - b) at that cell.
         """
-        fa, fb = self._flat(a), self._flat(b)
+        pa, pb = self.packed(a), self.packed(b)
         return self._gradient_norm(
-            lambda i: fa.take(i, mode="clip") - fb.take(i, mode="clip"),
-            _derivative_dtype(np.result_type(fa, fb)))
+            lambda i: pa.take(i, mode="clip") - pb.take(i, mode="clip"),
+            _derivative_dtype(np.result_type(pa, pb)))
 
 
 def _derivative_dtype(dtype: np.dtype) -> np.dtype:

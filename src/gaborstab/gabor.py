@@ -59,15 +59,17 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
                          axis_contraction, slab_rows: int | None):
     """The Riemann sum of Gf, one signal axis at a time, as an iterator of slabs.
 
-    axis_contraction(signal_geometry, a, y) returns the contraction for
-    signal axis a: given the working array, whose axis 0 is t_a, and the
-    windows e^{-pi(t_a - x_a)^2} as rows (x_a, t_a), it returns the array
-    with t_a replaced by trailing (x_a, y_a) axes.  Axis 0 of the working
-    array is always the next signal axis.  Every axis but the last is
-    contracted in full, the last one for slab_rows (None: all) leading
-    rows at a time, a row being one cell of (x_1, y_1, ..., y_{d-1}); a
-    d = 1 signal is one row.  The slabs, shaped (rows, x_d, y_d), are
-    Gf in row-major order.  Checks and warnings come before the first slab.
+    axis_contraction(signal_geometry, a, y) returns, for signal axis a, a
+    function of the windows e^{-pi(t_a - x_a)^2} as rows (x_a, t_a) that
+    gives the contraction: given the working array, whose axis 0 is t_a, it
+    returns the array with t_a replaced by trailing (x_a, y_a) axes.  What
+    a contraction builds from its windows is built once and serves every
+    slab.  Axis 0 of the working array is always the next signal axis.
+    Every axis but the last is contracted in full, the last one for
+    slab_rows (None: all) leading rows at a time, a row being one cell of
+    (x_1, y_1, ..., y_{d-1}); a d = 1 signal is one row.  The slabs, shaped
+    (rows, x_d, y_d), are Gf in row-major order.  Checks and warnings come
+    before the first slab.
     """
     d = f.dimension
     if phase_geometry.rank != 2 * d:
@@ -99,11 +101,11 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
     def slabs():
         g = f.values
         for a in range(d - 1):
-            g = contractions[a](g, windows(a))
+            g = contractions[a](windows(a))(g)
         g = g if d == 1 else g.reshape(g.shape[0], -1)
-        last = windows(d - 1)
+        last = contractions[-1](windows(d - 1))
         for start, stop in bounds:
-            slab = contractions[-1](g if d == 1 else g[:, start:stop], last)
+            slab = last(g if d == 1 else g[:, start:stop])
             # In place: a scaled copy would hold a second slab.
             slab *= f.geometry.cell_volume
             yield slab.reshape((stop - start,) + tail)
@@ -114,7 +116,9 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
 
 # Leading rows per slab of a consumed transform: 128 rows of a 33^4 field
 # are 2.2 MiB, where the whole field is 18.1 MiB.  At least 2, so no slab
-# is a single row (see _separable_transform).
+# is a single row (see _separable_transform).  256 rows took a stability
+# report's resident peak about 2 MB lower, but slowed the per-window FFT
+# path of the gabor command by a fifth.
 SLAB_ROWS = 128
 
 
@@ -141,23 +145,31 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     # origin phase correction exactly.
     fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
 
-    def contract(g: np.ndarray, windows: np.ndarray) -> np.ndarray:
-        n = g.shape[0]
-        if g.size == n:
-            # One row: a vector-matrix product per window position.
-            return _per_window(g, windows, y.size,
-                               lambda w: np.tensordot(w, fourier, axes=([0], [0])))
-        # Several rows: the window folds into the Fourier factor,
-        # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of the
-        # rows against K gives (..., x_a, y_a) directly.  The output is
-        # allocated before K: in the other order the freed K splits the heap
-        # and a report's resident peak rose by about 4 MB more.
-        out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
-        kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
-        np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
-        return out
+    def with_windows(windows: np.ndarray):
+        kernel = None
 
-    return contract
+        def contract(g: np.ndarray) -> np.ndarray:
+            nonlocal kernel
+            n = g.shape[0]
+            if g.size == n:
+                # One row: a vector-matrix product per window position.
+                return _per_window(g, windows, y.size,
+                                   lambda w: np.tensordot(w, fourier, axes=([0], [0])))
+            # Several rows: the window folds into the Fourier factor,
+            # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of
+            # the rows against K gives (..., x_a, y_a) directly.  K is built
+            # on the first call and kept for the next slabs.  The first
+            # output is allocated before K: in the other order a freed K
+            # split the heap and a report's resident peak rose by about 4 MB.
+            out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
+            if kernel is None:
+                kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
+            np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
+            return out
+
+        return contract
+
+    return with_windows
 
 
 def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None):
@@ -206,7 +218,7 @@ def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
 def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     k = _fft_frequency_indices(y, geometry.extents[a], geometry.spacing[a])
     origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
-    return lambda g, windows: _per_window(
+    return lambda windows: lambda g: _per_window(
         g, windows, y.size,
         lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase)
 

@@ -17,6 +17,7 @@ while every right-hand term collapses with h as the two bumps disconnect.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -24,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fdiff
-from .cheeger import sweep_cut_cheeger, weight_from_spectrogram
+from .cheeger import (ACTIVE_THRESHOLD, check_coarsen_factor, sweep_cut_cheeger,
+                      weight_from_spectrogram)
 from .entire import check_logderiv_exponent
 from .errors import AdmissibilityError
 from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
@@ -193,7 +195,7 @@ class PackedField:
 
     values is the row-major gather F.values[mask]; mask None holds every
     cell.  The alignment reads a field only on Omega, so a report packs
-    each transform once and drops the full grid.
+    each transform slab by slab and never holds the full grid.
     """
 
     geometry: GridGeometry
@@ -331,9 +333,23 @@ def align_phase_multicomponent(F1: PhaseSpaceGrid | PackedField,
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(S1: Spectrogram, S2: Spectrogram) -> None:
-    if S1.geometry != S2.geometry:
-        raise ValueError("spectrograms must share one geometry")
+def _on_cells(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray,
+              mask: np.ndarray | fdiff.MaskCells | None
+              ) -> tuple[fdiff.MaskCells, np.ndarray, np.ndarray]:
+    """The cells of Omega and |Gf|, |Gg| at them.
+
+    S1 and S2 are Spectrograms on one grid, which are packed at the cells
+    of mask, or their values already packed at the cells of a MaskCells
+    mask, in its cell order.
+    """
+    if isinstance(S1, Spectrogram) and isinstance(S2, Spectrogram):
+        if S1.geometry != S2.geometry:
+            raise ValueError("spectrograms must share one geometry")
+        cells = _cells(S1.geometry, mask)
+        return cells, cells.pack(S1.values), cells.pack(S2.values)
+    if not isinstance(mask, fdiff.MaskCells):
+        raise TypeError("packed spectrogram values need the MaskCells they are packed at")
+    return mask, mask.packed(np.asarray(S1, float)), mask.packed(np.asarray(S2, float))
 
 
 def _check_exponent(value: float, name: str = "p") -> None:
@@ -362,7 +378,11 @@ def _shape_weight(geometry: GridGeometry, z0, cells: fdiff.MaskCells) -> np.ndar
     return out
 
 
-def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
+# Each norm term takes |Gf| and |Gg| as Spectrograms, or packed at the cells
+# of a MaskCells mask (see _on_cells), and evaluates on the packed values.
+
+
+def sobolev_diff_pieces(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p: float,
                         mask: np.ndarray | fdiff.MaskCells | None = None
                         ) -> tuple[float, float]:
     """(value, gradient) L^p norms of the spectrogram difference.
@@ -370,30 +390,28 @@ def sobolev_diff_pieces(S1: Spectrogram, S2: Spectrogram, p: float,
     Gradients are mask-aware central differences, one-sided at the mask
     boundary.
     """
-    _check_pair(S1, S2)
+    cells, s1, s2 = _on_cells(S1, S2, mask)
     _check_exponent(p)
-    geom = S1.geometry
-    cells = _cells(geom, mask)
-    return (_lp_norm(cells.pack(S1.values) - cells.pack(S2.values), geom, p),
-            _lp_norm(cells.difference_gradient_norm(S1.values, S2.values), geom, p))
+    geom = cells.geometry
+    return (_lp_norm(s1 - s2, geom, p),
+            _lp_norm(cells.difference_gradient_norm(s1, s2), geom, p))
 
 
-def sobolev_diff_norm(S1: Spectrogram, S2: Spectrogram, p: float,
+def sobolev_diff_norm(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p: float,
                       mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
     """W^{1,p}(Omega) norm of |Gf| - |Gg|: value plus gradient L^p norms."""
     value, grad = sobolev_diff_pieces(S1, S2, p, mask)
     return value + grad
 
 
-def weighted_lq_diff_norm(S1: Spectrogram, S2: Spectrogram, q: float, z0,
+def weighted_lq_diff_norm(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray,
+                          q: float, z0,
                           mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
     """L^q norm of (1 + |z - z0|^{2d+2}) (|Gf| - |Gg|) over Omega, for q >= 1."""
-    _check_pair(S1, S2)
-    geom = S1.geometry
+    cells, s1, s2 = _on_cells(S1, S2, mask)
     _check_exponent(q, "q")
-    cells = _cells(geom, mask)
-    weight = _shape_weight(geom, z0, cells)
-    return _lp_norm(weight * (cells.pack(S1.values) - cells.pack(S2.values)), geom, q)
+    geom = cells.geometry
+    return _lp_norm(_shape_weight(geom, z0, cells) * (s1 - s2), geom, q)
 
 
 class LogDerivTerm(NamedTuple):
@@ -401,21 +419,21 @@ class LogDerivTerm(NamedTuple):
     excluded_mass_fraction: float
 
 
-def logderiv_term(S1: Spectrogram, S2: Spectrogram, p: float,
+def logderiv_term(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p: float,
                   mask: np.ndarray | fdiff.MaskCells | None = None) -> LogDerivTerm:
     """L^p norm of (grad |Gf| / |Gf|) (|Gf| - |Gg|) over the included cells.
 
     Cells with |Gf| below 1e-12 of its maximum are excluded from the
     quadrature; the fraction of spectrogram mass they carry is reported.
+    The maximum is that of S1 over its grid, or of the packed values: on
+    Omega, the two agree.
     """
-    _check_pair(S1, S2)
+    cells, s1, s2 = _on_cells(S1, S2, mask)
     _check_exponent(p)
-    geom = S1.geometry
-    peak = float(S1.values.max())
+    geom = cells.geometry
+    peak = float((S1.values if isinstance(S1, Spectrogram) else s1).max())
     if peak <= 0:
         raise ValueError("reference spectrogram is identically zero")
-    cells = _cells(geom, mask)
-    s1, s2 = cells.pack(S1.values), cells.pack(S2.values)
     keep = s1 > LOGDERIV_EXCLUSION * peak
     total = float(s1.sum())
     excluded_mass = float(s1[~keep].sum())
@@ -424,21 +442,24 @@ def logderiv_term(S1: Spectrogram, S2: Spectrogram, p: float,
         included = np.zeros(geom.extents, bool)
         np.put(included, cells.flat_index[keep], True)
         cells, s1, s2 = fdiff.MaskCells(geom, included), s1[keep], s2[keep]
-    value = _lp_norm(cells.gradient_norm(S1.values) / s1 * (s1 - s2), geom, p)
+    value = _lp_norm(cells.gradient_norm(s1) / s1 * (s1 - s2), geom, p)
     fraction = excluded_mass / total if total > 0 else 0.0
     return LogDerivTerm(value=value, excluded_mass_fraction=fraction)
 
 
 def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
           mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
-    """Noise-space norm: W^{1,p}(Omega) plus the weighted L^q norm."""
+    """Noise-space norm: W^{1,p}(Omega) plus the weighted L^q norm.
+
+    field is a real grid, or its values packed at the cells of a MaskCells
+    mask.
+    """
     check_admissible(p, q, geometry.rank // 2)
-    field = grid_array(field, geometry.extents, float, "field")
     cells = _cells(geometry, mask)
+    values = cells.packed(np.asarray(field, float))
     weight = _shape_weight(geometry, z0, cells)
-    values = cells.pack(field)
     return (_lp_norm(values, geometry, p)
-            + _lp_norm(cells.gradient_norm(field), geometry, p)
+            + _lp_norm(cells.gradient_norm(values), geometry, p)
             + _lp_norm(weight * values, geometry, q))
 
 
@@ -651,11 +672,62 @@ def stability_report(f: SignalGrid, g: SignalGrid, p: float, q: float,
     d = f.geometry.rank
     check_admissible(p, q, d)
     pg = default_phase_geometry(d) if phase_geometry is None else phase_geometry
-    return _assemble_terms((gabor_transform(x, pg) for x in (f, g)), p, q,
-                           partition, noise, cheeger_coarsen)
+    return _assemble_terms([functools.partial(gabor_transform, x, pg) for x in (f, g)], pg,
+                           p, q, partition, noise, cheeger_coarsen)
 
 
-def _assemble_terms(transforms, p: float, q: float,
+def _whole(make):
+    """A field that is made whole, make() -> PhaseSpaceGrid, as a transform
+    with a consume argument: one slab."""
+    def slabs():
+        yield make().values
+
+    return lambda consume: consume(slabs())
+
+
+def _modulus_and_superset(slabs, geometry: GridGeometry, extra: np.ndarray | None):
+    """The full |F| of a field fed in row-major slabs, and F on a superset of Omega.
+
+    Each slab's moduli fill their part of |F|.  The slab is packed on its
+    cells with |F| >= ACTIVE_THRESHOLD times the largest modulus so far, or
+    True in extra (a flat bool grid, or None).  The threshold never exceeds
+    the final one, so the held cells contain Omega = {|F| >= ACTIVE_THRESHOLD
+    max |F|}.  Returns |F|, the held cells as a flat bool grid, and the
+    packed slabs in order.
+    """
+    modulus = np.empty(geometry.num_cells)
+    held = np.empty(geometry.num_cells, bool)
+    pieces, peak, start = [], 0.0, 0
+    for slab in slabs:
+        flat = slab.reshape(-1)
+        stop = start + flat.size
+        mod = np.abs(flat, out=modulus[start:stop])
+        # A NaN leaves the running maximum; the Spectrogram then refuses it.
+        peak = max(peak, float(mod.max()))
+        cut = np.greater_equal(mod, ACTIVE_THRESHOLD * peak, out=held[start:stop])
+        if extra is not None:
+            cut |= extra[start:stop]
+        pieces.append(flat[cut])
+        start = stop
+        del slab, flat  # not held while the next slab is computed
+    return modulus.reshape(geometry.extents), held, pieces
+
+
+def _pack_slabs(slabs, cells: np.ndarray) -> np.ndarray:
+    """The complex values of row-major slabs at the True cells of a flat bool grid."""
+    out = np.empty(np.count_nonzero(cells), np.complex128)
+    start = at = 0
+    for slab in slabs:
+        flat = slab.reshape(-1)
+        take = cells[start:start + flat.size]
+        n = np.count_nonzero(take)
+        np.compress(take, flat, out=out[at:at + n])
+        start, at = start + flat.size, at + n
+        del slab, flat  # not held while the next slab is computed
+    return out
+
+
+def _assemble_terms(transforms, pg: GridGeometry, p: float, q: float,
                     partition: DomainPartition | None, noise: NoiseSpec | None,
                     cheeger_coarsen: int) -> StabilityReport:
     """Every term of the stability comparison from the transforms of f and g.
@@ -667,45 +739,54 @@ def _assemble_terms(transforms, p: float, q: float,
     the achieved noise level epsilon = dnorm(|Gf| + gamma - |Gg|) and the
     noise bound (1 + h^{-1}) (epsilon + dnorm(gamma)) are added.
 
-    transforms yields Gf, then Gg, and the caller keeps neither, so no
-    full complex field is alive during the Cheeger solve or the alignment:
-      1. Gf is pulled; it gives |Gf|, z0, Omega and the fine weight.  Gf is
-         packed on keep (Omega, or Omega and the partition's active cells)
-         and the full Gf is dropped.
-      2. The weight is coarsened, the fine weight dropped, and the Cheeger
-         solve runs, then the coarse weight is dropped.
-      3. Gg is pulled, |Gg| taken, Gg packed on keep and the full Gg dropped.
-      4. The packed pair is aligned (per component too, with a partition)
-         and dropped; the norm terms run on the two spectrograms.
+    transforms holds two calls, for Gf and for Gg on the phase grid pg, that
+    take a consume argument as gabor_transform does.  Every argument is
+    checked before the first of them runs.  The full |Gg| is never held,
+    and a full complex field only as a single slab (d = 1, a closed form):
+      1. Gf's slabs fill the full |Gf|, which gives z0, Omega and the fine
+         weight, and are packed on a superset of keep (Omega, or Omega and
+         the partition's active cells), cut down to keep once Omega is known.
+      2. The weight is coarsened, the fine weight and |Gf| dropped, and the
+         Cheeger solve runs, then the coarse weight is dropped.
+      3. Gg's slabs are packed on keep.
+      4. The packed pair is aligned (per component too, with a partition),
+         |Gf| and |Gg| on Omega are taken as the moduli of the packed
+         values, and the packed pair is dropped.  Every norm term runs on
+         the packed moduli, through one MaskCells of Omega.
     """
-    transforms = iter(transforms)
-    F1 = next(transforms)
-    pg = F1.geometry
-    S1 = spectrogram(F1)
+    coarsen = check_coarsen_factor(cheeger_coarsen)
+    extra = None if partition is None else active_mask(partition.active, pg.extents).ravel()
+    if noise is not None and noise.geometry != pg:
+        raise ValueError("noise field must live on the phase-space grid")
+    transform_f, transform_g = transforms
+    modulus, held, pieces = transform_f(
+        consume=lambda slabs: _modulus_and_superset(slabs, pg, extra))
+    S1 = Spectrogram(pg, modulus)
+    del modulus
     if float(S1.values.max()) <= 0.0:
         raise ValueError("f has a zero spectrogram; the weight w = |Gf|^p is degenerate")
     z0 = S1.argmax_location
     weight = weight_from_spectrogram(S1, power=p)
+    del S1
     omega = weight.mask
-    keep = omega if partition is None else omega | active_mask(partition.active, pg.extents)
-    P1 = PackedField.pack(F1, keep)
-    del F1
-    weight = weight.coarsen(cheeger_coarsen)
+    keep = omega.ravel() if extra is None else omega.ravel() | extra
+    packed_on = None if keep.all() else keep.reshape(pg.extents)
+    P1 = PackedField(pg, packed_on, _pack_slabs(pieces, keep[held]))
+    del held, pieces
+    weight = weight.coarsen(coarsen)
     est = sweep_cut_cheeger(weight)
     del weight
     h = est.h
-    F2 = next(transforms)
-    S2 = spectrogram(F2)
-    P2 = PackedField.pack(F2, keep)
-    del F2
+    P2 = PackedField(pg, packed_on, transform_g(consume=lambda slabs: _pack_slabs(slabs, keep)))
     # Without a partition the packed cells are Omega: mask None reads them all.
     lhs = align_phase_global(P1, P2, p, mask=None if partition is None else omega).residual
     multi = None if partition is None else align_phase_multicomponent(P1, P2, p, partition)
+    s1, s2 = np.abs(P1.select(omega)), np.abs(P2.select(omega))
     del P1, P2
     cells = fdiff.MaskCells(pg, omega)
-    route = _route_terms(lhs, S1, S2, p, cells, h)
+    route = _route_terms(lhs, s1, s2, p, cells, h)
     sobolev = route.value_term + route.gradient_term
-    weighted = weighted_lq_diff_norm(S1, S2, q, z0, mask=cells)
+    weighted = weighted_lq_diff_norm(s1, s2, q, z0, mask=cells)
     shape_factor = math.inf if h == 0.0 else 1.0 + 1.0 / h
     rhs_shape = shape_factor * (sobolev + weighted)
     report = {
@@ -730,11 +811,10 @@ def _assemble_terms(transforms, p: float, q: float,
         report["component_residuals"] = tuple(a.residual for a in multi.alignments)
         report["multicomponent_residual"] = multi.total_residual
     if noise is not None:
-        if noise.geometry != pg:
-            raise ValueError("noise field must live on the phase-space grid")
-        gamma_dnorm = dnorm(noise.values, pg, p, q, z0, mask=cells)
-        achieved = S1.values + noise.values
-        achieved -= S2.values
+        gamma = cells.pack(noise.values)
+        gamma_dnorm = dnorm(gamma, pg, p, q, z0, mask=cells)
+        achieved = s1 + gamma
+        achieved -= s2
         epsilon = dnorm(achieved, pg, p, q, z0, mask=cells)
         report["noise_epsilon"] = epsilon
         report["noise_gamma_dnorm"] = gamma_dnorm
@@ -810,8 +890,9 @@ def instability_sweep(T_values, p: float = 1.0, q: float = 3.0,
     grids = [(float(T), sweep_phase_geometry(float(T), spacing)) for T in T_values]
     rows = []
     for T, pg in grids:
-        transforms = (analytic_gabor_transform(spec, pg) for spec in _instability_specs(T, 1))
-        r = _assemble_terms(transforms, p, q, None, None, cheeger_coarsen)
+        transforms = [_whole(functools.partial(analytic_gabor_transform, spec, pg))
+                      for spec in _instability_specs(T, 1)]
+        r = _assemble_terms(transforms, pg, p, q, None, None, cheeger_coarsen)
         rows.append(InstabilityRow(
             T=T, h=r.h_upper if r.h_oracle is None else r.h_oracle, lhs=r.lhs,
             sobolev=r.sobolev_term, weighted=r.weighted_term,

@@ -140,6 +140,35 @@ class TestWhereStencilOracle:
         assert np.array_equal(cells.difference_gradient_norm(a, b), want)
         assert np.array_equal(cells.difference_gradient_norm(a, b), cells.gradient_norm(a - b))
 
+    @pytest.mark.parametrize("extents", ORACLE_EXTENTS, ids=lambda e: f"rank{len(e)}")
+    @pytest.mark.parametrize("mask_kind", ORACLE_MASKS)
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_packed_fields_equal_full_grid_fields(self, monkeypatch, extents, mask_kind,
+                                                  is_complex):
+        # Fields packed at the cells read their neighbors through the
+        # position map; blocks of 3 cells put seams inside rows.
+        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", 3)
+        rng = np.random.default_rng(30 + len(extents))
+        geom = GridGeometry(extents, tuple(rng.uniform(0.1, 2.0, len(extents))),
+                            (0.0,) * len(extents))
+        mask = _oracle_masks(extents, rng)[mask_kind]
+        a, b = rng.standard_normal(extents), rng.standard_normal(extents)
+        if is_complex:
+            a = a + 1j * rng.standard_normal(extents)
+        cells = fdiff.MaskCells(geom, mask)
+        pa, pb = cells.pack(a), cells.pack(b)
+        for g, w in zip(cells.derivatives(pa), where_stencil(a, geom, mask)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.array_equal(cells.gradient_norm(pa), cells.gradient_norm(a))
+        assert np.array_equal(cells.difference_gradient_norm(pa, pb),
+                              cells.difference_gradient_norm(a, b))
+
+    def test_packed_field_of_the_wrong_length_is_refused(self):
+        geom = box_geometry((6, 5), -1.0, 1.0)
+        cells = fdiff.MaskCells(geom, np.arange(30).reshape(6, 5) % 3 == 0)
+        with pytest.raises(ValueError, match="value array shape"):
+            cells.gradient_norm(np.zeros(11))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
     def test_other_dtypes_equal_the_oracle(self, dtype):
         geom = box_geometry((6, 5), -1.0, 1.0)
@@ -157,8 +186,10 @@ class TestWhereStencilOracle:
         for axis, want in enumerate(np.nonzero(mask)):
             assert np.array_equal(cells.axis_index(axis), want)
         cells.gradient_norm(rng.standard_normal(geom.extents))
-        # Only the flat index and the neighbor flags are kept per cell.
-        assert set(vars(cells)) == {"geometry", "mask", "flat_index", "_neighbors"}
+        # Only the flat index, the neighbor flags and the full-grid position
+        # map of a masked field are kept.
+        assert set(vars(cells)) == {"geometry", "mask", "flat_index", "_neighbors", "_position"}
+        assert cells._position.dtype == np.int32
 
 
 class TestBlockSeams:

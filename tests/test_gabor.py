@@ -123,7 +123,7 @@ def out_of_place_transform(f, phase_geometry, axis_contraction):
         contract = axis_contraction(f.geometry, a, phase_geometry.axis_coordinates(2 * a + 1))
         t = f.geometry.axis_coordinates(a)
         x = phase_geometry.axis_coordinates(2 * a)
-        g = contract(g, np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2))
+        g = contract(np.exp(-np.pi * (t[None, :] - x[:, None]) ** 2))(g)
     return g * f.geometry.cell_volume
 
 

@@ -1,5 +1,7 @@
 """Phase alignment, norm terms, noise model, and stability report assembly."""
 
+import contextlib
+import functools
 import json
 import math
 import tracemalloc
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborstab import fdiff
+from gaborstab import fdiff, gabor
 from gaborstab.entire import max_admissible_p
 from gaborstab.errors import AdmissibilityError
 from gaborstab.gabor import gabor_transform, spectrogram
@@ -31,6 +33,7 @@ from gaborstab.stability import (
     _assemble_terms,
     _brent_minimize,
     _scan,
+    _whole,
     _wrap_angle,
     align_phase_global,
     align_phase_multicomponent,
@@ -704,6 +707,38 @@ class TestNormTerms:
         with pytest.raises(ValueError):
             logderiv_term(S0, S1, 1.0)
 
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_packed_terms_equal_the_full_grid_terms(self, monkeypatch, masked):
+        # The moduli packed at the cells, as a report passes them, against
+        # full-grid spectrograms, on a mask where logderiv_term excludes
+        # cells.  The mask holds the peak of S1, as Omega does.
+        geom, S1, S2, mask = self.random_case(masked)
+        vals = S1.values.copy()
+        vals[::7, ::5] = 1e-14 * vals.max()
+        S1 = spectrogram(PhaseSpaceGrid(geom, vals))
+        if mask is not None:
+            mask.flat[np.argmax(vals)] = True
+        cells = fdiff.MaskCells(geom, mask)
+        s1, s2 = cells.pack(S1.values), cells.pack(S2.values)
+        assert 0.0 < logderiv_term(S1, S2, 1.5, mask).excluded_mass_fraction
+        z0 = (0.25, -0.5)
+        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", 7)
+        assert sobolev_diff_pieces(s1, s2, 1.5, cells) == sobolev_diff_pieces(S1, S2, 1.5, mask)
+        assert logderiv_term(s1, s2, 1.5, cells) == logderiv_term(S1, S2, 1.5, mask)
+        assert (weighted_lq_diff_norm(s1, s2, 3.5, z0, cells)
+                == weighted_lq_diff_norm(S1, S2, 3.5, z0, mask))
+        assert (dnorm(s1 - s2, geom, 1.2, 3.5, z0, cells)
+                == dnorm(S1.values - S2.values, geom, 1.2, 3.5, z0, mask))
+
+    def test_packed_values_need_their_cells(self):
+        geom, S1, S2, mask = self.random_case(True)
+        cells = fdiff.MaskCells(geom, mask)
+        s1, s2 = cells.pack(S1.values), cells.pack(S2.values)
+        with pytest.raises(TypeError, match="MaskCells"):
+            sobolev_diff_pieces(s1, s2, 1.0, mask)
+        with pytest.raises(ValueError, match="value array shape"):
+            weighted_lq_diff_norm(s1[:-1], s2[:-1], 3.0, (0.0, 0.0), cells)
+
     def test_dnorm_homogeneity_and_gate(self):
         rng = np.random.default_rng(8)
         geom = box_geometry((16, 16), -2.0, 2.0)
@@ -915,6 +950,93 @@ class TestStabilityReport:
         with pytest.raises(ValueError, match="noise"):
             stability_report(f, f, p=1.0, q=3.0, noise=noise)
 
+    @pytest.mark.parametrize("bad", ["noise", "partition", "coarsen"])
+    def test_arguments_refused_before_any_transform(self, monkeypatch, bad):
+        from gaborstab import stability
+
+        calls = []
+        transform = stability.gabor_transform
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "gabor_transform", counting)
+        f, g, pg, _ = _report_case(1)
+        other = box_geometry((17, 17), -3.0, 3.0)
+        arguments, message = {
+            "noise": ({"noise": noise_gaussian_bump(other, 0.01, 1.0)}, "noise"),
+            "partition": ({"partition": DomainPartition.split_along_axis(other, 0, 0.0)},
+                          "mask shape"),
+            "coarsen": ({"cheeger_coarsen": 0}, "coarsening factor"),
+        }[bad]
+        with pytest.raises(ValueError, match=message):
+            stability_report(f, g, 1.0, 3.0, phase_geometry=pg, **arguments)
+        assert calls == []
+
+
+class TestStreamedReport:
+    """A report streams both transforms in slabs; its every term equals a
+    run on one whole slab, and the full-grid formulas, bit for bit."""
+
+    @staticmethod
+    def _case(d):
+        """The instability pair with a partition and band-limited noise.  At
+        d = 2 the phase grid has 15 x 15 = 225 rows of (x_1, y_1): in slabs of
+        7 rows there are 31 seams, and the one-row tail (225 = 32 * 7 + 1)
+        joins the last slab."""
+        if d == 1:
+            f, g, pg, part = _report_case(1)
+        else:
+            sg, pg = box_geometry((48, 48), -6.0, 5.75), box_geometry((15, 15, 9, 9), -4.0, 4.0)
+            f, g = make_instability_pair(2, 2.0, sg)
+            part = DomainPartition.split_along_axis(pg, axis=0, threshold=0.0)
+        return f, g, pg, part, noise_band_limited(pg, 0.001, 3, seed=5)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_seven_row_slabs_equal_one_slab(self, monkeypatch, d):
+        f, g, pg, part, noise = self._case(d)
+
+        def report(rows):
+            with monkeypatch.context() as m:
+                m.setattr(gabor, "SLAB_ROWS", rows)
+                return stability_report(f, g, 1.0, 3.0 if d == 1 else 5.0, partition=part,
+                                        noise=noise, phase_geometry=pg).to_dict()
+
+        whole = report(10 ** 6)
+        assert report(7) == whole
+        assert set(whole) >= {"multicomponent_residual", "noise_epsilon"}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_is_the_per_term_formula_bit_for_bit(self, d):
+        # Every term from whole transforms and full-grid spectrograms, one
+        # public function at a time.
+        from gaborstab.cheeger import sweep_cut_cheeger, weight_from_spectrogram
+
+        f, g, pg, part, noise = self._case(d)
+        p, q = 1.0, 3.0 if d == 1 else 5.0
+        report = stability_report(f, g, p, q, partition=part, noise=noise, phase_geometry=pg)
+        F1, F2 = gabor_transform(f, pg), gabor_transform(g, pg)
+        S1, S2 = spectrogram(F1), spectrogram(F2)
+        omega = S1.values >= 1e-9 * float(S1.values.max())
+        est = sweep_cut_cheeger(weight_from_spectrogram(S1, power=p).coarsen(2))
+        multi = align_phase_multicomponent(F1, F2, p, part)
+        cells = fdiff.MaskCells(pg, omega)
+        value, grad = sobolev_diff_pieces(S1, S2, p, omega)
+        ld = logderiv_term(S1, S2, p, omega)
+        z0 = S1.argmax_location
+        gamma = dnorm(noise.values, pg, p, q, z0, omega)
+        assert report.lhs == align_phase_global(F1, F2, p, mask=omega).residual
+        assert (report.h_upper, report.fiedler_value) == (est.h_upper, est.fiedler_value)
+        assert report.component_residuals == tuple(a.residual for a in multi.alignments)
+        assert (report.value_term, report.gradient_term) == (value, grad)
+        assert (report.logderiv_term, report.logderiv_excluded_mass) == (
+            ld.value, ld.excluded_mass_fraction)
+        assert report.weighted_term == weighted_lq_diff_norm(S1, S2, q, z0, cells)
+        assert report.noise_gamma_dnorm == gamma
+        assert report.noise_epsilon == dnorm(S1.values + noise.values - S2.values,
+                                             pg, p, q, z0, omega)
+
 
 class TestInstabilitySweep:
     def test_sweep_monotonicity(self):
@@ -995,8 +1117,45 @@ class TestInstabilitySweep:
         assert pg.axis_upper(1) == pytest.approx(4.0)
 
 
+def _largest_live_block() -> int:
+    """Bytes of the largest traced block alive now that gaborstab code allocated."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*gaborstab*", all_frames=True)])
+    return max((trace.size for trace in snapshot.traces), default=0)
+
+
+@contextlib.contextmanager
+def tracing():
+    """tracemalloc on (with tracebacks deep enough for numpy's Python
+    wrappers) for the block, and off after it unless it was on before."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start(16)
+    try:
+        yield
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def _report_case(d):
+    """The instability pair at T = 2, a phase grid on which Omega is a part of
+    the cells, and a partition of two components on the low end of the last
+    axis, with cells inside and outside Omega."""
+    if d == 1:
+        sg, pg = box_geometry((257,), -6.0, 6.0), box_geometry((33, 33), -3.0, 3.0)
+    else:
+        sg, pg = box_geometry((48, 48), -6.0, 5.75), box_geometry((13,) * 4, -6.0, 6.0)
+    coords = pg.coordinate_arrays()
+    lower = np.broadcast_to(coords[-1] < (-2.5 if d == 1 else -3.5), pg.extents)
+    left = np.broadcast_to(coords[0] < 0.0, pg.extents)
+    part = DomainPartition.from_masks(pg, [lower & left, lower & ~left])
+    return make_instability_pair(d, 2.0, sg) + (pg, part)
+
+
 class TestFieldLifetime:
-    """The report frees each complex transform once no later step reads it."""
+    """A report holds no full complex phase grid and no full |Gg|: both
+    transforms reach it slab by slab, and the full |Gf| is dropped once its
+    weight is coarsened.  (A d = 1 transform, or a closed form, is one slab.)"""
 
     @staticmethod
     def _watch_transforms(monkeypatch, module, name):
@@ -1013,109 +1172,199 @@ class TestFieldLifetime:
         return refs
 
     @staticmethod
-    def _live_at(monkeypatch, refs, name):
-        """Per call of stability.<name>: (transforms made, transforms alive) at its start."""
+    def _watch_slabs(monkeypatch, on_slab=None):
+        """Per call of stability.gabor_transform, weak references to the slabs
+        it hands to its consumer; on_slab(slab) runs as each is handed on."""
         from gaborstab import stability
 
-        live = []
+        calls = []
+        transform = stability.gabor_transform
+
+        def watching(f, pg, *, consume):
+            refs = []
+            calls.append(refs)
+
+            def watched(slabs):
+                for slab in slabs:
+                    refs.append(weakref.ref(slab))
+                    if on_slab is not None:
+                        on_slab(slab)
+                    yield slab
+                    del slab
+
+            return transform(f, pg, consume=lambda slabs: consume(watched(slabs)))
+
+        monkeypatch.setattr(stability, "gabor_transform", watching)
+        return calls
+
+    @staticmethod
+    def _at(monkeypatch, name, record):
+        """Run record() at the start of every call of stability.<name>."""
+        from gaborstab import stability
+
         step = getattr(stability, name)
 
         def checking(*args, **kwargs):
-            live.append((len(refs), sum(r() is not None for r in refs)))
+            record()
             return step(*args, **kwargs)
 
         monkeypatch.setattr(stability, name, checking)
-        return live
-
-    def _live_at_first_norm_term(self, monkeypatch, refs):
-        return self._live_at(monkeypatch, refs, "sobolev_diff_pieces")
 
     @staticmethod
-    def _report_pair(d):
-        """The instability pair at T = 2 and a phase grid on which Omega is not every cell."""
-        if d == 1:
-            sg, pg = box_geometry((257,), -6.0, 6.0), box_geometry((33, 33), -3.0, 3.0)
-        else:
-            sg, pg = box_geometry((48, 48), -6.0, 5.75), box_geometry((9,) * 4, -3.0, 3.0)
-        return make_instability_pair(d, 2.0, sg) + (pg,)
+    def _slabs_alive(calls):
+        """(transforms called, slabs still alive)."""
+        return len(calls), sum(ref() is not None for refs in calls for ref in refs)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_report_frees_both_transforms_before_the_norm_terms(self, monkeypatch, d):
-        from gaborstab import stability
-
-        f, g, pg = self._report_pair(d)
-        refs = self._watch_transforms(monkeypatch, stability, "gabor_transform")
-        live = self._live_at_first_norm_term(monkeypatch, refs)
-        part = DomainPartition.split_along_axis(pg, axis=0, threshold=0.0)
+        f, g, pg, part = _report_case(d)
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 16)
+        calls = self._watch_slabs(monkeypatch)
+        live = []
+        self._at(monkeypatch, "sobolev_diff_pieces",
+                 lambda: live.append(self._slabs_alive(calls)))
         report = stability_report(f, g, 1.0, 5.0 if d == 2 else 3.0, partition=part,
                                   phase_geometry=pg)
         assert live == [(2, 0)]
+        # 169 rows of (x_1, y_1) at d = 2: ten slabs of 16 rows and one of 9.
+        assert [len(refs) for refs in calls] == ([1, 1] if d == 1 else [11, 11])
         assert len(report.component_residuals) == 2
 
     def test_sweep_frees_both_transforms_of_each_row(self, monkeypatch):
         from gaborstab import signals
 
         refs = self._watch_transforms(monkeypatch, signals, "analytic_gabor_transform")
-        live = self._live_at_first_norm_term(monkeypatch, refs)
+        live = []
+        self._at(monkeypatch, "sobolev_diff_pieces",
+                 lambda: live.append((len(refs), sum(r() is not None for r in refs))))
         instability_sweep([2.0, 3.0], spacing=1.0 / 8.0)
         assert live == [(2, 0), (4, 0)]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_report_holds_no_full_transform_in_the_solve_or_the_alignment(self, monkeypatch, d):
-        from gaborstab import stability
-
-        f, g, pg = self._report_pair(d)
-        refs = self._watch_transforms(monkeypatch, stability, "gabor_transform")
-        solve = self._live_at(monkeypatch, refs, "sweep_cut_cheeger")
-        align = self._live_at(monkeypatch, refs, "align_phase_global")
-        part = None
-        if d == 2:
-            # Two components on the lower half of the last axis, inside and
-            # outside Omega: the packed cells are Omega and the partition.
-            lower = np.broadcast_to(pg.coordinate_arrays()[-1] < 0.0, pg.extents)
-            left = np.broadcast_to(pg.coordinate_arrays()[0] < 0.0, pg.extents)
-            part = DomainPartition.from_masks(pg, [lower & left, lower & ~left])
+        f, g, pg, part = _report_case(d)
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 16)
+        calls = self._watch_slabs(monkeypatch)
+        solve, align = [], []
+        self._at(monkeypatch, "sweep_cut_cheeger", lambda: solve.append(self._slabs_alive(calls)))
+        self._at(monkeypatch, "align_phase_global", lambda: align.append(self._slabs_alive(calls)))
         stability_report(f, g, 1.0, 5.0 if d == 2 else 3.0, partition=part, phase_geometry=pg)
         assert solve == [(1, 0)]
-        assert align == [(2, 0)] * (1 if part is None else 3)
+        assert align == [(2, 0)] * 3
 
     def test_sweep_holds_no_full_transform_in_the_solve_or_the_alignment(self, monkeypatch):
         from gaborstab import signals
 
         refs = self._watch_transforms(monkeypatch, signals, "analytic_gabor_transform")
-        solve = self._live_at(monkeypatch, refs, "sweep_cut_cheeger")
-        align = self._live_at(monkeypatch, refs, "align_phase_global")
+        solve, align = [], []
+
+        def alive():
+            return len(refs), sum(r() is not None for r in refs)
+
+        self._at(monkeypatch, "sweep_cut_cheeger", lambda: solve.append(alive()))
+        self._at(monkeypatch, "align_phase_global", lambda: align.append(alive()))
         instability_sweep([2.0, 3.0], spacing=1.0 / 8.0)
         assert solve == [(1, 0), (3, 0)]
         assert align == [(2, 0), (4, 0)]
 
-    def test_norm_terms_traced_peak_per_omega_cell(self):
-        # numpy reports its buffers to tracemalloc, so this figure repeats
-        # exactly.  It was 160.6 bytes per Omega cell with the full-grid
-        # S1 - S2, the cached multi-index and the np.where stencil, and is
-        # 82.8 with the stencil run one axis at a time.  Bringing back the
-        # full-grid S1 - S2 alone reads 97.2.
-        from gaborstab.cheeger import weight_from_spectrogram
+    def test_report_allocates_no_full_complex_grid_and_no_full_gg(self, monkeypatch):
+        # The largest live block gaborstab allocated, at every slab of both
+        # transforms and at the start of the solve, the alignment and the
+        # first norm term.  A full complex grid is 16 bytes per phase cell
+        # and a full |Gf| or |Gg| 8; the packed fields stay under 8 because
+        # Omega and the partition hold under half of the cells.
+        f, g, pg, part = _report_case(2)
+        n = pg.num_cells
+        S = np.abs(gabor_transform(f, pg).values)
+        keep = (S >= 1e-9 * S.max()) | part.active
+        assert 0.0 < keep.mean() < 0.5
+        del S
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 16)
+        stages = []
+        calls = self._watch_slabs(monkeypatch, lambda slab: stages.append(
+            (f"slab of G{'fg'[len(calls) - 1]}", slab.size, _largest_live_block())))
+        for name in ("sweep_cut_cheeger", "align_phase_global", "sobolev_diff_pieces"):
+            self._at(monkeypatch, name,
+                     lambda name=name: stages.append((name, 0, _largest_live_block())))
+        with tracing():
+            stability_report(f, g, 1.0, 5.0, partition=part, phase_geometry=pg)
+        assert [s[0] for s in stages] == (["slab of Gf"] * 11 + ["sweep_cut_cheeger"]
+                                          + ["slab of Gg"] * 11 + ["align_phase_global"] * 3
+                                          + ["sobolev_diff_pieces"])
+        assert all(size < n for _, size, _ in stages)
+        # While Gf streams, the full |Gf| it fills is the largest block.
+        assert all(block == 8 * n for _, _, block in stages[1:11])
+        # From the solve on, no block reaches one float per phase cell.
+        assert all(block < 8 * n for _, _, block in stages[11:])
 
-        pg = box_geometry((17,) * 4, -4.0, 4.0)
-        S1, S2 = (spectrogram(analytic_gabor_transform(
-            two_bump_spec((-1.5, 0.0), (0.0, 0.0), (1.5, 0.0), (0.0, 0.0), sign=s), pg))
-            for s in (+1, -1))
-        omega = weight_from_spectrogram(S1, power=1.0).mask
-        cells = fdiff.MaskCells(pg, omega)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
+    def test_report_traced_peak_per_phase_cell(self, monkeypatch):
+        # The traced peak of a d = 2 report with a partition and noise, in
+        # bytes per phase cell, leaving out the Cheeger solve: its Krylov
+        # basis is reserved whole by np.empty and touched one row per step,
+        # and its size follows the coarse graph, not the fields.  Slabs of
+        # 16 rows and stencil blocks of 1,024 cells keep the per-slab and
+        # per-block temporaries small against the fields on this grid.
+        # numpy reports its buffers to tracemalloc, so the figure repeats
+        # exactly.  It read 53.5 with Gf and Gg transformed whole and both
+        # spectrograms held whole, and reads 38.7 with both transforms
+        # streamed and every norm term on the packed moduli; the peak is
+        # now in Gg's transform, whose GEMM kernel and first-axis product
+        # are large against the fields on this small grid.  A full complex
+        # grid is 16.
+        from gaborstab import stability
+
+        f, g, pg, part = _report_case(2)
+        noise = noise_gaussian_bump(pg, amplitude=0.001, width=1.0)
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 16)
+        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", 1024)
+        solve = stability.sweep_cut_cheeger
+        peaks = []
+
+        def solve_untraced(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(stability, "sweep_cut_cheeger", solve_untraced)
+        with tracing():
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            sobolev_diff_pieces(S1, S2, 1.0, cells)
-            logderiv_term(S1, S2, 1.0, cells)
-            weighted_lq_diff_norm(S1, S2, 5.0, S1.argmax_location, mask=cells)
+            stability_report(f, g, 1.0, 5.0, partition=part, noise=noise, phase_geometry=pg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        assert (max(peaks) - base) / pg.num_cells <= 41.0
+
+    def test_norm_terms_traced_peak_per_omega_cell(self, monkeypatch):
+        # The three norm terms of the Cheeger route and the weighted shape on
+        # |Gf| and |Gg| packed on Omega, as a report passes them, with the
+        # neighbor flags and the position map of Omega built on first use.
+        # Stencil blocks of 1,024 cells keep the per-block temporaries small
+        # against Omega (21,281 of 83,521 cells).  numpy reports its buffers
+        # to tracemalloc, so the figure repeats exactly: 47.9 bytes per Omega
+        # cell, of which 15.7 are the int32 position map and 8 the neighbor
+        # flags.  The full-grid |Gf| and |Gg| that the terms read before
+        # were 31.4 bytes per Omega cell on their own, and a full float grid
+        # made inside the terms would add as much.
+        pg = box_geometry((17,) * 4, -4.0, 4.0)
+        F1, F2 = (analytic_gabor_transform(
+            two_bump_spec((-1.5, 0.0), (0.0, 0.0), (1.5, 0.0), (0.0, 0.0), sign=s), pg)
+            for s in (+1, -1))
+        S1 = spectrogram(F1)
+        omega = S1.values >= 1e-9 * S1.values.max()
+        s1, s2 = np.abs(F1.values[omega]), np.abs(F2.values[omega])
+        z0 = S1.argmax_location
+        del F1, F2, S1
+        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", 1024)
+        cells = fdiff.MaskCells(pg, omega)
+        with tracing():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sobolev_diff_pieces(s1, s2, 1.0, cells)
+            logderiv_term(s1, s2, 1.0, cells)
+            weighted_lq_diff_norm(s1, s2, 5.0, z0, mask=cells)
             peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak / np.count_nonzero(omega) <= 90.0
+        assert peak / np.count_nonzero(omega) <= 50.0
 
 
 class TestOneUlpTransforms:
@@ -1141,8 +1390,9 @@ class TestOneUlpTransforms:
         pg = box_geometry((33,) * 4, -4.0, 4.0)
         F, G = gabor_transform(f, pg), gabor_transform(g, pg)
 
-        def scalars(transforms):
-            report = _assemble_terms(transforms, 1.0, 5.0, None, None,
+        def scalars(grids):
+            transforms = [_whole(lambda F=F: F) for F in grids]
+            report = _assemble_terms(transforms, pg, 1.0, 5.0, None, None,
                                      DEFAULT_CHEEGER_COARSEN).to_dict()
             return {key: report[key] for key in pinned}
 
@@ -1152,3 +1402,55 @@ class TestOneUlpTransforms:
             got = scalars([self.nudged(F, rng), self.nudged(G, rng)])
             for key, value in base.items():
                 assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+
+
+SWEEP_PINNED = sorted(json.loads(TestOneUlpTransforms.REFERENCES.read_text(encoding="utf-8"))
+                      ["sweep-d1"])
+# The pinned keys that move past the references' rtol, with their measured
+# relative moves in the three draws.  The value and gradient pieces of
+# sobolev are differences of nearly equal spectrograms, |Gf+| - |Gf-|, which
+# cancel at T = 6 (ROADMAP item 3).
+SWEEP_MOVES_PAST_RTOL = {"T6.sobolev": "4.1e-9, 4.1e-9 and 4.1e-9"}
+
+
+@functools.lru_cache(maxsize=1)
+def _sweep_moves() -> dict[str, list[float]]:
+    """Relative move of every pinned sweep-d1 scalar in each of three seeded
+    draws of an independent +-1 ulp on every real and imaginary part of each
+    row's two closed-form transforms, against the unperturbed sweep."""
+    from gaborstab import signals
+
+    def scalars():
+        rows = instability_sweep([2.0, 3.0, 4.0, 5.0, 6.0], p=1.0, q=3.0, spacing=1.0 / 32.0)
+        return {f"T{i + 2}.{key}": getattr(row, key) for i, row in enumerate(rows)
+                for key in ("h", "lhs", "sobolev", "weighted", "ratio")}
+
+    base = scalars()
+    closed_form = signals.analytic_gabor_transform
+    moves = {key: [] for key in SWEEP_PINNED}
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(signals, "analytic_gabor_transform",
+                      lambda spec, pg: TestOneUlpTransforms.nudged(closed_form(spec, pg), rng))
+            got = scalars()
+        for key, row in moves.items():
+            row.append(abs(got[key] - base[key]) / abs(base[key]))
+    return moves
+
+
+class TestOneUlpSweep:
+    """sweep-d1's pinned scalars against three seeded draws of an independent
+    +-1 ulp on each row's two closed-form transforms (the sweep reruns
+    _assemble_terms on them): a key that stays within the references' rtol
+    of the unperturbed run is a gate, a key that moves past it a strict
+    xfail that names its moves.  The four sweeps take about 6 s."""
+
+    @pytest.mark.parametrize("key", [
+        pytest.param(key, marks=pytest.mark.xfail(
+            strict=True, reason=f"moved {SWEEP_MOVES_PAST_RTOL[key]} relative"))
+        if key in SWEEP_MOVES_PAST_RTOL else key
+        for key in SWEEP_PINNED])
+    def test_pinned_scalar_within_1e_9(self, key):
+        assert max(_sweep_moves()[key]) <= 1e-9
+

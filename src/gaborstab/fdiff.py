@@ -28,13 +28,11 @@ STENCIL_BLOCK = 16384
 class MaskCells:
     """The cells of a mask (every cell without one), packed in row-major order.
 
-    ``flat_index`` holds their flat indices; ``axis_index(a)`` gives their
-    indices along axis a, computed on each call.  ``pack`` gathers a
-    full-grid array at the cells and equals ``values[mask]`` bit for bit.
-    ``derivatives``, ``gradient_norm`` and ``difference_gradient_norm``
-    take fields either on the full grid, which they pack first, or already
-    packed (one value per cell, in cell order), and return 1-d arrays in
-    cell order.
+    ``flat_index`` holds their flat indices.  ``pack`` gathers a full-grid
+    array at the cells and equals ``values[mask]`` bit for bit; it is the one
+    way in from a full grid.  ``derivatives``, ``gradient_norm`` and
+    ``difference_gradient_norm`` take fields packed at the cells (one value
+    per cell, in cell order) and return 1-d arrays in cell order.
     The neighbor flags and, for a mask, the full-grid position map are
     built on first use and kept, so every field differentiated through one
     instance shares them; no other per-cell array is kept.
@@ -47,28 +45,17 @@ class MaskCells:
         self.mask = np.ones(geometry.extents, dtype=bool) if mask is None else mask.copy()
         self.flat_index = np.flatnonzero(self.mask)
 
-    def _stride(self, axis: int) -> int:
-        return math.prod(self.geometry.extents[axis + 1:])
-
-    def axis_index(self, axis: int) -> np.ndarray:
-        """The cells' indices along one axis."""
-        return self.flat_index // self._stride(axis) % self.geometry.extents[axis]
-
     def pack(self, values: np.ndarray) -> np.ndarray:
-        """The values of a full-grid array at the cells."""
+        """The values of a full-grid array at the cells (on every cell, a flat view)."""
         flat = grid_array(values, self.geometry.extents, None, "value array").ravel()
-        return flat.take(self.flat_index)
+        return flat if flat.size == self.flat_index.size else flat.take(self.flat_index)
 
     def packed(self, values: np.ndarray) -> np.ndarray:
-        """A field at the cells: a full-grid array is packed (on every cell, a
-        flat view), a 1-d array of one value per cell is taken as packed."""
+        """values as an array of one value per cell; ValueError for any other shape."""
         arr = np.asarray(values)
-        extents = tuple(self.geometry.extents)
-        if arr.shape == extents:
-            return arr.ravel() if arr.size == self.flat_index.size else self.pack(arr)
         if arr.shape != self.flat_index.shape:
-            raise ValueError(f"value array shape {arr.shape} matches neither the grid "
-                             f"extents {extents} nor the {self.flat_index.size} cells")
+            raise ValueError(f"value array shape {arr.shape} does not match the "
+                             f"{self.flat_index.size} cells")
         return arr
 
     @cached_property
@@ -93,7 +80,8 @@ class MaskCells:
             hi = (slice(None),) * axis + (slice(1, n),)
             plus, minus = np.zeros_like(self.mask), np.zeros_like(self.mask)
             plus[lo], minus[hi] = self.mask[hi], self.mask[lo]
-            out.append((self._stride(axis), plus[self.mask], minus[self.mask]))
+            stride = math.prod(self.geometry.extents[axis + 1:])
+            out.append((stride, plus[self.mask], minus[self.mask]))
         return tuple(out)
 
     def _locate(self, flat: np.ndarray) -> np.ndarray:
@@ -167,7 +155,8 @@ def _derivative_dtype(dtype: np.dtype) -> np.dtype:
 
 def gradient(values: np.ndarray, geometry: GridGeometry) -> list[np.ndarray]:
     """Per-axis first derivatives over the grid; central inside, one-sided at its edges."""
-    return [g.reshape(geometry.extents) for g in MaskCells(geometry).derivatives(values)]
+    cells = MaskCells(geometry)
+    return [g.reshape(geometry.extents) for g in cells.derivatives(cells.pack(values))]
 
 
 def gradient_norm(grads, out: np.ndarray | None = None) -> np.ndarray:

@@ -66,25 +66,6 @@ def check_admissible(p: float, q: float, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The cells of Omega
-# ---------------------------------------------------------------------------
-
-
-def _cells(geometry: GridGeometry,
-           mask: np.ndarray | fdiff.MaskCells | None) -> fdiff.MaskCells:
-    """The cells of Omega: a bool mask (None for the whole grid) or a MaskCells.
-
-    A report builds one MaskCells and passes it to every norm term, so its
-    neighbor tables are built once.
-    """
-    if isinstance(mask, fdiff.MaskCells):
-        if mask.geometry != geometry:
-            raise ValueError("mask cells belong to another grid")
-        return mask
-    return fdiff.MaskCells(geometry, mask)
-
-
-# ---------------------------------------------------------------------------
 # Phase alignment
 # ---------------------------------------------------------------------------
 
@@ -202,14 +183,6 @@ class PackedField:
     mask: np.ndarray | None
     values: np.ndarray
 
-    @classmethod
-    def pack(cls, F: PhaseSpaceGrid, mask: np.ndarray) -> "PackedField":
-        """F at the cells of mask.  An all-True mask keeps a flat view, not a copy."""
-        mask = grid_array(mask, F.geometry.extents, bool, "mask")
-        if mask.all():
-            return cls(F.geometry, None, F.values.ravel())
-        return cls(F.geometry, mask, F.values[mask])
-
     def select(self, mask: np.ndarray | None) -> np.ndarray:
         """The values at the cells of a full-grid mask, every held cell for None.
 
@@ -317,39 +290,25 @@ def align_phase_multicomponent(F1: PhaseSpaceGrid | PackedField,
 
     Packed fields must hold every active cell of the partition.
     """
-    grid_array(partition.labels, F1.geometry.extents, None, "partition")
-    parts = []
-    for i in range(1, partition.num_components + 1):
-        comp = partition.component(i)
-        if not comp.any():
-            raise ValueError(f"partition component {i} is empty")
-        parts.append(align_phase_global(F1, F2, p, mask=comp))
-    return MulticomponentAlignment(alignments=tuple(parts),
+    _check_partition(partition, F1.geometry)
+    parts = tuple(align_phase_global(F1, F2, p, mask=partition.component(i))
+                  for i in range(1, partition.num_components + 1))
+    return MulticomponentAlignment(alignments=parts,
                                    total_residual=float(sum(a.residual for a in parts)))
+
+
+def _check_partition(partition: DomainPartition, geometry: GridGeometry) -> None:
+    """A partition must live on the phase-space grid and no component may be empty."""
+    if partition.geometry != geometry:
+        raise ValueError("partition must live on the phase-space grid")
+    sizes = np.bincount(partition.labels.ravel(), minlength=partition.num_components + 1)
+    if not sizes[1:].all():
+        raise ValueError(f"partition component {int(np.argmin(sizes[1:])) + 1} is empty")
 
 
 # ---------------------------------------------------------------------------
 # Norm terms of the right-hand sides
 # ---------------------------------------------------------------------------
-
-
-def _on_cells(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray,
-              mask: np.ndarray | fdiff.MaskCells | None
-              ) -> tuple[fdiff.MaskCells, np.ndarray, np.ndarray]:
-    """The cells of Omega and |Gf|, |Gg| at them.
-
-    S1 and S2 are Spectrograms on one grid, which are packed at the cells
-    of mask, or their values already packed at the cells of a MaskCells
-    mask, in its cell order.
-    """
-    if isinstance(S1, Spectrogram) and isinstance(S2, Spectrogram):
-        if S1.geometry != S2.geometry:
-            raise ValueError("spectrograms must share one geometry")
-        cells = _cells(S1.geometry, mask)
-        return cells, cells.pack(S1.values), cells.pack(S2.values)
-    if not isinstance(mask, fdiff.MaskCells):
-        raise TypeError("packed spectrogram values need the MaskCells they are packed at")
-    return mask, mask.packed(np.asarray(S1, float)), mask.packed(np.asarray(S2, float))
 
 
 def _check_exponent(value: float, name: str = "p") -> None:
@@ -378,37 +337,36 @@ def _shape_weight(geometry: GridGeometry, z0, cells: fdiff.MaskCells) -> np.ndar
     return out
 
 
-# Each norm term takes |Gf| and |Gg| as Spectrograms, or packed at the cells
-# of a MaskCells mask (see _on_cells), and evaluates on the packed values.
+def _at_cells(cells: fdiff.MaskCells, *fields: np.ndarray) -> list[np.ndarray]:
+    """A norm term's real fields, packed at the cells of Omega in cell order
+    (MaskCells.pack packs a full grid), as floats; ValueError for another length."""
+    return [cells.packed(np.asarray(v, float)) for v in fields]
 
 
-def sobolev_diff_pieces(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p: float,
-                        mask: np.ndarray | fdiff.MaskCells | None = None
-                        ) -> tuple[float, float]:
+def sobolev_diff_pieces(s1: np.ndarray, s2: np.ndarray, p: float,
+                        cells: fdiff.MaskCells) -> tuple[float, float]:
     """(value, gradient) L^p norms of the spectrogram difference.
 
     Gradients are mask-aware central differences, one-sided at the mask
     boundary.
     """
-    cells, s1, s2 = _on_cells(S1, S2, mask)
+    s1, s2 = _at_cells(cells, s1, s2)
     _check_exponent(p)
     geom = cells.geometry
     return (_lp_norm(s1 - s2, geom, p),
             _lp_norm(cells.difference_gradient_norm(s1, s2), geom, p))
 
 
-def sobolev_diff_norm(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p: float,
-                      mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
+def sobolev_diff_norm(s1: np.ndarray, s2: np.ndarray, p: float, cells: fdiff.MaskCells) -> float:
     """W^{1,p}(Omega) norm of |Gf| - |Gg|: value plus gradient L^p norms."""
-    value, grad = sobolev_diff_pieces(S1, S2, p, mask)
+    value, grad = sobolev_diff_pieces(s1, s2, p, cells)
     return value + grad
 
 
-def weighted_lq_diff_norm(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray,
-                          q: float, z0,
-                          mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
+def weighted_lq_diff_norm(s1: np.ndarray, s2: np.ndarray, q: float, z0,
+                          cells: fdiff.MaskCells) -> float:
     """L^q norm of (1 + |z - z0|^{2d+2}) (|Gf| - |Gg|) over Omega, for q >= 1."""
-    cells, s1, s2 = _on_cells(S1, S2, mask)
+    s1, s2 = _at_cells(cells, s1, s2)
     _check_exponent(q, "q")
     geom = cells.geometry
     return _lp_norm(_shape_weight(geom, z0, cells) * (s1 - s2), geom, q)
@@ -419,21 +377,21 @@ class LogDerivTerm(NamedTuple):
     excluded_mass_fraction: float
 
 
-def logderiv_term(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p: float,
-                  mask: np.ndarray | fdiff.MaskCells | None = None) -> LogDerivTerm:
+def logderiv_term(s1: np.ndarray, s2: np.ndarray, p: float,
+                  cells: fdiff.MaskCells) -> LogDerivTerm:
     """L^p norm of (grad |Gf| / |Gf|) (|Gf| - |Gg|) over the included cells.
 
-    Cells with |Gf| below 1e-12 of its maximum are excluded from the
-    quadrature; the fraction of spectrogram mass they carry is reported.
-    The maximum is that of S1 over its grid, or of the packed values: on
-    Omega, the two agree.
+    Cells with |Gf| below 1e-12 of its maximum over the cells are excluded
+    from the quadrature; the fraction of spectrogram mass they carry is
+    reported.  Omega holds the maximum of |Gf| over the grid, so on Omega
+    the two maxima agree.
     """
-    cells, s1, s2 = _on_cells(S1, S2, mask)
+    s1, s2 = _at_cells(cells, s1, s2)
     _check_exponent(p)
     geom = cells.geometry
-    peak = float((S1.values if isinstance(S1, Spectrogram) else s1).max())
+    peak = float(s1.max(initial=0.0))
     if peak <= 0:
-        raise ValueError("reference spectrogram is identically zero")
+        raise ValueError("reference spectrogram is identically zero on the cells")
     keep = s1 > LOGDERIV_EXCLUSION * peak
     total = float(s1.sum())
     excluded_mass = float(s1[~keep].sum())
@@ -447,16 +405,11 @@ def logderiv_term(S1: Spectrogram | np.ndarray, S2: Spectrogram | np.ndarray, p:
     return LogDerivTerm(value=value, excluded_mass_fraction=fraction)
 
 
-def dnorm(field: np.ndarray, geometry: GridGeometry, p: float, q: float, z0,
-          mask: np.ndarray | fdiff.MaskCells | None = None) -> float:
-    """Noise-space norm: W^{1,p}(Omega) plus the weighted L^q norm.
-
-    field is a real grid, or its values packed at the cells of a MaskCells
-    mask.
-    """
+def dnorm(values: np.ndarray, p: float, q: float, z0, cells: fdiff.MaskCells) -> float:
+    """Noise-space norm of a packed real field: W^{1,p}(Omega) plus the weighted L^q norm."""
+    geometry = cells.geometry
     check_admissible(p, q, geometry.rank // 2)
-    cells = _cells(geometry, mask)
-    values = cells.packed(np.asarray(field, float))
+    (values,) = _at_cells(cells, values)
     weight = _shape_weight(geometry, z0, cells)
     return (_lp_norm(values, geometry, p)
             + _lp_norm(cells.gradient_norm(values), geometry, p)
@@ -588,14 +541,15 @@ def cheeger_route_terms(F1: PhaseSpaceGrid, F2: PhaseSpaceGrid, p: float,
         raise ValueError("h must be nonnegative")
     cells = fdiff.MaskCells(F1.geometry, mask)
     lhs = align_phase_global(F1, F2, p, mask=cells.mask).residual
-    return _route_terms(lhs, spectrogram(F1), spectrogram(F2), p, cells, h)
+    s1, s2 = (cells.pack(spectrogram(F).values) for F in (F1, F2))
+    return _route_terms(lhs, s1, s2, p, cells, h)
 
 
-def _route_terms(lhs: float, S1: Spectrogram, S2: Spectrogram, p: float,
+def _route_terms(lhs: float, s1: np.ndarray, s2: np.ndarray, p: float,
                  cells: fdiff.MaskCells, h: float) -> CheegerRouteCheck:
-    """The Cheeger-route terms on the cells of Omega, given the aligned distance lhs."""
-    value, grad = sobolev_diff_pieces(S1, S2, p, cells)
-    ld = logderiv_term(S1, S2, p, cells)
+    """The Cheeger-route terms from |Gf|, |Gg| packed on Omega, given the lhs."""
+    value, grad = sobolev_diff_pieces(s1, s2, p, cells)
+    ld = logderiv_term(s1, s2, p, cells)
     factor = math.inf if h == 0.0 else 2.0 ** 4.5 / h
     return CheegerRouteCheck(lhs=lhs, value_term=value, gradient_term=grad,
                              logderiv=ld, h=h, rhs=value + factor * (grad + ld.value))
@@ -755,7 +709,9 @@ def _assemble_terms(transforms, pg: GridGeometry, p: float, q: float,
          the packed moduli, through one MaskCells of Omega.
     """
     coarsen = check_coarsen_factor(cheeger_coarsen)
-    extra = None if partition is None else active_mask(partition.active, pg.extents).ravel()
+    if partition is not None:
+        _check_partition(partition, pg)
+    extra = None if partition is None else partition.active.ravel()
     if noise is not None and noise.geometry != pg:
         raise ValueError("noise field must live on the phase-space grid")
     transform_f, transform_g = transforms
@@ -786,7 +742,7 @@ def _assemble_terms(transforms, pg: GridGeometry, p: float, q: float,
     cells = fdiff.MaskCells(pg, omega)
     route = _route_terms(lhs, s1, s2, p, cells, h)
     sobolev = route.value_term + route.gradient_term
-    weighted = weighted_lq_diff_norm(s1, s2, q, z0, mask=cells)
+    weighted = weighted_lq_diff_norm(s1, s2, q, z0, cells)
     shape_factor = math.inf if h == 0.0 else 1.0 + 1.0 / h
     rhs_shape = shape_factor * (sobolev + weighted)
     report = {
@@ -812,10 +768,10 @@ def _assemble_terms(transforms, pg: GridGeometry, p: float, q: float,
         report["multicomponent_residual"] = multi.total_residual
     if noise is not None:
         gamma = cells.pack(noise.values)
-        gamma_dnorm = dnorm(gamma, pg, p, q, z0, mask=cells)
+        gamma_dnorm = dnorm(gamma, p, q, z0, cells)
         achieved = s1 + gamma
         achieved -= s2
-        epsilon = dnorm(achieved, pg, p, q, z0, mask=cells)
+        epsilon = dnorm(achieved, p, q, z0, cells)
         report["noise_epsilon"] = epsilon
         report["noise_gamma_dnorm"] = gamma_dnorm
         report["noise_bound"] = shape_factor * (epsilon + gamma_dnorm)

@@ -632,6 +632,27 @@ class TestStability:
         assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
         assert "axis" in capsys.readouterr().err
 
+    def test_partition_with_an_empty_component_exits_2_before_any_transform(
+            self, tmp_path, capsys, monkeypatch):
+        # Every x of the phase box lies at or above the threshold, so the
+        # split's lower component is empty.
+        from gaborstab import stability
+
+        calls = []
+        transform = stability.gabor_transform
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "gabor_transform", counting)
+        cfg = write_cfg(tmp_path, "stab.json",
+                        self.stability_cfg(partition={"axis": 0, "threshold": -5.0}))
+        out = tmp_path / "out"
+        assert run_main("stability", cfg, out) == cli.EXIT_CONFIG
+        assert "partition component 1 is empty" in capsys.readouterr().err
+        assert calls == [] and os.listdir(out) == []
+
     def test_band_limited_noise_needs_seed(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "stab.json", self.stability_cfg(
             noise={"kind": "band-limited", "amplitude": 0.001, "cutoff": 4}))

@@ -116,11 +116,11 @@ class TestWhereStencilOracle:
             v = v + 1j * rng.standard_normal(extents)
         cells = fdiff.MaskCells(geom, mask)
         want = where_stencil(v, geom, mask)
-        got = cells.derivatives(v)
+        got = cells.derivatives(cells.pack(v))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert np.array_equal(cells.gradient_norm(v), fdiff.gradient_norm(want))
+        assert np.array_equal(cells.gradient_norm(cells.pack(v)), fdiff.gradient_norm(want))
         # The full-grid path is the every-cell case.
         if mask is None:
             for g, w in zip(fdiff.gradient(v, geom), want):
@@ -136,9 +136,10 @@ class TestWhereStencilOracle:
         mask = _oracle_masks(extents, rng)[mask_kind]
         a, b = rng.random(extents), rng.random(extents)
         cells = fdiff.MaskCells(geom, mask)
+        pa, pb = cells.pack(a), cells.pack(b)
         want = fdiff.gradient_norm(where_stencil(a - b, geom, mask))
-        assert np.array_equal(cells.difference_gradient_norm(a, b), want)
-        assert np.array_equal(cells.difference_gradient_norm(a, b), cells.gradient_norm(a - b))
+        assert np.array_equal(cells.difference_gradient_norm(pa, pb), want)
+        assert np.array_equal(cells.difference_gradient_norm(pa, pb), cells.gradient_norm(pa - pb))
 
     @pytest.mark.parametrize("extents", ORACLE_EXTENTS, ids=lambda e: f"rank{len(e)}")
     @pytest.mark.parametrize("mask_kind", ORACLE_MASKS)
@@ -157,17 +158,26 @@ class TestWhereStencilOracle:
             a = a + 1j * rng.standard_normal(extents)
         cells = fdiff.MaskCells(geom, mask)
         pa, pb = cells.pack(a), cells.pack(b)
-        for g, w in zip(cells.derivatives(pa), where_stencil(a, geom, mask)):
+        # On every cell, packing is a flat view of the grid.
+        assert np.shares_memory(pa, a) == (mask is None)
+        want = where_stencil(a, geom, mask)
+        for g, w in zip(cells.derivatives(pa), want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert np.array_equal(cells.gradient_norm(pa), cells.gradient_norm(a))
+        assert np.array_equal(cells.gradient_norm(pa), fdiff.gradient_norm(want))
         assert np.array_equal(cells.difference_gradient_norm(pa, pb),
-                              cells.difference_gradient_norm(a, b))
+                              fdiff.gradient_norm(where_stencil(a - b, geom, mask)))
 
     def test_packed_field_of_the_wrong_length_is_refused(self):
+        # A full grid is not packed: MaskCells.pack is the one way in.
         geom = box_geometry((6, 5), -1.0, 1.0)
         cells = fdiff.MaskCells(geom, np.arange(30).reshape(6, 5) % 3 == 0)
+        for values in (np.zeros(11), np.zeros((6, 5))):
+            for call in (cells.derivatives, cells.gradient_norm,
+                         lambda v: cells.difference_gradient_norm(v, v)):
+                with pytest.raises(ValueError, match="value array shape"):
+                    call(values)
         with pytest.raises(ValueError, match="value array shape"):
-            cells.gradient_norm(np.zeros(11))
+            cells.difference_gradient_norm(np.zeros(10), np.zeros(11))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
     def test_other_dtypes_equal_the_oracle(self, dtype):
@@ -175,17 +185,16 @@ class TestWhereStencilOracle:
         v = (np.arange(30) ** 2 % 17).reshape(6, 5)
         v = (v * (3 - 1j if np.dtype(dtype).kind == "c" else 3)).astype(dtype)
         mask = np.indices((6, 5)).sum(axis=0) % 3 != 0
-        for g, w in zip(fdiff.MaskCells(geom, mask).derivatives(v), where_stencil(v, geom, mask)):
+        cells = fdiff.MaskCells(geom, mask)
+        for g, w in zip(cells.derivatives(cells.pack(v)), where_stencil(v, geom, mask)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
-    def test_multi_index_is_computed_per_axis(self):
+    def test_only_the_flat_index_flags_and_position_map_are_kept(self):
         rng = np.random.default_rng(3)
         geom = box_geometry((4, 3, 5, 4), -1.0, 1.0)
         mask = rng.random(geom.extents) < 0.5
         cells = fdiff.MaskCells(geom, mask)
-        for axis, want in enumerate(np.nonzero(mask)):
-            assert np.array_equal(cells.axis_index(axis), want)
-        cells.gradient_norm(rng.standard_normal(geom.extents))
+        cells.gradient_norm(cells.pack(rng.standard_normal(geom.extents)))
         # Only the flat index, the neighbor flags and the full-grid position
         # map of a masked field are kept.
         assert set(vars(cells)) == {"geometry", "mask", "flat_index", "_neighbors", "_position"}
@@ -214,10 +223,10 @@ class TestBlockSeams:
             b = b + 1j * rng.standard_normal(extents)
         cells = fdiff.MaskCells(geom, mask)
         assert cells.flat_index.size >= 2
-        got = cells.gradient_norm(a)
+        got = cells.gradient_norm(cells.pack(a))
         assert got.dtype == np.float64
         assert np.array_equal(got, fdiff.gradient_norm(where_stencil(a, geom, mask)))
-        assert np.array_equal(cells.difference_gradient_norm(a, b),
+        assert np.array_equal(cells.difference_gradient_norm(cells.pack(a), cells.pack(b)),
                               fdiff.gradient_norm(where_stencil(a - b, geom, mask)))
 
 
@@ -228,7 +237,8 @@ class TestStencil:
         v = 2.5 * x - 0.75 * y + 1.0 + 0.0 * x * y
         mask = np.ones(geom.extents, bool)
         mask[3:5, 2:4] = False
-        gx, gy = fdiff.MaskCells(geom, mask).derivatives(v)
+        cells = fdiff.MaskCells(geom, mask)
+        gx, gy = cells.derivatives(cells.pack(v))
         assert gx.size == mask.sum()
         assert np.allclose(gx, 2.5, rtol=0, atol=1e-12)
         assert np.allclose(gy, -0.75, rtol=0, atol=1e-12)
@@ -244,7 +254,8 @@ class TestStencil:
         mask = np.ones(geom.extents, bool)
         mask[6, :] = False
         gx = np.zeros(geom.extents)
-        gx[mask] = fdiff.MaskCells(geom, mask).derivatives(v)[0]
+        cells = fdiff.MaskCells(geom, mask)
+        gx[mask] = cells.derivatives(cells.pack(v))[0]
         exact = np.broadcast_to(2 * a * x + b, geom.extents)
         central = [1, 2, 3, 4, 8, 9]
         assert np.allclose(gx[central], exact[central], atol=1e-12)
@@ -258,9 +269,9 @@ class TestStencil:
         mask = np.zeros((5, 5), bool)
         mask[0, 0] = mask[2, 2] = mask[4, 1] = True
         cells = fdiff.MaskCells(geom, mask)
-        for g in cells.derivatives(v):
+        for g in cells.derivatives(cells.pack(v)):
             assert not g.any()
-        assert not cells.gradient_norm(v).any()
+        assert not cells.gradient_norm(cells.pack(v)).any()
 
     def test_axis_of_one_sample_has_no_neighbors(self):
         geom = GridGeometry((1, 4), (1.0, 0.5), (0.0, 0.0))
@@ -277,7 +288,7 @@ class TestStencil:
         v = (np.arange(30).reshape(6, 5) * (1 + 1j if np.dtype(dtype).kind == "c" else 1))
         for g in fdiff.gradient(v.astype(dtype), geom):
             assert g.dtype == out
-        assert fdiff.MaskCells(geom).gradient_norm(v.astype(dtype)).dtype == np.float64
+        assert fdiff.MaskCells(geom).gradient_norm(v.astype(dtype).ravel()).dtype == np.float64
 
     def test_complex_field_differentiates_both_parts(self):
         geom = box_geometry((8, 6), -1.0, 1.0)
@@ -304,14 +315,15 @@ class TestPackedPath:
         v = rng.standard_normal(geom.extents) + 1j * rng.standard_normal(geom.extents)
         mask = rng.random(geom.extents) < 0.5 if masked else None
         reference = reference_gradient(v, geom, mask)
+        cells = fdiff.MaskCells(geom, mask)
         if masked:
-            pairs = zip(fdiff.MaskCells(geom, mask).derivatives(v), (r[mask] for r in reference))
+            pairs = zip(cells.derivatives(cells.pack(v)), (r[mask] for r in reference))
         else:
             pairs = zip(fdiff.gradient(v, geom), reference)
         for got, want in pairs:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         full = fdiff.gradient_norm(reference)
-        packed = fdiff.MaskCells(geom, mask).gradient_norm(v)
+        packed = cells.gradient_norm(cells.pack(v))
         assert np.array_equal(packed, full.ravel() if mask is None else full[mask])
 
     def test_pack_and_index_follow_row_major_order(self):
@@ -321,8 +333,8 @@ class TestPackedPath:
         mask = rng.random(geom.extents) < 0.5
         cells = fdiff.MaskCells(geom, mask)
         assert np.array_equal(cells.pack(v), v[mask])
-        for axis, want in enumerate(np.nonzero(mask)):
-            assert np.array_equal(cells.axis_index(axis), want)
+        for got, want in zip(np.unravel_index(cells.flat_index, geom.extents), np.nonzero(mask)):
+            assert np.array_equal(got, want)
 
     def test_later_edits_of_the_mask_do_not_reach_the_tables(self):
         geom = box_geometry((6, 6), -1.0, 1.0)
@@ -332,7 +344,7 @@ class TestPackedPath:
         cells = fdiff.MaskCells(geom, mask)
         want = fdiff.gradient_norm(reference_gradient(v, geom, mask))[mask]
         mask[:] = True
-        assert np.array_equal(cells.gradient_norm(v), want)
+        assert np.array_equal(cells.gradient_norm(cells.pack(v)), want)
 
     def test_a_partition_is_not_a_mask(self):
         # A partition's active cells are partition.active; the partition
@@ -356,8 +368,8 @@ def test_packed_norm_equals_reference_at_mask_cells(seed, rank, density, is_comp
         v = v + 1j * rng.standard_normal(extents)
     mask = rng.random(extents) < density
     want = fdiff.gradient_norm(reference_gradient(v, geom, mask))[mask]
-    got = fdiff.MaskCells(geom, mask).gradient_norm(v)
+    cells = fdiff.MaskCells(geom, mask)
+    got = cells.gradient_norm(cells.pack(v))
     assert got.shape == want.shape and np.array_equal(got, want)
-    for g, r in zip(fdiff.MaskCells(geom, mask).derivatives(v),
-                    reference_gradient(v, geom, mask)):
+    for g, r in zip(cells.derivatives(cells.pack(v)), reference_gradient(v, geom, mask)):
         assert g.dtype == r.dtype and np.array_equal(g, r[mask])

@@ -103,6 +103,47 @@ def test_fft_path_equals_direct_path_on_lattice_boxes(d, seed):
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+def _shifted(shift: int, m: int) -> tuple[slice, slice]:
+    """Index ranges (to, from) along an axis of m cells where to = from + shift."""
+    return slice(max(shift, 0), m + min(shift, 0)), slice(max(-shift, 0), m - max(shift, 0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_shift_covariance_of_the_sampled_transform(d, seed):
+    # |G(M_b T_a f)|(x, y) = |Gf|(x - a, y - b) on the overlapping cells.
+    # a is k samples of the signal grid and k cells of the phase x axes,
+    # which share its spacing; b is l cells of the phase y axes.  f is
+    # random inside a zero margin wider than |k| samples, so T_a f's
+    # samples are f's rolled by k and both vanish on the boundary.
+    rng = np.random.default_rng(seed)
+    n, margin = (48, 10) if d == 1 else (16, 4)
+    dt = float(rng.choice([0.125, 0.25]))
+    sig_geom = GridGeometry((n,) * d, (dt,) * d, tuple(rng.uniform(-3.0, 1.0, d)))
+    values = np.zeros((n,) * d, complex)
+    inner = (slice(margin, n - margin),) * d
+    values[inner] = (rng.standard_normal(values[inner].shape)
+                     + 1j * rng.standard_normal(values[inner].shape))
+    k = rng.integers(1 - margin, margin, d)
+    extents, spacing, origin = [], [], []
+    for a in range(d):
+        extents += [abs(int(k[a])) + int(rng.integers(2, 6)), int(rng.integers(4, 9))]
+        spacing += [dt, float(rng.uniform(0.1, 0.5))]
+        origin += [sig_geom.origin[a] + float(rng.uniform(0.0, n * dt / 2.0)),
+                   float(rng.uniform(-2.0, 0.0))]
+    phase = GridGeometry(tuple(extents), tuple(spacing), tuple(origin))
+    l = np.array([int(rng.integers(-(m - 2), m - 1)) for m in extents[1::2]])
+    b = l * np.array(spacing[1::2])
+    t = np.meshgrid(*(sig_geom.axis_coordinates(a) for a in range(d)), indexing="ij")
+    shifted = np.exp(2j * np.pi * sum(bj * tj for bj, tj in zip(b, t))) * np.roll(
+        values, tuple(k), axis=tuple(range(d)))
+    S0 = np.abs(gabor_transform(SignalGrid(sig_geom, values), phase).values)
+    S = np.abs(gabor_transform(SignalGrid(sig_geom, shifted), phase).values)
+    to, frm = zip(*(_shifted(int(s), m) for s, m in zip(np.ravel(np.stack([k, l], 1)), extents)))
+    assert np.max(np.abs(S[to] - S0[frm])) <= 1e-12 * np.max(S0)
+
+
 # Signal grid, phase box and bump range per dimension.  The phase box
 # reaches 3.5 beyond every bump, where |Gf|^2 has fallen to e^{-pi 3.5^2};
 # phase spacing 1/8 (d = 1) and 1/4 (d = 2) sit on the FFT lattice.

@@ -64,6 +64,17 @@ def zero_spectrogram_like(S):
     return spectrogram(PhaseSpaceGrid(S.geometry, np.zeros(S.geometry.extents)))
 
 
+def on_cells(S1, S2, mask=None):
+    """S1 and S2 packed at the cells of mask (every cell for None), and the MaskCells."""
+    cells = fdiff.MaskCells(S1.geometry, mask)
+    return cells.pack(S1.values), cells.pack(S2.values), cells
+
+
+def packed_field(F, mask):
+    """F held at the True cells of mask, as a report packs it."""
+    return PackedField(F.geometry, mask, F.values[mask])
+
+
 SCAN_THETAS = 2.0 * math.pi * np.arange(COARSE_SCAN_POINTS) / COARSE_SCAN_POINTS
 
 
@@ -448,6 +459,14 @@ class TestMulticomponent:
         with pytest.raises(ValueError):
             align_phase_multicomponent(F, F, 2.0, part)
 
+    def test_partition_on_another_grid_with_the_same_extents_rejected(self):
+        # Refused, not applied by index to another box.
+        geom = box_geometry((4, 4), -1.0, 1.0)
+        part = DomainPartition.split_along_axis(box_geometry((4, 4), -2.0, 2.0), 0, 0.0)
+        F = PhaseSpaceGrid(geom, np.ones((4, 4)))
+        with pytest.raises(ValueError, match="partition must live on the phase-space grid"):
+            align_phase_multicomponent(F, F, 2.0, part)
+
 
 class TestPackedAlignment:
     """A PackedField pair aligns exactly as the full grids it was packed from."""
@@ -466,7 +485,7 @@ class TestPackedAlignment:
 
     @staticmethod
     def _packed(F1, F2, mask):
-        return PackedField.pack(F1, mask), PackedField.pack(F2, mask)
+        return packed_field(F1, mask), packed_field(F2, mask)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("p, force", [(1.0, False), (1.5, False), (2.0, False),
@@ -486,11 +505,12 @@ class TestPackedAlignment:
                 == align_phase_multicomponent(F1, F2, p, part))
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_all_true_mask_keeps_a_view(self, p):
+    def test_mask_none_holds_every_cell(self, p):
         F1, F2 = heavy_tailed_pair(0)
-        P1, P2 = self._packed(F1, F2, np.ones(F1.geometry.extents, bool))
-        assert P1.mask is None and np.shares_memory(P1.values, F1.values)
+        P1, P2 = (PackedField(F.geometry, None, F.values.ravel()) for F in (F1, F2))
         assert align_phase_global(P1, P2, p) == align_phase_global(F1, F2, p)
+        mask = np.ones(F1.geometry.extents, bool)
+        assert align_phase_global(P1, P2, p, mask=mask) == align_phase_global(F1, F2, p)
 
     def test_mask_outside_the_held_cells_rejected(self):
         F1, F2, omega, part = self._case(0)
@@ -499,16 +519,14 @@ class TestPackedAlignment:
             align_phase_global(P1, P2, 1.0, mask=part.active)
         with pytest.raises(ValueError, match="does not hold"):
             align_phase_multicomponent(P1, P2, 2.0, part)
-        with pytest.raises(ValueError, match="does not match grid extents"):
-            PackedField.pack(F1, omega[:-1])
 
     def test_pair_must_hold_the_same_cells(self):
         F1, F2, omega, part = self._case(1)
         with pytest.raises(ValueError, match="same cells"):
-            align_phase_global(PackedField.pack(F1, omega),
-                               PackedField.pack(F2, omega | part.active), 1.0)
+            align_phase_global(packed_field(F1, omega),
+                               packed_field(F2, omega | part.active), 1.0)
         with pytest.raises(ValueError, match="same cells"):
-            align_phase_global(PackedField.pack(F1, omega), F2, 2.0, mask=omega)
+            align_phase_global(packed_field(F1, omega), F2, 2.0, mask=omega)
 
 
 class TestNormTerms:
@@ -526,11 +544,11 @@ class TestNormTerms:
     @pytest.mark.parametrize("p", [1.0, 1.3, 2.0])
     def test_sobolev_pieces_against_closed_forms(self, p):
         S1 = spectrogram(gaussian_field())
-        S0 = zero_spectrogram_like(S1)
-        value, grad = sobolev_diff_pieces(S1, S0, p)
+        s1, s0, cells = on_cells(S1, zero_spectrogram_like(S1))
+        value, grad = sobolev_diff_pieces(s1, s0, p, cells)
         assert value == pytest.approx(self.value_exact(p), rel=1e-10)
         assert grad == pytest.approx(self.grad_exact(p), rel=5e-3)
-        assert sobolev_diff_norm(S1, S0, p) == pytest.approx(value + grad)
+        assert sobolev_diff_norm(s1, s0, p, cells) == pytest.approx(value + grad)
 
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("p", [1.0, 1.5, 5.0])
@@ -542,7 +560,8 @@ class TestNormTerms:
                                              + 1j * rng.standard_normal(geom.extents)))
                   for _ in range(2))
         mask = rng.random(geom.extents) < 0.4 if masked else None
-        value, _ = sobolev_diff_pieces(S1, S2, p, mask)
+        s1, s2, cells = on_cells(S1, S2, mask)
+        value, _ = sobolev_diff_pieces(s1, s2, p, cells)
         mag = np.abs(S1.values - S2.values)
         if mask is not None:
             mag = mag[mask]
@@ -564,7 +583,7 @@ class TestNormTerms:
         """|grad| of the stencil on the cells of mask (all for None), 0 elsewhere."""
         cells = fdiff.MaskCells(geom, mask)
         out = np.zeros(geom.extents)
-        np.put(out, cells.flat_index, fdiff.gradient_norm(cells.derivatives(values)))
+        np.put(out, cells.flat_index, fdiff.gradient_norm(cells.derivatives(cells.pack(values))))
         return out
 
     @staticmethod
@@ -588,7 +607,8 @@ class TestNormTerms:
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_gradient_piece_is_full_grid_formula_bit_for_bit(self, p, masked):
         geom, S1, S2, mask = self.random_case(masked)
-        _, grad = sobolev_diff_pieces(S1, S2, p, mask)
+        s1, s2, cells = on_cells(S1, S2, mask)
+        _, grad = sobolev_diff_pieces(s1, s2, p, cells)
         full = self.full_grid_gradient_norm(S1.values - S2.values, geom, mask)
         assert grad == self.full_grid_lp(full, geom, p, mask)
 
@@ -600,43 +620,74 @@ class TestNormTerms:
     @pytest.mark.parametrize("q", [1.0, 3.5])
     def test_weighted_norm_is_full_grid_formula_bit_for_bit(self, monkeypatch, q, masked):
         geom, S1, S2, mask = self.random_case(masked)
+        s1, s2, cells = on_cells(S1, S2, mask)
         z0 = (0.25, -0.5)
         with monkeypatch.context() as m:
             m.setattr(fdiff, "STENCIL_BLOCK", 7)
-            blocked = weighted_lq_diff_norm(S1, S2, q, z0, mask)
-        got = weighted_lq_diff_norm(S1, S2, q, z0, mask)
+            blocked = weighted_lq_diff_norm(s1, s2, q, z0, cells)
+        got = weighted_lq_diff_norm(s1, s2, q, z0, cells)
         weight = self.full_grid_weight(geom, z0)
         assert got == blocked == self.full_grid_lp(weight * (S1.values - S2.values), geom, q, mask)
 
+    def logderiv_full_grid(self, S1, S2, p, base):
+        """logderiv_term by its full-grid formula on the cells of base, with
+        the exclusion level taken from the maximum of S1 over those cells."""
+        geom = S1.geometry
+        included = base & (S1.values > 1e-12 * S1.values[base].max())
+        grad = self.full_grid_gradient_norm(S1.values, geom, included)
+        field = np.zeros(geom.extents)
+        field[included] = (grad[included] / S1.values[included]
+                           * (S1.values - S2.values)[included])
+        excluded = float(S1.values[base & ~included].sum()) / float(S1.values[base].sum())
+        return self.full_grid_lp(field, geom, p, included), excluded, included
+
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("p", [1.0, 1.5])
-    def test_logderiv_is_full_grid_formula_bit_for_bit(self, p, masked):
+    def test_logderiv_is_full_grid_formula_bit_for_bit(self, monkeypatch, p, masked):
         geom, S1, S2, mask = self.random_case(masked)
         # push some cells below the exclusion threshold
         vals = S1.values.copy()
         vals[::7, ::5] = 1e-14 * vals.max()
         S1 = spectrogram(PhaseSpaceGrid(geom, vals))
-        got = logderiv_term(S1, S2, p, mask)
+        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", 7)
+        s1, s2, cells = on_cells(S1, S2, mask)
+        got = logderiv_term(s1, s2, p, cells)
         base = np.ones(geom.extents, bool) if mask is None else mask
-        included = base & (S1.values > 1e-12 * S1.values.max())
+        value, excluded, included = self.logderiv_full_grid(S1, S2, p, base)
         assert 0 < included.sum() < base.sum()
-        grad = self.full_grid_gradient_norm(S1.values, geom, included)
-        field = np.zeros(geom.extents)
-        field[included] = (grad[included] / S1.values[included]
-                           * (S1.values - S2.values)[included])
-        assert got.value == self.full_grid_lp(field, geom, p, included)
-        excluded = float(S1.values[base & ~included].sum()) / float(S1.values[base].sum())
-        assert got.excluded_mass_fraction == excluded
+        assert (got.value, got.excluded_mass_fraction) == (value, excluded)
+
+    def test_logderiv_peak_is_the_maximum_over_the_cells(self):
+        # The mask leaves out the global peak, 1e3 against moduli of order
+        # one on the cells.  Cells at 1e-11 sit above 1e-12 of the maximum
+        # over the cells and below 1e-12 of the global one: they are
+        # included, and the term differs from one with the global peak.
+        geom, S1, S2, mask = self.random_case(True)
+        vals = S1.values.copy()
+        vals[::7, ::5] = 1e-11
+        vals.flat[np.flatnonzero(~mask)[0]] = 1e3
+        S1 = spectrogram(PhaseSpaceGrid(geom, vals))
+        s1, s2, cells = on_cells(S1, S2, mask)
+        got = logderiv_term(s1, s2, 1.5, cells)
+        value, excluded, included = self.logderiv_full_grid(S1, S2, 1.5, mask)
+        assert (got.value, got.excluded_mass_fraction) == (value, excluded)
+        assert np.array_equal(included, mask) and excluded == 0.0
+        # The global peak would have left out the cells at 1e-11.
+        global_rule = mask & (S1.values > 1e-12 * S1.values.max())
+        assert 0 < global_rule.sum() < mask.sum()
+        t1, t2, kept = on_cells(S1, S2, global_rule)
+        assert logderiv_term(t1, t2, 1.5, kept).value != got.value
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_dnorm_is_full_grid_formula_bit_for_bit(self, monkeypatch, masked):
         geom, S1, S2, mask = self.random_case(masked)
         field = S1.values - S2.values
+        cells = fdiff.MaskCells(geom, mask)
         z0 = (-0.5, 0.125)
         with monkeypatch.context() as m:
             m.setattr(fdiff, "STENCIL_BLOCK", 7)
-            blocked = dnorm(field, geom, 1.2, 3.5, z0, mask)
-        got = dnorm(field, geom, 1.2, 3.5, z0, mask)
+            blocked = dnorm(cells.pack(field), 1.2, 3.5, z0, cells)
+        got = dnorm(cells.pack(field), 1.2, 3.5, z0, cells)
         grad = self.full_grid_gradient_norm(field, geom, mask)
         weight = self.full_grid_weight(geom, z0)
         assert got == blocked == (self.full_grid_lp(field, geom, 1.2, mask)
@@ -650,31 +701,32 @@ class TestNormTerms:
         r2 = geom.distance_sq()
         x, y = geom.coordinate_arrays()
         field = np.exp(-r2) * (1.0 + 0.5 * np.cos(3.0 * x) * np.sin(2.0 * y))
-        assert dnorm(field, geom, 1.2, 3.5, (0.25, -0.5), r2 <= 2.5) == 8.919627322007907
+        cells = fdiff.MaskCells(geom, r2 <= 2.5)
+        assert dnorm(cells.pack(field), 1.2, 3.5, (0.25, -0.5), cells) == 8.919627322007907
 
-    def test_shared_mask_cells_give_the_mask_results(self):
+    def test_shared_mask_cells_give_fresh_cells_results(self):
+        # A report passes one MaskCells to every term, whose neighbor tables
+        # are built on first use and kept.
         geom, S1, S2, mask = self.random_case(True)
-        cells = fdiff.MaskCells(geom, mask)
+        s1, s2, shared = on_cells(S1, S2, mask)
         z0 = (0.25, -0.5)
-        terms = (lambda m: sobolev_diff_pieces(S1, S2, 1.5, m),
-                 lambda m: weighted_lq_diff_norm(S1, S2, 3.5, z0, m),
-                 lambda m: logderiv_term(S1, S2, 1.5, m),
-                 lambda m: dnorm(S1.values - S2.values, geom, 1.2, 3.5, z0, m))
+        terms = (lambda c: sobolev_diff_pieces(s1, s2, 1.5, c),
+                 lambda c: weighted_lq_diff_norm(s1, s2, 3.5, z0, c),
+                 lambda c: logderiv_term(s1, s2, 1.5, c),
+                 lambda c: dnorm(s1 - s2, 1.2, 3.5, z0, c))
         for term in terms:
-            assert term(cells) == term(mask)
-        other = fdiff.MaskCells(box_geometry((61, 67), -2.0, 2.0), mask)
-        with pytest.raises(ValueError, match="another grid"):
-            sobolev_diff_pieces(S1, S2, 1.0, other)
+            assert term(shared) == term(fdiff.MaskCells(geom, mask))
 
     def test_sobolev_zero_for_identical_fields(self):
         S1 = spectrogram(gaussian_field(n=33))
-        assert sobolev_diff_norm(S1, S1, 1.5) == 0.0
+        s1, _, cells = on_cells(S1, S1)
+        assert sobolev_diff_norm(s1, s1, 1.5, cells) == 0.0
 
     def test_weighted_norm_against_moment_formula(self):
         # integral of (1 + r^4)^3 (2^{-1/2} e^{-pi r^2/2})^3 via Gaussian moments
         S1 = spectrogram(gaussian_field(n=257, half=8.0))
-        S0 = zero_spectrogram_like(S1)
-        got = weighted_lq_diff_norm(S1, S0, 3.0, (0.0, 0.0))
+        s1, s0, cells = on_cells(S1, zero_spectrogram_like(S1))
+        got = weighted_lq_diff_norm(s1, s0, 3.0, (0.0, 0.0), cells)
         a = 3.0 * np.pi / 2.0
         integral = 2.0 ** -1.5 * np.pi * (
             1.0 / a + 3.0 * math.factorial(2) / a ** 3
@@ -683,73 +735,59 @@ class TestNormTerms:
 
     def test_weighted_norm_rejects_q_below_one(self):
         S1 = spectrogram(gaussian_field(n=33))
-        S0 = zero_spectrogram_like(S1)
+        s1, s0, cells = on_cells(S1, zero_spectrogram_like(S1))
         with pytest.raises(AdmissibilityError):
-            weighted_lq_diff_norm(S1, S0, 0.5, (0.0, 0.0))
+            weighted_lq_diff_norm(s1, s0, 0.5, (0.0, 0.0), cells)
 
     def test_weighted_norm_z0_shape_checked(self):
         S1 = spectrogram(gaussian_field(n=33))
+        s1, _, cells = on_cells(S1, S1)
         with pytest.raises(ValueError):
-            weighted_lq_diff_norm(S1, S1, 3.0, (0.0,))
+            weighted_lq_diff_norm(s1, s1, 3.0, (0.0,), cells)
 
     def test_logderiv_gaussian_equals_gradient_piece(self):
         # with S2 = 0 the quotient collapses: (grad S / S) (S - 0) = |grad S|
         S1 = spectrogram(gaussian_field())
-        S0 = zero_spectrogram_like(S1)
+        s1, s0, cells = on_cells(S1, zero_spectrogram_like(S1))
         for p in (1.0, 2.0):
-            term = logderiv_term(S1, S0, p)
+            term = logderiv_term(s1, s0, p, cells)
             assert term.value == pytest.approx(self.grad_exact(p), rel=5e-3)
             assert 0.0 < term.excluded_mass_fraction < 1e-10
 
     def test_logderiv_zero_reference_rejected(self):
         S1 = spectrogram(gaussian_field(n=33))
-        S0 = zero_spectrogram_like(S1)
-        with pytest.raises(ValueError):
-            logderiv_term(S0, S1, 1.0)
-
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_packed_terms_equal_the_full_grid_terms(self, monkeypatch, masked):
-        # The moduli packed at the cells, as a report passes them, against
-        # full-grid spectrograms, on a mask where logderiv_term excludes
-        # cells.  The mask holds the peak of S1, as Omega does.
-        geom, S1, S2, mask = self.random_case(masked)
-        vals = S1.values.copy()
-        vals[::7, ::5] = 1e-14 * vals.max()
-        S1 = spectrogram(PhaseSpaceGrid(geom, vals))
-        if mask is not None:
-            mask.flat[np.argmax(vals)] = True
-        cells = fdiff.MaskCells(geom, mask)
-        s1, s2 = cells.pack(S1.values), cells.pack(S2.values)
-        assert 0.0 < logderiv_term(S1, S2, 1.5, mask).excluded_mass_fraction
-        z0 = (0.25, -0.5)
-        monkeypatch.setattr(fdiff, "STENCIL_BLOCK", 7)
-        assert sobolev_diff_pieces(s1, s2, 1.5, cells) == sobolev_diff_pieces(S1, S2, 1.5, mask)
-        assert logderiv_term(s1, s2, 1.5, cells) == logderiv_term(S1, S2, 1.5, mask)
-        assert (weighted_lq_diff_norm(s1, s2, 3.5, z0, cells)
-                == weighted_lq_diff_norm(S1, S2, 3.5, z0, mask))
-        assert (dnorm(s1 - s2, geom, 1.2, 3.5, z0, cells)
-                == dnorm(S1.values - S2.values, geom, 1.2, 3.5, z0, mask))
+        s0, s1, cells = on_cells(zero_spectrogram_like(S1), S1)
+        with pytest.raises(ValueError, match="identically zero"):
+            logderiv_term(s0, s1, 1.0, cells)
 
     def test_packed_values_need_their_cells(self):
+        # Values of another length, a full grid among them, are refused.
         geom, S1, S2, mask = self.random_case(True)
-        cells = fdiff.MaskCells(geom, mask)
-        s1, s2 = cells.pack(S1.values), cells.pack(S2.values)
-        with pytest.raises(TypeError, match="MaskCells"):
-            sobolev_diff_pieces(s1, s2, 1.0, mask)
+        s1, s2, cells = on_cells(S1, S2, mask)
+        z0 = (0.0, 0.0)
+        terms = (lambda a, b: sobolev_diff_pieces(a, b, 1.0, cells),
+                 lambda a, b: sobolev_diff_norm(a, b, 1.0, cells),
+                 lambda a, b: weighted_lq_diff_norm(a, b, 3.0, z0, cells),
+                 lambda a, b: logderiv_term(a, b, 1.0, cells),
+                 lambda a, b: dnorm(a - b, 1.2, 3.5, z0, cells))
+        for term in terms:
+            for a, b in ((s1[:-1], s2[:-1]), (S1.values, S2.values)):
+                with pytest.raises(ValueError, match="value array shape"):
+                    term(a, b)
         with pytest.raises(ValueError, match="value array shape"):
-            weighted_lq_diff_norm(s1[:-1], s2[:-1], 3.0, (0.0, 0.0), cells)
+            sobolev_diff_pieces(s1, s2[:-1], 1.0, cells)
 
     def test_dnorm_homogeneity_and_gate(self):
         rng = np.random.default_rng(8)
-        geom = box_geometry((16, 16), -2.0, 2.0)
-        field = rng.standard_normal((16, 16))
-        base = dnorm(field, geom, 1.2, 3.5, (0.0, 0.0))
-        scaled = dnorm(4.0 * field, geom, 1.2, 3.5, (0.0, 0.0))
+        cells = fdiff.MaskCells(box_geometry((16, 16), -2.0, 2.0))
+        field = cells.pack(rng.standard_normal((16, 16)))
+        base = dnorm(field, 1.2, 3.5, (0.0, 0.0), cells)
+        scaled = dnorm(4.0 * field, 1.2, 3.5, (0.0, 0.0), cells)
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
         with pytest.raises(AdmissibilityError):
-            dnorm(field, geom, 2.0, 3.0, (0.0, 0.0))
+            dnorm(field, 2.0, 3.0, (0.0, 0.0), cells)
         with pytest.raises(ValueError):
-            dnorm(field[:8], geom, 1.2, 3.5, (0.0, 0.0))
+            dnorm(field[:8], 1.2, 3.5, (0.0, 0.0), cells)
 
 
 class TestNoise:
@@ -950,7 +988,8 @@ class TestStabilityReport:
         with pytest.raises(ValueError, match="noise"):
             stability_report(f, f, p=1.0, q=3.0, noise=noise)
 
-    @pytest.mark.parametrize("bad", ["noise", "partition", "coarsen"])
+    @pytest.mark.parametrize("bad", ["noise", "partition", "partition-same-extents",
+                                     "empty-component", "coarsen"])
     def test_arguments_refused_before_any_transform(self, monkeypatch, bad):
         from gaborstab import stability
 
@@ -964,10 +1003,19 @@ class TestStabilityReport:
         monkeypatch.setattr(stability, "gabor_transform", counting)
         f, g, pg, _ = _report_case(1)
         other = box_geometry((17, 17), -3.0, 3.0)
+        # A split of a +-2 box at x = 1, applied by index, would cut this
+        # +-3 box at x = 1.5.
+        same_extents = box_geometry(pg.extents, -2.0, 2.0)
         arguments, message = {
             "noise": ({"noise": noise_gaussian_bump(other, 0.01, 1.0)}, "noise"),
             "partition": ({"partition": DomainPartition.split_along_axis(other, 0, 0.0)},
-                          "mask shape"),
+                          "partition must live on the phase-space grid"),
+            "partition-same-extents": (
+                {"partition": DomainPartition.split_along_axis(same_extents, 0, 1.0)},
+                "partition must live on the phase-space grid"),
+            # Every x lies at or above the threshold: component 1 is empty.
+            "empty-component": ({"partition": DomainPartition.split_along_axis(pg, 0, -10.0)},
+                                "partition component 1 is empty"),
             "coarsen": ({"cheeger_coarsen": 0}, "coarsening factor"),
         }[bad]
         with pytest.raises(ValueError, match=message):
@@ -1021,21 +1069,21 @@ class TestStreamedReport:
         omega = S1.values >= 1e-9 * float(S1.values.max())
         est = sweep_cut_cheeger(weight_from_spectrogram(S1, power=p).coarsen(2))
         multi = align_phase_multicomponent(F1, F2, p, part)
-        cells = fdiff.MaskCells(pg, omega)
-        value, grad = sobolev_diff_pieces(S1, S2, p, omega)
-        ld = logderiv_term(S1, S2, p, omega)
+        s1, s2, cells = on_cells(S1, S2, omega)
+        value, grad = sobolev_diff_pieces(s1, s2, p, cells)
+        ld = logderiv_term(s1, s2, p, cells)
         z0 = S1.argmax_location
-        gamma = dnorm(noise.values, pg, p, q, z0, omega)
+        gamma = dnorm(cells.pack(noise.values), p, q, z0, cells)
         assert report.lhs == align_phase_global(F1, F2, p, mask=omega).residual
         assert (report.h_upper, report.fiedler_value) == (est.h_upper, est.fiedler_value)
         assert report.component_residuals == tuple(a.residual for a in multi.alignments)
         assert (report.value_term, report.gradient_term) == (value, grad)
         assert (report.logderiv_term, report.logderiv_excluded_mass) == (
             ld.value, ld.excluded_mass_fraction)
-        assert report.weighted_term == weighted_lq_diff_norm(S1, S2, q, z0, cells)
+        assert report.weighted_term == weighted_lq_diff_norm(s1, s2, q, z0, cells)
         assert report.noise_gamma_dnorm == gamma
-        assert report.noise_epsilon == dnorm(S1.values + noise.values - S2.values,
-                                             pg, p, q, z0, omega)
+        assert report.noise_epsilon == dnorm(cells.pack(S1.values + noise.values - S2.values),
+                                             p, q, z0, cells)
 
 
 class TestInstabilitySweep:
@@ -1064,9 +1112,9 @@ class TestInstabilitySweep:
         mask = S1.values >= 1e-9 * float(S1.values.max())
         lhs = align_phase_global(F1, F2, 1.0, mask=mask).residual
         h = sweep_cut_cheeger(weight_from_spectrogram(S1, power=1.0).coarsen(2)).h
-        cells = fdiff.MaskCells(pg, mask)
-        sobolev = sobolev_diff_norm(S1, S2, 1.0, cells)
-        weighted = weighted_lq_diff_norm(S1, S2, 3.0, S1.argmax_location, mask=cells)
+        s1, s2, cells = on_cells(S1, S2, mask)
+        sobolev = sobolev_diff_norm(s1, s2, 1.0, cells)
+        weighted = weighted_lq_diff_norm(s1, s2, 3.0, S1.argmax_location, cells)
         assert (row.T, row.h, row.lhs, row.sobolev, row.weighted) == (
             T, h, lhs, sobolev, weighted)
         assert row.ratio == lhs / (sobolev + weighted)
@@ -1362,7 +1410,7 @@ class TestFieldLifetime:
             base = tracemalloc.get_traced_memory()[0]
             sobolev_diff_pieces(s1, s2, 1.0, cells)
             logderiv_term(s1, s2, 1.0, cells)
-            weighted_lq_diff_norm(s1, s2, 5.0, z0, mask=cells)
+            weighted_lq_diff_norm(s1, s2, 5.0, z0, cells)
             peak = tracemalloc.get_traced_memory()[1] - base
         assert peak / np.count_nonzero(omega) <= 50.0
 

@@ -71,10 +71,6 @@ class WeightGrid:
     def active_count(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.values[self.mask].sum() * self.geometry.cell_volume)
-
     def coarsen(self, factor: int) -> "WeightGrid":
         """Block-mean downsample by an integer factor per axis.
 
@@ -277,9 +273,9 @@ def build_weight_graph(w: WeightGrid) -> WeightGraph:
         weights.append(ew[pos])
     return WeightGraph(
         masses=w.values[w.mask] * vol,
-        edge_tail=np.concatenate(tails) if tails else np.zeros(0, np.int64),
-        edge_head=np.concatenate(heads) if heads else np.zeros(0, np.int64),
-        edge_weight=np.concatenate(weights) if weights else np.zeros(0, float),
+        edge_tail=np.concatenate(tails),
+        edge_head=np.concatenate(heads),
+        edge_weight=np.concatenate(weights),
     )
 
 
@@ -592,16 +588,19 @@ def _sweep_prefix_cuts_full(sub: WeightGraph, satellite_mass: float,
     suffix_mass = np.cumsum(ordered[::-1])[::-1][1:] + satellite_mass
     min_mass = np.minimum(prefix_mass, suffix_mass)
     total = sub.total_mass + satellite_mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(min_mass > 0,
-                          cutw_local / np.where(min_mass > 0, min_mass, 1.0),
-                          math.inf)
+    ratios = _cut_ratios(cutw_local, min_mass)
     resolvable = min_mass >= SWEEP_MIN_MASS_FRACTION * total
     if not resolvable.any():
         resolvable = min_mass > 0
     if not resolvable.any():
         raise ValueError("every prefix cut has a massless side")
     return int(np.argmin(np.where(resolvable, ratios, math.inf))) + 1
+
+
+def _cut_ratios(cut_weight: np.ndarray, min_mass: np.ndarray) -> np.ndarray:
+    """cut / min mass, infinite where the light side is massless."""
+    return np.where(min_mass > 0, cut_weight / np.where(min_mass > 0, min_mass, 1.0),
+                    math.inf)
 
 
 def _prefix_cut_weights(graph: WeightGraph, order: np.ndarray) -> np.ndarray:
@@ -639,7 +638,4 @@ def exhaustive_cheeger_oracle(w: WeightGrid) -> float:
     # Complement masses by table lookup, not total-minus-side: subtraction
     # would lose light complements to cancellation.
     min_mass = np.minimum(side_mass, side_mass[full - subsets])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(min_mass > 0, cutw / np.where(min_mass > 0, min_mass, 1.0),
-                          math.inf)
-    return float(ratios[1:full].min())
+    return float(_cut_ratios(cutw, min_mass)[1:full].min())

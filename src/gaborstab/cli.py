@@ -128,12 +128,13 @@ class _Block:
     def errors(self, key: str | None = None):
         """Report a library ValueError as a ConfigError naming path.key.
 
-        ConfigError and GridFormatError pass through unchanged: the first
-        already names its key, the second maps to the I/O exit code.
+        ConfigError, GridFormatError and AdmissibilityError pass through
+        unchanged: the first already names its key, the others keep their
+        own exit codes (I/O and admissibility).
         """
         try:
             yield
-        except (ConfigError, GridFormatError):
+        except (ConfigError, GridFormatError, AdmissibilityError):
             raise
         except ValueError as exc:
             raise self.error(key, str(exc)) from exc
@@ -253,15 +254,9 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: str, rows) -> None:
     lines = [header]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(repr(v) for v in row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -519,8 +514,7 @@ def _stability_pair(cfg: _Block):
 
 
 def _run_stability(cfg: _Block, out_dir: str, seed) -> list[str]:
-    from .stability import (DEFAULT_CHEEGER_COARSEN, SWEEP_SPACING, instability_sweep,
-                            stability_report, sweep_phase_geometry)
+    from .stability import DEFAULT_CHEEGER_COARSEN, instability_sweep, stability_report
 
     coarsen = cfg.integer("coarsen", 1, default=DEFAULT_CHEEGER_COARSEN)
 
@@ -530,12 +524,8 @@ def _run_stability(cfg: _Block, out_dir: str, seed) -> list[str]:
         # Keys left out take instability_sweep's defaults.
         opts = {key: block.number(key)
                 for block, key in ((cfg, "p"), (cfg, "q"), (sw, "spacing")) if key in block}
-        # instability_sweep also sizes every grid before its first row; doing
-        # it here puts the config context on a T that cannot be run.
         with sw.errors():
-            for T in T_values:
-                sweep_phase_geometry(T, opts.get("spacing", SWEEP_SPACING))
-        rows = instability_sweep(T_values, cheeger_coarsen=coarsen, **opts)
+            rows = instability_sweep(T_values, cheeger_coarsen=coarsen, **opts)
         path = sw.output("output", out_dir)
         _write_csv(path, "T,h,lhs,sobolev,weighted,ratio",
                    [(r.T, r.h, r.lhs, r.sobolev, r.weighted, r.ratio) for r in rows])

@@ -275,10 +275,7 @@ def log_derivative_field(G: EntireFunctionSpec, geometry: GridGeometry | None = 
         mod = np.abs(vals)
         included = mod >= NEAR_ZERO_EXCLUSION * mod.max()
         wirt = fdiff.wirtinger_components(fdiff.gradient(vals, geometry))
-        comps = np.stack([np.where(included, w, 0.0) for w in wirt])
-        safe = np.where(included, vals, 1.0)
-        comps = comps / safe
-        comps = np.where(included[None], comps, 0.0)
+        comps = np.where(included, np.stack(wirt) / np.where(included, vals, 1.0), 0.0)
     else:
         if geometry is None:
             raise ValueError("analytic kinds need an explicit sampling geometry")

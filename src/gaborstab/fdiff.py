@@ -170,7 +170,7 @@ def gradient_norm(grads, out: np.ndarray | None = None) -> np.ndarray:
     for g in grads:
         term = np.abs(g) ** 2
         if acc is None:
-            acc = np.zeros(term.shape) + term
+            acc = term
         else:
             acc += term
     return np.sqrt(acc, out=out)

@@ -128,8 +128,6 @@ def box_geometry(extents, lo, hi) -> GridGeometry:
     extents = tuple(int(n) for n in np.atleast_1d(extents))
     lo = tuple(float(v) for v in np.broadcast_to(np.asarray(lo, float), (len(extents),)))
     hi = tuple(float(v) for v in np.broadcast_to(np.asarray(hi, float), (len(extents),)))
-    if not (len(extents) == len(lo) == len(hi)):
-        raise ValueError("extents, lo and hi must have equal length")
     if any(h <= l for l, h in zip(lo, hi)):
         raise ValueError("upper box edge must exceed lower edge")
     if any(n < 2 for n in extents):
@@ -231,27 +229,19 @@ class DomainPartition:
         return self.labels == i
 
     @classmethod
-    def from_masks(cls, geometry: GridGeometry, masks) -> "DomainPartition":
-        """Build a partition from disjoint boolean masks; overlap is an error."""
-        labels = np.zeros(geometry.extents, dtype=np.int64)
-        for i, mask in enumerate(masks, start=1):
-            mask = grid_array(mask, geometry.extents, bool, "component mask")
-            if np.any(labels[mask] != 0):
-                raise ValueError("component masks overlap")
-            labels[mask] = i
-        return cls(geometry=geometry, labels=labels)
-
-    @classmethod
     def split_along_axis(cls, geometry: GridGeometry, axis: int,
                          threshold: float) -> "DomainPartition":
         """Two components: cells with coordinate below / at-or-above a threshold.
 
-        axis must lie in [0, rank).
+        axis must lie in [0, rank), and the threshold must leave cells on both sides.
         """
         if not 0 <= axis < geometry.rank:
             raise ValueError(f"axis {axis} is out of range for a rank-{geometry.rank} grid")
-        coords = np.broadcast_to(geometry.coordinate_arrays()[axis], geometry.extents)
-        return cls(geometry=geometry, labels=np.where(coords < threshold, 1, 2))
+        below = geometry.coordinate_arrays()[axis] < threshold
+        if below.all() or not below.any():
+            raise ValueError(f"partition component {2 if below.all() else 1} is empty")
+        labels = np.broadcast_to(np.where(below, 1, 2), geometry.extents)
+        return cls(geometry=geometry, labels=labels)
 
 
 def active_mask(mask, shape) -> np.ndarray | None:

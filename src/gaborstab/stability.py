@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fdiff
+from . import fdiff, gabor
 from .cheeger import (ACTIVE_THRESHOLD, check_coarsen_factor, sweep_cut_cheeger,
                       weight_from_spectrogram)
 from .entire import check_logderiv_exponent
@@ -490,13 +490,11 @@ def make_instability_pair(d: int, T: float, geometry: GridGeometry) -> tuple[Sig
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"separation T must be positive and finite, got {T}")
-    if geometry.rank != d:
-        raise ValueError("geometry rank must equal the signal dimension")
     f_plus, f_minus = (make_analytic(spec, geometry) for spec in _instability_specs(T, d))
     peak = float(np.abs(f_plus.values).max())
     for grid in (f_plus, f_minus):
         edge = _boundary_max(grid.values)
-        if edge > 1e-12 * peak:
+        if edge > gabor.BOUNDARY_DECAY_TOL * peak:
             raise ValueError(
                 f"boundary magnitude {edge:.3e} shows the grid cannot contain "
                 f"both bumps at separation T = {T}")

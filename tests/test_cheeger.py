@@ -178,9 +178,10 @@ class TestWeightGrid:
 
     def test_total_mass_and_scaling(self):
         w = unit_grid((4,), values=np.array([1.0, 2.0, 3.0, 4.0]), spacing=0.5)
-        assert w.total_mass == pytest.approx(10.0 * 0.5)
+        mass = build_weight_graph(w).total_mass
+        assert mass == pytest.approx(10.0 * 0.5)
         w2 = WeightGrid(geometry=w.geometry, values=w.values * 3.0, mask=w.mask)
-        assert w2.total_mass == pytest.approx(3.0 * w.total_mass)
+        assert build_weight_graph(w2).total_mass == pytest.approx(3.0 * mass)
 
     def test_coarsen_block_means(self):
         vals = np.arange(16.0).reshape(4, 4)
@@ -192,7 +193,7 @@ class TestWeightGrid:
         # block centers: origin moves by (k-1) * spacing / 2
         assert c.geometry.origin == (0.25, 0.25)
         assert c.geometry.spacing == (1.0, 1.0)
-        assert c.total_mass == pytest.approx(w.total_mass)
+        assert build_weight_graph(c).total_mass == pytest.approx(build_weight_graph(w).total_mass)
 
     def test_coarsen_mask_any_rule(self):
         mask = np.zeros((4, 4), bool)
@@ -520,6 +521,26 @@ class TestSweep:
         est = sweep_cut_cheeger(unit_grid((8, 8), values=vals))
         assert not est.disconnected
         assert est.h_upper > 0.0
+
+    def test_light_satellite_is_swept_apart_on_the_complement_side(self):
+        # Cells 9 and 10 form a second component carrying 3e-13 of the mass,
+        # below MASSIVE_COMPONENT_FRACTION: the Fiedler vector and the sweep
+        # run on the subgraph of cells 0..6, and the satellite's mass joins
+        # the complement side of every prefix cut.
+        vals = np.array([1, 2, 3, 2.5, 1.5, 1, 2, 0, 0, 1e-13, 2e-13, 0])
+        bare = vals.copy()
+        bare[9:11] = 0.0
+        est, alone = (sweep_cut_cheeger(unit_grid((12,), values=v, mask=v > 0))
+                      for v in (vals, bare))
+        assert est.fiedler_value == alone.fiedler_value
+        assert est.fiedler_value == pytest.approx(0.22753087433741115, rel=1e-12)
+        assert est.h_upper == 0.41666666666662505
+        assert alone.h_upper == 0.4166666666666667
+        assert not est.disconnected
+        # Active cells 9 and 10 are the last two entries of the assignment.
+        assert not est.best_cut.side_assignment[7:].any()
+        assert np.array_equal(est.best_cut.side_assignment[:7],
+                              alone.best_cut.side_assignment)
 
     def test_two_bump_h_decreases_with_separation(self):
         hs = []

@@ -620,11 +620,20 @@ class TestStability:
             for cell in row:
                 assert repr(float(cell)) == cell
 
-    def test_inadmissible_exponents_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["report", "sweep"])
+    def test_inadmissible_exponents_exit_3(self, tmp_path, capsys, kind):
+        # The sweep's AdmissibilityError passes through its config-error wrap.
+        sweep = {"sweep": {"T_values": [2.0], "output": "sweep.csv"}, "p": 2.0, "q": 2.0}
         cfg = write_cfg(tmp_path, "stab.json",
-                        self.stability_cfg(p=2.0, q=2.0))
+                        self.stability_cfg(p=2.0, q=2.0) if kind == "report" else sweep)
         assert run_main("stability", cfg, tmp_path) == cli.EXIT_ADMISSIBILITY
         assert "inadmissible" in capsys.readouterr().err
+
+    def test_instability_pair_in_d_2_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "stab.json",
+                        self.stability_cfg(pair={"kind": "instability", "T": 2.0, "d": 2}))
+        assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
+        assert "stability.pair.d: " in capsys.readouterr().err
 
     def test_partition_axis_out_of_range(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "stab.json",
@@ -632,10 +641,10 @@ class TestStability:
         assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
         assert "axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold, empty", [(-5.0, 1), (5.0, 2)])
     def test_partition_with_an_empty_component_exits_2_before_any_transform(
-            self, tmp_path, capsys, monkeypatch):
-        # Every x of the phase box lies at or above the threshold, so the
-        # split's lower component is empty.
+            self, tmp_path, capsys, monkeypatch, threshold, empty):
+        # Every x of the +-2 phase box lies on one side of the threshold.
         from gaborstab import stability
 
         calls = []
@@ -647,10 +656,10 @@ class TestStability:
 
         monkeypatch.setattr(stability, "gabor_transform", counting)
         cfg = write_cfg(tmp_path, "stab.json",
-                        self.stability_cfg(partition={"axis": 0, "threshold": -5.0}))
+                        self.stability_cfg(partition={"axis": 0, "threshold": threshold}))
         out = tmp_path / "out"
         assert run_main("stability", cfg, out) == cli.EXIT_CONFIG
-        assert "partition component 1 is empty" in capsys.readouterr().err
+        assert f"partition component {empty} is empty" in capsys.readouterr().err
         assert calls == [] and os.listdir(out) == []
 
     def test_band_limited_noise_needs_seed(self, tmp_path, capsys):

@@ -207,22 +207,19 @@ class TestDomainPartition:
         with pytest.raises(ValueError, match=f"axis {axis} is out of range"):
             DomainPartition.split_along_axis(geom, axis=axis, threshold=0.0)
 
-    def test_from_masks_rejects_overlap(self):
-        geom = box_geometry((3,), 0.0, 1.0)
-        a = np.array([True, True, False])
-        b = np.array([False, True, True])
-        with pytest.raises(ValueError):
-            DomainPartition.from_masks(geom, [a, b])
+    @pytest.mark.parametrize("threshold, empty", [(-1.5, 1), (-1.0, 1), (1.5, 2)])
+    def test_split_refuses_a_threshold_that_empties_a_side(self, threshold, empty):
+        geom = box_geometry((4, 4), -1.0, 1.0)
+        with pytest.raises(ValueError, match=f"partition component {empty} is empty"):
+            DomainPartition.split_along_axis(geom, axis=0, threshold=threshold)
 
-    def test_from_masks_component_indexing(self):
+    def test_component_indexing(self):
         geom = box_geometry((3,), 0.0, 1.0)
-        a = np.array([True, False, False])
-        b = np.array([False, False, True])
-        part = DomainPartition.from_masks(geom, [a, b])
+        part = DomainPartition(geom, np.array([1, 0, 2]))
         assert part.num_components == 2
-        assert np.array_equal(part.component(1), a)
-        assert np.array_equal(part.component(2), b)
-        assert np.array_equal(part.active, a | b)
+        assert np.array_equal(part.component(1), [True, False, False])
+        assert np.array_equal(part.component(2), [False, False, True])
+        assert np.array_equal(part.active, [True, False, True])
         with pytest.raises(ValueError):
             part.component(0)
         with pytest.raises(ValueError):

@@ -965,6 +965,12 @@ class TestStabilityReport:
         with pytest.raises(AdmissibilityError):
             stability_report(f, f, p=2.0, q=2.0)
 
+    def test_d2_report_defaults_to_the_17_to_the_4_box(self):
+        f, g, _, _ = _report_case(2)
+        on_box = stability_report(f, g, 1.0, 5.0,
+                                  phase_geometry=box_geometry((17,) * 4, -4.0, 4.0))
+        assert stability_report(f, g, 1.0, 5.0).to_dict() == on_box.to_dict()
+
     def test_signal_geometry_mismatch(self):
         f = make_analytic(gaussian_spec(1), box_geometry((65,), -4.0, 4.0))
         g = make_analytic(gaussian_spec(1), box_geometry((65,), -5.0, 5.0))
@@ -1013,8 +1019,8 @@ class TestStabilityReport:
             "partition-same-extents": (
                 {"partition": DomainPartition.split_along_axis(same_extents, 0, 1.0)},
                 "partition must live on the phase-space grid"),
-            # Every x lies at or above the threshold: component 1 is empty.
-            "empty-component": ({"partition": DomainPartition.split_along_axis(pg, 0, -10.0)},
+            # Labels 2 and 0 only: component 1 is empty.
+            "empty-component": ({"partition": DomainPartition(pg, np.full(pg.extents, 2))},
                                 "partition component 1 is empty"),
             "coarsen": ({"cheeger_coarsen": 0}, "coarsening factor"),
         }[bad]
@@ -1196,7 +1202,7 @@ def _report_case(d):
     coords = pg.coordinate_arrays()
     lower = np.broadcast_to(coords[-1] < (-2.5 if d == 1 else -3.5), pg.extents)
     left = np.broadcast_to(coords[0] < 0.0, pg.extents)
-    part = DomainPartition.from_masks(pg, [lower & left, lower & ~left])
+    part = DomainPartition(pg, np.where(lower, np.where(left, 1, 2), 0))
     return make_instability_pair(d, 2.0, sg) + (pg, part)
 
 

@@ -538,23 +538,15 @@ def sweep_cut_cheeger(w: WeightGrid) -> CheegerEstimate:
     """
     graph = build_weight_graph(w)
     n = graph.num_vertices
-    total = graph.total_mass
-    ncomp, labels = graph.component_labels()
-    comp_masses = np.bincount(labels, weights=graph.masses, minlength=ncomp)
+    comp_masses, disconnected, keep = _dominant_component(graph)
     oracle = None
     if w.active_count <= ORACLE_CELL_LIMIT:
         oracle = exhaustive_cheeger_oracle(w)
-    massive = np.flatnonzero(comp_masses > MASSIVE_COMPONENT_FRACTION * total)
-    if massive.size >= 2:
-        heaviest = int(massive[np.argmax(comp_masses[massive])])
-        cut = evaluate_cut(graph, labels == heaviest)
+    if disconnected:
+        cut = evaluate_cut(graph, keep)
         return CheegerEstimate(h_upper=0.0, fiedler_value=0.0, best_cut=cut,
                                h_oracle=oracle, disconnected=True,
                                component_masses=tuple(float(m) for m in comp_masses))
-    keep_comp = int(massive[0]) if massive.size else int(np.argmax(comp_masses))
-    keep = labels == keep_comp
-    if int(keep.sum()) < 2:
-        raise ValueError("the dominant component is a single cell; no nontrivial cuts")
     if keep.all():
         sub, old = graph, np.arange(n)
         satellite_mass = 0.0
@@ -570,6 +562,19 @@ def sweep_cut_cheeger(w: WeightGrid) -> CheegerEstimate:
     return CheegerEstimate(h_upper=cut.ratio, fiedler_value=fied.value,
                            best_cut=cut, h_oracle=oracle,
                            component_masses=tuple(float(m) for m in comp_masses))
+
+
+def _dominant_component(graph: WeightGraph) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Component masses, whether several components carry more than
+    MASSIVE_COMPONENT_FRACTION of the mass, and the heaviest component's
+    vertices: the component a sweep cuts when only one is massive."""
+    ncomp, labels = graph.component_labels()
+    comp_masses = np.bincount(labels, weights=graph.masses, minlength=ncomp)
+    massive = np.count_nonzero(comp_masses > MASSIVE_COMPONENT_FRACTION * graph.total_mass)
+    keep = labels == np.argmax(comp_masses)
+    if massive < 2 and np.count_nonzero(keep) < 2:
+        raise ValueError("the dominant component is a single cell; no nontrivial cuts")
+    return comp_masses, massive >= 2, keep
 
 
 def _sweep_prefix_cuts_full(sub: WeightGraph, satellite_mass: float,
@@ -622,20 +627,30 @@ def _prefix_cut_weights(graph: WeightGraph, order: np.ndarray) -> np.ndarray:
 
 
 def exhaustive_cheeger_oracle(w: WeightGrid) -> float:
-    """Exact discrete Cheeger constant by enumerating all 2^n - 2 subsets."""
+    """Exact discrete Cheeger constant by enumerating every cut.
+
+    The cuts are the sweep's: light components sit on the complement side,
+    so the sides are the proper subsets of the dominant component.  With
+    several massive components the minimum is 0, a cut between two of them.
+    """
     n = w.active_count
     if n > ORACLE_CELL_LIMIT:
         raise ValueError(f"{n} active cells exceed the oracle limit {ORACLE_CELL_LIMIT}")
     graph = build_weight_graph(w)
-    full = 2 ** n - 1
+    _, disconnected, keep = _dominant_component(graph)
+    if disconnected:
+        return 0.0
+    sub, _ = graph.subgraph(keep)
+    satellite_mass = float(graph.masses[~keep].sum())
+    full = 2 ** sub.num_vertices - 1
     subsets = np.arange(full + 1, dtype=np.int64)
     side_mass = np.zeros(subsets.size)
-    for i in range(n):
-        side_mass += graph.masses[i] * ((subsets >> i) & 1)
+    for i, mass in enumerate(sub.masses):
+        side_mass += mass * ((subsets >> i) & 1)
     cutw = np.zeros(subsets.size)
-    for t, h, ew in zip(graph.edge_tail, graph.edge_head, graph.edge_weight):
+    for t, h, ew in zip(sub.edge_tail, sub.edge_head, sub.edge_weight):
         cutw += ew * (((subsets >> int(t)) ^ (subsets >> int(h))) & 1)
     # Complement masses by table lookup, not total-minus-side: subtraction
     # would lose light complements to cancellation.
-    min_mass = np.minimum(side_mass, side_mass[full - subsets])
+    min_mass = np.minimum(side_mass, side_mass[full - subsets] + satellite_mass)
     return float(_cut_ratios(cutw, min_mass)[1:full].min())

@@ -546,7 +546,9 @@ def _run_stability(cfg: _Block, out_dir: str, seed) -> list[str]:
 
         part = cfg.block("partition")
         axis, threshold = part.integer("axis", None), part.number("threshold")
-        with part.errors("axis"):
+        # The library checks the axis first; past it, an empty side is
+        # the threshold's fault.
+        with part.errors("threshold" if 0 <= axis < pg.rank else "axis"):
             partition = DomainPartition.split_along_axis(pg, axis, threshold)
 
     noise = None

@@ -4,19 +4,27 @@ The transform implemented here is
     Gf(x, y) = int_{R^d} f(t) e^{-pi|t-x|^2} e^{-2 pi i t.y} dt,
 discretized as a Riemann sum over the signal grid.  Window and Fourier
 factor both split over the d axes, so the sum is taken one signal axis at a
-time, in one of two shapes:
+time.  The direct path takes one of two shapes:
 
-- per window: for each window position x_a, the array is multiplied by the
-  window row e^{-pi(t_a - x_a)^2} and t_a is contracted in one call, either
-  against the Fourier factor e^{-2 pi i t_a y_a} or by an FFT along t_a.
-  The FFT path always runs this way, and so does the direct path on a
-  single row (every d = 1 signal);
+- per window: on a single row (every d = 1 signal), for each window
+  position x_a the row is multiplied by the window e^{-pi(t_a - x_a)^2}
+  and t_a is contracted against the Fourier factor e^{-2 pi i t_a y_a} in
+  one vector-matrix product;
 - folded: where the array in front of axis a has several rows (every axis
-  of a d = 2 signal), the direct path folds the window into the Fourier
-  factor, K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a},
-  and contracts t_a in one matrix product of the rows against K.  The
-  product regroups each term of the sum, so it agrees with the per-window
-  one to a few ulp of the peak, not bit for bit.
+  of a d = 2 signal), the window folds into the Fourier factor,
+  K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a}, and t_a is
+  contracted in one matrix product of the rows against K.  The product
+  regroups each term of the sum, so it agrees with the per-window one to a
+  few ulp of the peak, not bit for bit.
+
+The FFT path takes a third shape, for any number of rows: it windows a
+block of rows at every x_a at once.  Its y samples sit on every m-th bin of
+the n-point DFT lattice of axis a, for the largest such m dividing n.  Each
+windowed row's m segments of length L = n/m are added (time aliasing), and
+one L-point FFT per block gives exactly those bins (Portnoff 1980;
+Sondergaard 2012).  At m = 1 there is nothing to add, and every term is that
+of a per-window n-point FFT, bit for bit; at m > 1 the fold regroups the
+sum, as the folded GEMM does.
 
 The contracted axis comes out trailing as (x_a, y_a), so after d axes the
 values are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
@@ -32,6 +40,7 @@ transform's bits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -117,8 +126,10 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
 # Leading rows per slab of a consumed transform: 128 rows of a 33^4 field
 # are 2.2 MiB, where the whole field is 18.1 MiB.  At least 2, so no slab
 # is a single row (see _separable_transform).  256 rows took a stability
-# report's resident peak about 2 MB lower, but slowed the per-window FFT
-# path of the gabor command by a fifth.
+# report's resident peak about 2 MB lower, but slowed the gabor command's
+# FFT path, then a per-window loop, by a fifth.  The FFT path also sizes
+# its blocks of windowed rows by it: a block holds no more cells than one
+# slab of the output, so its fold and FFT temporaries stay within one slab.
 SLAB_ROWS = 128
 
 
@@ -128,16 +139,6 @@ def _transform(f: SignalGrid, phase_geometry: GridGeometry, axis_contraction, co
         return consume(_separable_transform(f, phase_geometry, axis_contraction, SLAB_ROWS))
     (values,) = _separable_transform(f, phase_geometry, axis_contraction, None)
     return PhaseSpaceGrid(geometry=phase_geometry, values=values.reshape(phase_geometry.extents))
-
-
-def _per_window(g: np.ndarray, windows: np.ndarray, ny: int, contract) -> np.ndarray:
-    """Window g at each x_a in turn and contract t_a: contract maps the
-    windowed array to one with t_a replaced by a trailing y_a axis."""
-    row = (g.shape[0],) + (1,) * (g.ndim - 1)
-    out = np.empty(g.shape[1:] + (windows.shape[0], ny), np.complex128)
-    for ix in range(windows.shape[0]):
-        out[..., ix, :] = contract(g * windows[ix].reshape(row))
-    return out
 
 
 def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
@@ -151,17 +152,20 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
         def contract(g: np.ndarray) -> np.ndarray:
             nonlocal kernel
             n = g.shape[0]
+            out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
             if g.size == n:
                 # One row: a vector-matrix product per window position.
-                return _per_window(g, windows, y.size,
-                                   lambda w: np.tensordot(w, fourier, axes=([0], [0])))
+                row = (n,) + (1,) * (g.ndim - 1)
+                for ix in range(windows.shape[0]):
+                    out[..., ix, :] = np.tensordot(g * windows[ix].reshape(row), fourier,
+                                                   axes=([0], [0]))
+                return out
             # Several rows: the window folds into the Fourier factor,
             # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of
             # the rows against K gives (..., x_a, y_a) directly.  K is built
             # on the first call and kept for the next slabs.  The first
             # output is allocated before K: in the other order a freed K
             # split the heap and a report's resident peak rose by about 4 MB.
-            out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
             if kernel is None:
                 kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
             np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
@@ -215,25 +219,70 @@ def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
     return k % n
 
 
+def _fold_step(k: np.ndarray, n: int) -> int:
+    """The largest m dividing n and every bin index k: the y samples sit
+    on every m-th bin of the n-point DFT lattice."""
+    return math.gcd(n, *k.tolist())
+
+
 def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
-    k = _fft_frequency_indices(y, geometry.extents[a], geometry.spacing[a])
+    n = geometry.extents[a]
+    k = _fft_frequency_indices(y, n, geometry.spacing[a])
+    m = _fold_step(k, n)
+    length = n // m
     origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
-    return lambda windows: lambda g: _per_window(
-        g, windows, y.size,
-        lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase)
+
+    def with_windows(windows: np.ndarray):
+        nx = windows.shape[0]
+        # g w casts w to complex on every product; cast once instead.
+        windows = windows.astype(np.complex128)
+
+        def contract(g: np.ndarray) -> np.ndarray:
+            rows = g.reshape(n, -1)
+            out = np.empty(g.shape[1:] + (nx, y.size), np.complex128)
+            flat = out.reshape(-1, nx, y.size)
+            # A block windows chunk rows at run x positions, all x of
+            # several rows or a run of x of one row.  Its windowed rows of n
+            # samples hold no more cells than one slab of the output.
+            pairs = max(1, min(rows.shape[1], SLAB_ROWS) * nx * y.size // n)
+            chunk, run = max(1, pairs // nx), min(nx, pairs)
+            for start in range(0, rows.shape[1], chunk):
+                # Rows contiguous along t: the products then read each
+                # row's segments in order, not one cache line per sample.
+                part = np.ascontiguousarray(rows[:, start:start + chunk].T)[:, None, :]
+                for x0 in range(0, nx, run):
+                    w = windows[x0:x0 + run]
+                    # Bin m j of the n-point DFT is bin j of the L-point DFT
+                    # of the windowed row's m segments of length L = n/m
+                    # added up.  At m = 1 that is the windowed row itself.
+                    folded = part[..., :length] * w[:, :length]
+                    for s in range(length, n, length):
+                        folded += part[..., s:s + length] * w[:, s:s + length]
+                    np.multiply(np.fft.fft(folded)[..., k // m], origin_phase,
+                                out=flat[start:start + chunk, x0:x0 + run])
+            return out
+
+        return contract
+
+    return with_windows
 
 
 def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None):
     """The same Riemann sum as gabor_transform, evaluated with batched FFTs.
 
-    Each signal axis in turn is windowed at every x sample of that axis and
-    transformed by one FFT along that axis.  When every y sample sits on the
-    frequency lattice k/(n dt) of the signal axis, picking those bins
-    evaluates the sum for all y at once.  The origin phase e^{-2 pi i t0 y}
-    is applied afterwards, from the same absolute-coordinate convention as
-    the direct path.  Off-lattice y grids are an error, not an
-    approximation: use gabor_transform for those.  consume works as in
-    gabor_transform.
+    Every y sample must sit on the frequency lattice k/(n dt) of its signal
+    axis; then picking bins k of an n-point FFT evaluates the sum for all y
+    at once.  Off-lattice y grids are an error, not an approximation: use
+    gabor_transform for those.  Each signal axis in turn is windowed at
+    every x sample, a block of rows at a time.  With m the largest common
+    divisor of n and every bin index k, each windowed row is folded onto
+    L = n/m samples by adding its m segments of length L, and one L-point
+    FFT along the block's last axis gives bins k/m, which are bins k of the
+    n-point FFT.  The origin phase e^{-2 pi i t0 y} is applied afterwards,
+    from the same absolute-coordinate convention as the direct path.  At
+    m = 1 (a y step of 1/(n dt)) each term is that of a per-window n-point
+    FFT, bit for bit; at m > 1 the fold regroups the sum, within a few ulp
+    of the peak.  consume works as in gabor_transform.
     """
     return _transform(f, phase_geometry, _fft_contraction, consume)
 

@@ -56,6 +56,11 @@ def test_traced_run_fills_the_work_counts(spans, tmp_path):
         cli.run_config("gabor", {"input": str(tmp_path / "f.ggr"),
                                  "phase_geometry": {"extents": [33, 33], "lo": -2.0, "hi": 2.0},
                                  "output": "F.ggr"}, str(tmp_path))
+        # The FFT entry point, on a y grid with the lattice step 1/(n dt) = 1/8.
+        cli.run_config("gabor", {"geometry": {"extents": [64], "lo": -4.0, "hi": 3.875},
+                                 "signal": {"kind": "gaussian"},
+                                 "phase_geometry": {"extents": [17, 33], "lo": -2.0, "hi": 2.0},
+                                 "method": "fft", "output": "F_fft.ggr"}, str(tmp_path))
     finally:
         tracer.remove()
     assert {name: getattr(stability, name) for name in spans.STABILITY_IMPORTS} == originals
@@ -63,7 +68,8 @@ def test_traced_run_fills_the_work_counts(spans, tmp_path):
     for key in ("stability.align.cells", "cheeger.fiedler.iterations",
                 "grids.write.bytes", "gabor.transform.mults"):
         assert counts[key] > 0, key
-    assert (counts["grids.write.calls"], counts["grids.read.calls"]) == (2, 1)
+    assert counts["gabor.transform_fft.calls"] >= 1 and counts["gabor.fft_bins"] > 0
+    assert (counts["grids.write.calls"], counts["grids.read.calls"]) == (3, 1)
 
 
 def test_traced_multicomponent_alignment_counts_every_component_cell(spans):

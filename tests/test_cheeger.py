@@ -142,8 +142,9 @@ def rank4_graph(seed=5):
                                         spacing=0.5))
 
 
-def brute_cheeger(graph):
-    """Independent subset enumeration with plain python sums."""
+def brute_cheeger(graph, satellite_mass=0.0):
+    """Independent subset enumeration with plain python sums; satellite_mass
+    joins the complement side of every cut."""
     n = graph.num_vertices
     best = math.inf
     for size in range(1, n):
@@ -153,7 +154,7 @@ def brute_cheeger(graph):
                                            graph.edge_weight)
                       if (t in side) != (h in side))
             m1 = sum(graph.masses[i] for i in side)
-            m2 = sum(graph.masses[i] for i in range(n) if i not in side)
+            m2 = sum(graph.masses[i] for i in range(n) if i not in side) + satellite_mass
             m = min(m1, m2)
             if m > 0:
                 best = min(best, cut / m)
@@ -541,6 +542,19 @@ class TestSweep:
         assert not est.best_cut.side_assignment[7:].any()
         assert np.array_equal(est.best_cut.side_assignment[:7],
                               alone.best_cut.side_assignment)
+
+    def test_light_satellite_is_no_free_cut_for_the_oracle(self):
+        # The oracle takes the sweep's convention on the same weight: the
+        # satellite sits on the complement side, so h is the exhaustive
+        # minimum over the cuts of cells 0..6, not the satellite's free cut.
+        vals = np.array([1, 2, 3, 2.5, 1.5, 1, 2, 0, 0, 1e-13, 2e-13, 0])
+        bare = vals.copy()
+        bare[9:11] = 0.0
+        est = sweep_cut_cheeger(unit_grid((12,), values=vals, mask=vals > 0))
+        dominant = build_weight_graph(unit_grid((12,), values=bare, mask=bare > 0))
+        assert est.h > 0.0 and est.h == est.h_oracle
+        assert est.h_oracle == pytest.approx(brute_cheeger(dominant, 3e-13), rel=1e-12)
+        assert est.h_oracle <= est.h_upper + 1e-12
 
     def test_two_bump_h_decreases_with_separation(self):
         hs = []

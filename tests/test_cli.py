@@ -1090,6 +1090,13 @@ class TestConfigKeys:
         assert ("stability.partition.axis: axis -1 is out of range for a rank-2 grid"
                 in capsys.readouterr().err)
 
+    def test_partition_threshold_that_empties_a_side_is_named(self, tmp_path, capsys):
+        cfg = {**STABILITY_REPORT_CFG, "partition": {"axis": 0, "threshold": 5.0}}
+        assert run_main("stability", write_cfg(tmp_path, "cfg.json", cfg),
+                        tmp_path) == cli.EXIT_CONFIG
+        assert ("stability.partition.threshold: partition component 2 is empty"
+                in capsys.readouterr().err)
+
     def test_two_bump_sign_is_checked_by_the_library(self, tmp_path, capsys):
         cfg = {**GEN_CFG, "signal": {**TWO_BUMP, "sign": 2}}
         assert run_main("gen", write_cfg(tmp_path, "cfg.json", cfg),

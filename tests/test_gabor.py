@@ -157,6 +157,13 @@ def fft_window_contraction(geometry, a, y):
     return lambda w: np.moveaxis(np.fft.fft(w, axis=0)[k], 0, -1) * origin_phase
 
 
+def fold_step(signal_geometry, phase_geometry, a):
+    """The FFT path's fold step m on signal axis a."""
+    k = gabor._fft_frequency_indices(phase_geometry.axis_coordinates(2 * a + 1),
+                                     signal_geometry.extents[a], signal_geometry.spacing[a])
+    return gabor._fold_step(k, signal_geometry.extents[a])
+
+
 class TestInPlaceScaling:
     """Both transform paths against the out-of-place scaling, bit for bit."""
 
@@ -198,7 +205,21 @@ def random_tapered_signal(rng):
 class TestContractionShapes:
     """The direct path folds the window into its Fourier factor wherever the
     array in front of an axis has several rows (every axis of a d = 2
-    signal); a single row and the FFT path keep the per-window loop."""
+    signal), and a single row keeps the per-window loop.  The FFT path
+    folds each windowed row onto the y lattice: at a lattice step of one
+    bin it computes the per-window loop's terms."""
+
+    # case -> (signal grid, phase grid, signal); the FFT fold step m of
+    # each signal axis in the comment.
+    FOLDED = {
+        # m = 4 on both axes: cli-chain's d = 2 gabor step.
+        "cli-chain-d2": (box_geometry((128, 128), -8.0, 7.875),
+                         box_geometry((33,) * 4, -4.0, 4.0),
+                         two_bump_spec((-1.5, 0.0), (0.0, 0.0), (1.5, 0.0), (0.0, 0.0),
+                                       sign=1)),
+        # m = 2 on both axes.
+        "d2": TestInPlaceScaling.CASES["d2"],
+    }
 
     @pytest.mark.parametrize("case", ["report-d2", "random-1", "random-2"])
     def test_folded_gemm_is_within_4_eps_of_the_per_window_loop(self, case):
@@ -215,17 +236,58 @@ class TestContractionShapes:
         assert peak > 0.0
         assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * peak
 
+    @pytest.mark.parametrize("case", sorted(FOLDED))
+    def test_folded_fft_is_within_4_eps_of_the_per_window_loop(self, case):
+        sig_geom, phase, spec = self.FOLDED[case]
+        f = make_analytic(spec, sig_geom)
+        assert all(fold_step(f.geometry, phase, a) > 1 for a in range(f.dimension))
+        got = gabor_transform_fft(f, phase).values
+        want = per_window_transform(f, phase, fft_window_contraction)
+        peak = float(np.max(np.abs(want)))
+        assert peak > 0.0
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * peak
+
     @pytest.mark.parametrize("transform, window_contraction, case", [
         (gabor_transform, fourier_window_contraction, "d1"),
         (gabor_transform_fft, fft_window_contraction, "d1"),
-        (gabor_transform_fft, fft_window_contraction, "d2"),
-    ], ids=["direct-d1", "fft-d1", "fft-d2"])
+        (gabor_transform_fft, fft_window_contraction, "d2-unit-step"),
+    ], ids=["direct-d1", "fft-d1", "fft-d2-unit-step"])
     def test_per_window_paths_are_unchanged(self, transform, window_contraction, case):
-        sig_geom, phase, spec = TestInPlaceScaling.CASES[case]
+        if case == "d2-unit-step":
+            # y step 1/(n dt) = 1/8 on both axes: m = 1, no fold.
+            sig_geom = box_geometry((64, 64), -4.0, 4.0 - 1.0 / 8.0)
+            phase = box_geometry((5, 17, 7, 17), -1.0, 1.0)
+            spec = shifted_gaussian_spec((0.25, -0.5), (0.0, 0.5))
+        else:
+            sig_geom, phase, spec = TestInPlaceScaling.CASES[case]
         f = make_analytic(spec, sig_geom)
+        assert all(fold_step(f.geometry, phase, a) == 1 for a in range(f.dimension))
         got = transform(f, phase).values
         want = per_window_transform(f, phase, window_contraction)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestFoldStep:
+    """m, the largest divisor of n and of every y bin index of an axis."""
+
+    @pytest.mark.parametrize("bins, m", [([0, 2, 6], 2), ([0, 3], 1), ([0], 8), ([4], 4)])
+    def test_on_an_8_point_lattice(self, bins, m):
+        assert gabor._fold_step(np.array(bins), 8) == m
+
+    def test_a_lone_y_0_folds_onto_one_sample(self):
+        # L = n / m = 1: the FFT of one sample is the windowed row's sum.
+        sig_geom = lattice_signal_geometry()
+        phase = GridGeometry((5, 1), (0.5, 1.0), (-1.0, 0.0))
+        assert sig_geom.extents[0] // fold_step(sig_geom, phase, 0) == 1
+        f = make_analytic(shifted_gaussian_spec((0.5,), (-0.25,)), sig_geom)
+        fast = gabor_transform_fft(f, phase)
+        assert sup_err(fast.values, gabor_transform(f, phase).values) < 1e-12
+
+    def test_bins_come_from_the_y_samples(self):
+        # n dt = 16: y = -1/2, 0, 1/8 sit on bins 504, 0 and 2 of 512.
+        y = np.array([-0.5, 0.0, 0.125])
+        k = gabor._fft_frequency_indices(y, 512, 1.0 / 32.0)
+        assert k.tolist() == [504, 0, 2] and gabor._fold_step(k, 512) == 2
 
 
 class TestConsumedSlabs:

@@ -82,9 +82,13 @@ def _lattice_case(rng, d):
     extents, spacing, origin = [], [], []
     for a in range(d):
         lattice = 1.0 / (n[a] * dt[a])
-        step = int(rng.integers(1, 3))
+        # y steps of 1, 2 and 4 bins, starting on a bin that half the
+        # draws align with the step, so the FFT path folds by m >= 2 there.
+        step = int(rng.choice([1, 2, 4]))
         ny = int(rng.integers(2, n[a] // (2 * step) + 2))
-        k0 = int(rng.integers(-(n[a] // 2), n[a] // 2 - step * (ny - 1) + 1))
+        align = int(rng.choice([1, step]))
+        k0 = align * int(rng.integers(-(n[a] // 2 // align),
+                                      (n[a] // 2 - step * (ny - 1)) // align + 1))
         extents += [int(rng.integers(2, 8)), ny]
         spacing += [float(rng.uniform(0.1, 1.0)), step * lattice]
         origin += [float(rng.uniform(-2.0, 2.0)), k0 * lattice]

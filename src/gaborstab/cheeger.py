@@ -407,9 +407,6 @@ def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
     basis[0] = seed / seed_norm
     alphas: list[float] = []
     betas: list[float] = []
-    theta = 0.0
-    ritz = np.zeros(1)
-    residual = math.inf
     k = 0
     while True:
         v = basis[k]
@@ -540,8 +537,8 @@ def sweep_cut_cheeger(w: WeightGrid) -> CheegerEstimate:
     n = graph.num_vertices
     comp_masses, disconnected, keep = _dominant_component(graph)
     oracle = None
-    if w.active_count <= ORACLE_CELL_LIMIT:
-        oracle = exhaustive_cheeger_oracle(w)
+    if n <= ORACLE_CELL_LIMIT:
+        oracle = exhaustive_cheeger_oracle(graph)
     if disconnected:
         cut = evaluate_cut(graph, keep)
         return CheegerEstimate(h_upper=0.0, fiedler_value=0.0, best_cut=cut,
@@ -626,17 +623,16 @@ def _prefix_cut_weights(graph: WeightGraph, order: np.ndarray) -> np.ndarray:
     return np.cumsum(diff)[1:n]
 
 
-def exhaustive_cheeger_oracle(w: WeightGrid) -> float:
-    """Exact discrete Cheeger constant by enumerating every cut.
+def exhaustive_cheeger_oracle(graph: WeightGraph) -> float:
+    """Exact discrete Cheeger constant of a weight graph by enumerating every cut.
 
     The cuts are the sweep's: light components sit on the complement side,
     so the sides are the proper subsets of the dominant component.  With
     several massive components the minimum is 0, a cut between two of them.
     """
-    n = w.active_count
+    n = graph.num_vertices
     if n > ORACLE_CELL_LIMIT:
         raise ValueError(f"{n} active cells exceed the oracle limit {ORACLE_CELL_LIMIT}")
-    graph = build_weight_graph(w)
     _, disconnected, keep = _dominant_component(graph)
     if disconnected:
         return 0.0

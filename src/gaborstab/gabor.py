@@ -6,10 +6,10 @@ discretized as a Riemann sum over the signal grid.  Window and Fourier
 factor both split over the d axes, so the sum is taken one signal axis at a
 time.  The direct path takes one of two shapes:
 
-- per window: on a single row (every d = 1 signal), for each window
-  position x_a the row is multiplied by the window e^{-pi(t_a - x_a)^2}
-  and t_a is contracted against the Fourier factor e^{-2 pi i t_a y_a} in
-  one vector-matrix product;
+- one row: a single row (every d = 1 signal) is multiplied by the window
+  e^{-pi(t_a - x_a)^2} of every position x_a, and one batched matrix
+  product contracts t_a against the Fourier factor e^{-2 pi i t_a y_a}:
+  one vector-matrix product per window, the bits of a loop over them;
 - folded: where the array in front of axis a has several rows (every axis
   of a d = 2 signal), the window folds into the Fourier factor,
   K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a}, and t_a is
@@ -93,8 +93,6 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
     stops = list(range(step, rows - 1, step)) + [rows]
     bounds = list(zip([0] + stops, stops))
     peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return (np.zeros((stop - start,) + tail, np.complex128) for start, stop in bounds)
     if _boundary_max(f.values) > BOUNDARY_DECAY_TOL * peak:
         warnings.warn(
             "signal does not decay below 1e-12 of its peak at the grid boundary; "
@@ -111,10 +109,10 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
         g = f.values
         for a in range(d - 1):
             g = contractions[a](windows(a))(g)
-        g = g if d == 1 else g.reshape(g.shape[0], -1)
+        g = g.reshape(g.shape[0], -1)
         last = contractions[-1](windows(d - 1))
         for start, stop in bounds:
-            slab = last(g if d == 1 else g[:, start:stop])
+            slab = last(g[:, start:stop])
             # In place: a scaled copy would hold a second slab.
             slab *= f.geometry.cell_volume
             yield slab.reshape((stop - start,) + tail)
@@ -154,11 +152,10 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
             n = g.shape[0]
             out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
             if g.size == n:
-                # One row: a vector-matrix product per window position.
-                row = (n,) + (1,) * (g.ndim - 1)
-                for ix in range(windows.shape[0]):
-                    out[..., ix, :] = np.tensordot(g * windows[ix].reshape(row), fourier,
-                                                   axes=([0], [0]))
+                # One row, windowed at every x: the batched product makes
+                # a loop's matrix-vector product per window, bit for bit.
+                np.matmul((g.reshape(1, n) * windows)[:, None, :], fourier,
+                          out=out.reshape(windows.shape[0], 1, y.size))
                 return out
             # Several rows: the window folds into the Fourier factor,
             # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of
@@ -181,11 +178,11 @@ def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None
 
     Each signal axis in turn is contracted against its Fourier factor
     e^{-2 pi i t y}, so any y samples are allowed.  A single row (d = 1)
-    is windowed at every x sample and contracted in one vector-matrix
-    product per sample.  Several rows (every axis of d = 2) are contracted
-    in one matrix product against the window folded into the Fourier
-    factor, e^{-pi(t - x)^2} e^{-2 pi i t y} as a t by (x, y) matrix; that
-    result is within a few ulp of the peak of the per-window one.
+    is windowed at every x sample and contracted in one batched call.
+    Several rows (every axis of d = 2) are contracted in one matrix
+    product against the window folded into the Fourier factor,
+    e^{-pi(t - x)^2} e^{-2 pi i t y} as a t by (x, y) matrix; that result
+    is within a few ulp of the peak of the per-window one.
 
     Parameters
     ----------

@@ -454,20 +454,21 @@ class TestCuts:
 
 class TestOracle:
     def test_square_hand_value(self):
-        assert exhaustive_cheeger_oracle(unit_grid((2, 2))) == pytest.approx(1.0)
+        graph = build_weight_graph(unit_grid((2, 2)))
+        assert exhaustive_cheeger_oracle(graph) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_matches_independent_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         w = unit_grid((3, 3), values=rng.uniform(0.1, 1.0, (3, 3)))
         g = build_weight_graph(w)
-        assert exhaustive_cheeger_oracle(w) == pytest.approx(brute_cheeger(g), rel=1e-12)
+        assert exhaustive_cheeger_oracle(g) == pytest.approx(brute_cheeger(g), rel=1e-12)
 
     def test_cell_limit_enforced(self):
-        w = unit_grid((5, 5))
-        assert w.active_count > ORACLE_CELL_LIMIT
+        graph = build_weight_graph(unit_grid((5, 5)))
+        assert graph.num_vertices > ORACLE_CELL_LIMIT
         with pytest.raises(ValueError):
-            exhaustive_cheeger_oracle(w)
+            exhaustive_cheeger_oracle(graph)
 
 
 class TestSweep:
@@ -555,6 +556,20 @@ class TestSweep:
         assert est.h > 0.0 and est.h == est.h_oracle
         assert est.h_oracle == pytest.approx(brute_cheeger(dominant, 3e-13), rel=1e-12)
         assert est.h_oracle <= est.h_upper + 1e-12
+
+    @pytest.mark.parametrize("values, mask, h, disconnected", [
+        # The middle cell masked off leaves two massive components: h = 0.
+        ([1, 1, 1, 1, 1], [1, 1, 0, 1, 1], 0.0, True),
+        # Every prefix cut has a side of 1e-12 of the mass, below
+        # SWEEP_MIN_MASS_FRACTION: the sweep falls back to every cut whose
+        # light side has mass.
+        ([1e-12, 1, 1e-12], [1, 1, 1], 500000000000.50006, False),
+    ], ids=["two-components", "light-ends"])
+    def test_sweep_and_oracle_agree_on_a_degenerate_line(self, values, mask, h, disconnected):
+        est = sweep_cut_cheeger(unit_grid((len(values),), values=values,
+                                          mask=np.array(mask, bool)))
+        assert est.h_upper == est.h_oracle == h
+        assert est.disconnected == disconnected
 
     def test_two_bump_h_decreases_with_separation(self):
         hs = []

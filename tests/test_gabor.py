@@ -174,6 +174,14 @@ class TestInPlaceScaling:
         "d2": (box_geometry((64, 64), -4.0, 4.0 - 1.0 / 8.0),
                box_geometry((5, 9, 7, 9), -1.0, 1.0),
                shifted_gaussian_spec((0.25, -0.5), (0.0, 0.5))),
+        # (x_1, y_1) extents 1 x 1: axis 1 is contracted as one row, (n, 1).
+        # The signal rows t_1 = -16, 0, 16 leave the Gaussian 0 (underflow)
+        # on the outer two, and e^{-2 pi i t_1 y_1} = 1 at t_1 = 0, so
+        # axis 0 sums one term and every step keeps the per-window bits.
+        "d2-one-row": (box_geometry((3, 64), (-16.0, -4.0), (16.0, 4.0 - 1.0 / 8.0)),
+                       GridGeometry((1, 1, 7, 17), (1.0, 1.0, 1.0 / 3.0, 1.0 / 8.0),
+                                    (0.25, 1.0 / 48.0, -1.0, -1.0)),
+                       shifted_gaussian_spec((0.25, -0.5), (0.0, 0.5))),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -205,7 +213,8 @@ def random_tapered_signal(rng):
 class TestContractionShapes:
     """The direct path folds the window into its Fourier factor wherever the
     array in front of an axis has several rows (every axis of a d = 2
-    signal), and a single row keeps the per-window loop.  The FFT path
+    signal), and a single row is windowed at every x and contracted in
+    one batched product with the per-window loop's bits.  The FFT path
     folds each windowed row onto the y lattice: at a lattice step of one
     bin it computes the per-window loop's terms."""
 
@@ -251,7 +260,9 @@ class TestContractionShapes:
         (gabor_transform, fourier_window_contraction, "d1"),
         (gabor_transform_fft, fft_window_contraction, "d1"),
         (gabor_transform_fft, fft_window_contraction, "d2-unit-step"),
-    ], ids=["direct-d1", "fft-d1", "fft-d2-unit-step"])
+        (gabor_transform, fourier_window_contraction, "d2-one-row"),
+        (gabor_transform_fft, fft_window_contraction, "d2-one-row"),
+    ], ids=["direct-d1", "fft-d1", "fft-d2-unit-step", "direct-d2-one-row", "fft-d2-one-row"])
     def test_per_window_paths_are_unchanged(self, transform, window_contraction, case):
         if case == "d2-unit-step":
             # y step 1/(n dt) = 1/8 on both axes: m = 1, no fold.
@@ -349,6 +360,20 @@ class TestConsumedSlabs:
                             consume=consumed.append)
         assert record[0].filename == __file__
         assert len(consumed) == 1
+
+    @pytest.mark.parametrize("phase, match", [
+        (box_geometry((5, 7), -1.0, 1.0), "off the FFT frequency lattice"),
+        (GridGeometry((3, 2), (0.5, 0.5), (-0.5, 16.5)), "Nyquist"),
+    ], ids=["off-lattice", "past-nyquist"])
+    def test_a_zero_signal_meets_the_same_checks(self, phase, match):
+        geom = lattice_signal_geometry()
+        consumed, messages = [], []
+        for f in (make_analytic(gaussian_spec(1), geom), SignalGrid(geom, np.zeros(512))):
+            with pytest.raises(ValueError, match=match) as error:
+                gabor_transform_fft(f, phase, consume=consumed.append)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert consumed == []
 
 
 class TestFftPath:

@@ -11,8 +11,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from gaborstab.cheeger import (ORACLE_CELL_LIMIT, WeightGrid, exhaustive_cheeger_oracle,
-                               sweep_cut_cheeger)
+from gaborstab.cheeger import (ORACLE_CELL_LIMIT, WeightGrid, build_weight_graph,
+                               exhaustive_cheeger_oracle, sweep_cut_cheeger)
 from gaborstab.gabor import gabor_transform, gabor_transform_fft
 from gaborstab.grids import (GridGeometry, PhaseSpaceGrid, SignalGrid, box_geometry, read_grid,
                              write_grid)
@@ -205,7 +205,7 @@ def test_sweep_cut_bounds_the_exhaustive_oracle(seed, rank):
         extents.append(int(rng.integers(2, room + 1)))
     geom = box_geometry(tuple(extents), 0.0, tuple(rng.uniform(0.5, 3.0, len(extents))))
     w = WeightGrid(geometry=geom, values=10.0 ** rng.uniform(-3.0, 1.0, geom.extents))
-    oracle = exhaustive_cheeger_oracle(w)
+    oracle = exhaustive_cheeger_oracle(build_weight_graph(w))
     # the sweep may pick the optimal cut itself, whose ratio it sums in
     # another order than the oracle: allow rounding, nothing more
     assert sweep_cut_cheeger(w).h_upper >= oracle * (1.0 - 1e-12)

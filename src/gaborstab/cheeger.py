@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceError
 from .gabor import Spectrogram
 from .grids import GridGeometry, active_mask, grid_array
 
@@ -35,7 +35,7 @@ LANCZOS_TOL = 1e-8
 LANCZOS_ITER_CAP = 500
 # The Krylov basis keeps one float64 row of n entries per Lanczos step; a
 # solve that would need more rows than this budget holds stops with a
-# ConvergenceError instead of running the machine out of memory.
+# ResourceError instead of running the machine out of memory.
 LANCZOS_BASIS_BYTES = 1 << 30
 # Prefix cuts whose light side is below this fraction of the total mass are
 # excluded from the sweep argmin: their masses and cut weights drown in
@@ -396,8 +396,8 @@ def fiedler_vector(graph: WeightGraph) -> FiedlerResult:
     cap = min(n - 1, LANCZOS_ITER_CAP)
     rows = min(cap + 1, LANCZOS_BASIS_BYTES // (8 * n))
 
-    def over_budget(k: int) -> ConvergenceError:
-        return ConvergenceError(
+    def over_budget(k: int) -> ResourceError:
+        return ResourceError(
             f"Fiedler iteration stopped after k = {k} steps on n = {n} vertices: "
             f"its Krylov basis would exceed the {LANCZOS_BASIS_BYTES}-byte budget")
 

@@ -27,13 +27,14 @@ import json
 import os
 import sys
 
-from .errors import AdmissibilityError, ConvergenceError, GridFormatError
+from .errors import AdmissibilityError, ConvergenceError, GridFormatError, ResourceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
+EXIT_RESOURCE = 6
 
 THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -52,6 +53,7 @@ class ConfigError(ValueError):
 _FAILURE_CLASSES = (
     (AdmissibilityError, EXIT_ADMISSIBILITY, "inadmissible exponents"),
     (ConvergenceError, EXIT_CONVERGENCE, "non-convergence"),
+    (ResourceError, EXIT_RESOURCE, "memory budget exceeded"),
     ((GridFormatError, OSError), EXIT_IO, "I/O failure"),
     (ValueError, EXIT_CONFIG, "config error"),
 )

@@ -1,8 +1,8 @@
 """Shared exception types with stable meanings across the package.
 
 The CLI maps these onto process exit codes, so the distinction between a
-malformed file, an out-of-range exponent pair and a failed eigensolve must
-survive module boundaries.
+malformed file, an out-of-range exponent pair, a failed eigensolve and an
+exceeded memory budget must survive module boundaries.
 """
 
 
@@ -16,3 +16,7 @@ class AdmissibilityError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solve stopped without reaching its residual tolerance."""
+
+
+class ResourceError(RuntimeError):
+    """A computation would need more memory than its budget allows."""

@@ -4,33 +4,35 @@ The transform implemented here is
     Gf(x, y) = int_{R^d} f(t) e^{-pi|t-x|^2} e^{-2 pi i t.y} dt,
 discretized as a Riemann sum over the signal grid.  Window and Fourier
 factor both split over the d axes, so the sum is taken one signal axis at a
-time.  The direct path takes one of two shapes:
+time.  Where the y samples of axis a sit on every m-th bin of the n-point
+DFT lattice k/(n dt), for some m > 1 dividing n, e^{-2 pi i t_a y_a}
+repeats on the m segments of length L = n/m of t_a, and the windowed
+segments can be added first (Portnoff 1980; Sondergaard 2012).  The direct
+path takes one of three shapes:
 
 - one row: a single row (every d = 1 signal) is multiplied by the window
   e^{-pi(t_a - x_a)^2} of every position x_a, and one batched matrix
   product contracts t_a against the Fourier factor e^{-2 pi i t_a y_a}:
   one vector-matrix product per window, the bits of a loop over them;
-- folded: where the array in front of axis a has several rows (every axis
-  of a d = 2 signal), the window folds into the Fourier factor,
-  K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a}, and t_a is
-  contracted in one matrix product of the rows against K.  The product
-  regroups each term of the sum, so it agrees with the per-window one to a
-  few ulp of the peak, not bit for bit.
+- folded onto the y lattice: several rows (an axis of a d = 2 signal)
+  whose y_a sit exactly on the lattice with m > 1 add their windowed
+  segments in one batched product, and one GEMM contracts the sums;
+- other several rows are contracted in one matrix product against
+  K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a}.
+Both several-row shapes regroup each term of the sum, so they agree with
+the per-window one to a few ulp of the peak, not bit for bit.
 
-The FFT path takes a third shape, for any number of rows: it windows a
-block of rows at every x_a at once.  Its y samples sit on every m-th bin of
-the n-point DFT lattice of axis a, for the largest such m dividing n.  Each
-windowed row's m segments of length L = n/m are added (time aliasing), and
-one L-point FFT per block gives exactly those bins (Portnoff 1980;
-Sondergaard 2012).  At m = 1 there is nothing to add, and every term is that
-of a per-window n-point FFT, bit for bit; at m > 1 the fold regroups the
-sum, as the folded GEMM does.
+The FFT path (gabor_transform_fft) takes a fourth shape: any number of
+rows, windowed a block at a time, folded by the largest m and transformed
+by one L-point FFT per block.
 
 The contracted axis comes out trailing as (x_a, y_a), so after d axes the
 values are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
 factors from the absolute coordinates t = t0 + k*dt bakes in the phase
 correction e^{-2 pi i t0 . y} for grids that do not start at the origin.
-That product is the single source of phase truth for the whole package.
+That product is the single source of phase truth for the whole package,
+with one exception: the direct fold takes its factor at t y reduced mod 1,
+the same phase on the lattice, and exact where t y is (on dyadic grids).
 
 Both transforms can also hand Gf to a consumer a slab of leading rows at a
 time (their consume argument), so that a consumer such as the gabor command
@@ -64,6 +66,13 @@ def _boundary_max(values: np.ndarray) -> float:
     return max(float(np.abs(np.take(values, [0, -1], axis=a)).max()) for a in range(values.ndim))
 
 
+def _blocks(rows: int, step: int) -> list[tuple[int, int]]:
+    """(start, stop) of blocks of step rows.  A one-row tail joins the block before
+    it: on one row a matrix product becomes a matrix-vector one, rounding differently."""
+    stops = list(range(step, rows - 1, step)) + [rows]
+    return list(zip([0] + stops, stops))
+
+
 def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
                          axis_contraction, slab_rows: int | None):
     """The Riemann sum of Gf, one signal axis at a time, as an iterator of slabs.
@@ -87,11 +96,7 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
         )
     tail = phase_geometry.extents[-2:]
     rows = phase_geometry.num_cells // (tail[0] * tail[1])
-    step = slab_rows or rows
-    # A one-row tail joins the slab before it: on one row the folded GEMM
-    # becomes a matrix-vector product, whose sums round differently.
-    stops = list(range(step, rows - 1, step)) + [rows]
-    bounds = list(zip([0] + stops, stops))
+    bounds = _blocks(rows, slab_rows or rows)
     peak = float(np.max(np.abs(f.values)))
     if _boundary_max(f.values) > BOUNDARY_DECAY_TOL * peak:
         warnings.warn(
@@ -123,11 +128,10 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
 
 # Leading rows per slab of a consumed transform: 128 rows of a 33^4 field
 # are 2.2 MiB, where the whole field is 18.1 MiB.  At least 2, so no slab
-# is a single row (see _separable_transform).  256 rows took a stability
-# report's resident peak about 2 MB lower, but slowed the gabor command's
-# FFT path, then a per-window loop, by a fifth.  The FFT path also sizes
-# its blocks of windowed rows by it: a block holds no more cells than one
-# slab of the output, so its fold and FFT temporaries stay within one slab.
+# is a single row (see _blocks).  256 rows took a stability report's
+# resident peak about 2 MB lower, but slowed the gabor command's FFT path,
+# then a per-window loop, by a fifth.  Both folds also size their blocks by
+# it: a block's fold temporaries hold no more cells than one output slab.
 SLAB_ROWS = 128
 
 
@@ -140,24 +144,45 @@ def _transform(f: SignalGrid, phase_geometry: GridGeometry, axis_contraction, co
 
 
 def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
+    t = geometry.axis_coordinates(a)
+    n = t.size
     # Fourier factor from absolute coordinates: e^{-2 pi i t y} carries the
     # origin phase correction exactly.
-    fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
+    fourier = np.exp(-2j * np.pi * np.outer(t, y))
+    m = _fold_step(y * (n * geometry.spacing[a]), n)  # 1 unless y is exactly on the lattice
+    length = n // m
 
     def with_windows(windows: np.ndarray):
+        nx = windows.shape[0]
         kernel = None
 
         def contract(g: np.ndarray) -> np.ndarray:
             nonlocal kernel
-            n = g.shape[0]
-            out = np.empty(g.shape[1:] + (windows.shape[0], y.size), np.complex128)
+            out = np.empty(g.shape[1:] + (nx, y.size), np.complex128)
             if g.size == n:
                 # One row, windowed at every x: the batched product makes
                 # a loop's matrix-vector product per window, bit for bit.
                 np.matmul((g.reshape(1, n) * windows)[:, None, :], fourier,
-                          out=out.reshape(windows.shape[0], 1, y.size))
+                          out=out.reshape(nx, 1, y.size))
                 return out
-            # Several rows: the window folds into the Fourier factor,
+            rows = g.reshape(n, -1)
+            if m > 1:
+                # Per block of at least two rows, whose sums hold no more
+                # cells than one slab of the output: (L, rows, m) @ (L, m, x)
+                # adds the windowed segments, then one GEMM over L against
+                # the factor of the first L samples, at t y reduced mod 1.
+                if kernel is None:
+                    phase = np.outer(t[:length], y)
+                    kernel = (windows.reshape(nx, m, length).transpose(2, 1, 0).astype(complex),
+                              np.exp(-2j * np.pi * (phase - np.round(phase))))
+                flat = out.reshape(-1, y.size)
+                chunk = max(2, min(rows.shape[1], SLAB_ROWS) * y.size // length)
+                for start, stop in _blocks(rows.shape[1], chunk):
+                    part = rows[:, start:stop].reshape(m, length, -1).transpose(1, 2, 0)
+                    np.matmul(np.matmul(part, kernel[0]).reshape(length, -1).T, kernel[1],
+                              out=flat[start * nx:stop * nx])
+                return out
+            # Otherwise the window folds into the Fourier factor,
             # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of
             # the rows against K gives (..., x_a, y_a) directly.  K is built
             # on the first call and kept for the next slabs.  The first
@@ -165,7 +190,7 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
             # split the heap and a report's resident peak rose by about 4 MB.
             if kernel is None:
                 kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
-            np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
+            np.matmul(rows.T, kernel, out=out.reshape(-1, kernel.shape[1]))
             return out
 
         return contract
@@ -179,10 +204,11 @@ def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None
     Each signal axis in turn is contracted against its Fourier factor
     e^{-2 pi i t y}, so any y samples are allowed.  A single row (d = 1)
     is windowed at every x sample and contracted in one batched call.
-    Several rows (every axis of d = 2) are contracted in one matrix
-    product against the window folded into the Fourier factor,
-    e^{-pi(t - x)^2} e^{-2 pi i t y} as a t by (x, y) matrix; that result
-    is within a few ulp of the peak of the per-window one.
+    Several rows (every axis of d = 2) fold onto the y lattice where every
+    y sits exactly on it with m > 1, the factor taken at t y reduced mod 1;
+    else one matrix product contracts them against the window folded into
+    the Fourier factor, e^{-pi(t - x)^2} e^{-2 pi i t y} as a t by (x, y)
+    matrix.  Both are within a few ulp of the peak of the per-window loop.
 
     Parameters
     ----------
@@ -218,8 +244,8 @@ def _fft_frequency_indices(y: np.ndarray, n: int, dt: float) -> np.ndarray:
 
 def _fold_step(k: np.ndarray, n: int) -> int:
     """The largest m dividing n and every bin index k: the y samples sit
-    on every m-th bin of the n-point DFT lattice."""
-    return math.gcd(n, *k.tolist())
+    on every m-th bin of the n-point DFT lattice.  1 if some k is not integral."""
+    return math.gcd(n, *k.astype(np.int64).tolist()) if np.array_equal(k, np.round(k)) else 1
 
 
 def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):

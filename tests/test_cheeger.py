@@ -19,7 +19,7 @@ from gaborstab.cheeger import (
     sweep_cut_cheeger,
     weight_from_spectrogram,
 )
-from gaborstab.errors import ConvergenceError
+from gaborstab.errors import ConvergenceError, ResourceError
 from gaborstab.gabor import spectrogram
 from gaborstab.grids import box_geometry
 from gaborstab.signals import analytic_gabor_transform, gaussian_spec, two_bump_spec
@@ -402,11 +402,11 @@ class TestFiedler:
         g = build_weight_graph(unit_grid((6, 6), values=rng.uniform(0.1, 2.0, (6, 6))))
         n = g.num_vertices
         monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES", 3 * n * 8)
-        with pytest.raises(ConvergenceError, match=f"{3 * n * 8}-byte budget") as exc:
+        with pytest.raises(ResourceError, match=f"{3 * n * 8}-byte budget") as exc:
             fiedler_vector(g)
         assert f"k = 3 steps on n = {n} vertices" in str(exc.value)
         monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES", 8 * n - 1)
-        with pytest.raises(ConvergenceError, match=f"k = 0 steps on n = {n}"):
+        with pytest.raises(ResourceError, match=f"k = 0 steps on n = {n}"):
             fiedler_vector(g)
 
     def test_budget_that_fits_the_solve_changes_nothing(self, monkeypatch):

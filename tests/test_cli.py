@@ -799,7 +799,7 @@ class TestExitCodes:
         assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_CONVERGENCE
         assert "non-convergence" in capsys.readouterr().err
 
-    def test_lanczos_basis_budget_exit_4(self, tmp_path, monkeypatch, capsys):
+    def test_lanczos_basis_budget_exit_6(self, tmp_path, monkeypatch, capsys):
         from gaborstab import cheeger
 
         monkeypatch.setattr(cheeger, "LANCZOS_BASIS_BYTES", 4096)
@@ -809,9 +809,9 @@ class TestExitCodes:
             "coarsen": 1,
             "output": "h.json",
         })
-        assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_CONVERGENCE
+        assert run_main("cheeger", cfg, tmp_path) == cli.EXIT_RESOURCE == 6
         err = capsys.readouterr().err
-        assert "non-convergence" in err and "4096-byte budget" in err
+        assert "memory budget exceeded" in err and "4096-byte budget" in err
         assert not (tmp_path / "h.json").exists()
 
     def test_run_config_rejects_unknown_command(self):

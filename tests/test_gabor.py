@@ -1,6 +1,7 @@
 """Sampled Gabor transform (direct and FFT paths), spectrograms, entire lift."""
 
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,38 @@ def fourier_window_contraction(geometry, a, y):
     return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
 
 
+def exact_phase_window_contraction(geometry, a, y):
+    """fourier_window_contraction with the factor e^{-2 pi i frac(t y)}, t y
+    reduced mod 1 to [-1/2, 1/2].  Its phases are exact: every product t y
+    is checked to be exact in float64 against the exact rational product."""
+    t = geometry.axis_coordinates(a)
+    ty = np.outer(t, y)
+    assert all(Fraction(p) == Fraction(ti) * Fraction(yj)
+               for ti, row in zip(t.tolist(), ty.tolist()) for yj, p in zip(y.tolist(), row))
+    fourier = np.exp(-2j * np.pi * (ty - np.round(ty)))
+    return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
+
+
+def window_folded_gemm_contraction(geometry, a, y):
+    """The direct path's several-row contraction as it was before it folded
+    onto the y lattice: one GEMM of the rows against the window folded into
+    the Fourier factor, K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}."""
+    fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
+
+    def with_windows(windows):
+        kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(windows.shape[1], -1)
+        return lambda g: (g.reshape(g.shape[0], -1).T @ kernel).reshape(
+            g.shape[1:] + (windows.shape[0], y.size))
+
+    return with_windows
+
+
+def assert_within_4_eps_of_the_peak(got, want):
+    peak = float(np.max(np.abs(want)))
+    assert peak > 0.0
+    assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * peak
+
+
 def fft_window_contraction(geometry, a, y):
     k = gabor._fft_frequency_indices(y, geometry.extents[a], geometry.spacing[a])
     origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
@@ -162,6 +195,13 @@ def fold_step(signal_geometry, phase_geometry, a):
     k = gabor._fft_frequency_indices(phase_geometry.axis_coordinates(2 * a + 1),
                                      signal_geometry.extents[a], signal_geometry.spacing[a])
     return gabor._fold_step(k, signal_geometry.extents[a])
+
+
+def direct_fold_step(signal_geometry, phase_geometry, a):
+    """The direct path's fold step m on signal axis a (1: no fold)."""
+    n = signal_geometry.extents[a]
+    y = phase_geometry.axis_coordinates(2 * a + 1)
+    return gabor._fold_step(y * (n * signal_geometry.spacing[a]), n)
 
 
 class TestInPlaceScaling:
@@ -211,17 +251,18 @@ def random_tapered_signal(rng):
 
 
 class TestContractionShapes:
-    """The direct path folds the window into its Fourier factor wherever the
-    array in front of an axis has several rows (every axis of a d = 2
-    signal), and a single row is windowed at every x and contracted in
-    one batched product with the per-window loop's bits.  The FFT path
-    folds each windowed row onto the y lattice: at a lattice step of one
-    bin it computes the per-window loop's terms."""
+    """The direct path folds several rows onto the y lattice where every y
+    sits exactly on it with a fold step m > 1, and otherwise folds the
+    window into its Fourier factor.  A single row is windowed at every x
+    and contracted in one batched product with the per-window loop's bits.
+    The FFT path folds each windowed row onto the y lattice: at a lattice
+    step of one bin it computes the per-window loop's terms."""
 
-    # case -> (signal grid, phase grid, signal); the FFT fold step m of
-    # each signal axis in the comment.
+    # case -> (signal grid, phase grid, signal); the fold step m of each
+    # signal axis in the comment.
     FOLDED = {
-        # m = 4 on both axes: cli-chain's d = 2 gabor step.
+        # m = 4 on both axes: cli-chain's d = 2 gabor step, and report-d2's
+        # grid and signal f at T = 3.
         "cli-chain-d2": (box_geometry((128, 128), -8.0, 7.875),
                          box_geometry((33,) * 4, -4.0, 4.0),
                          two_bump_spec((-1.5, 0.0), (0.0, 0.0), (1.5, 0.0), (0.0, 0.0),
@@ -230,20 +271,47 @@ class TestContractionShapes:
         "d2": TestInPlaceScaling.CASES["d2"],
     }
 
-    @pytest.mark.parametrize("case", ["report-d2", "random-1", "random-2"])
-    def test_folded_gemm_is_within_4_eps_of_the_per_window_loop(self, case):
-        if case == "report-d2":
-            from gaborstab.stability import make_instability_pair
+    # case -> phase grid on the "d2" signal grid (lattice 1/8) where the
+    # direct path keeps the window-folded GEMM.
+    UNFOLDED = {
+        "half-bin-off": GridGeometry((5, 9, 7, 9), (0.5, 0.25, 1.0 / 3.0, 0.25),
+                                     (-1.0, -1.0 + 1.0 / 16.0, -1.0, -1.0 + 1.0 / 16.0)),
+        # On the lattice for the FFT path, which allows 1e-8 lattice units.
+        "1e-9-off": GridGeometry((5, 9, 7, 9), (0.5, 0.25, 1.0 / 3.0, 0.25),
+                                 (-1.0, -1.0 + 1e-9 / 8.0, -1.0, -1.0 + 1e-9 / 8.0)),
+        # y step 1/(n dt) = 1/8, one bin: m = 1.
+        "unit-step": box_geometry((5, 17, 7, 17), -1.0, 1.0),
+    }
 
-            f, _ = make_instability_pair(2, 3.0, box_geometry((128, 128), -8.0, 7.875))
-            phase = box_geometry((33,) * 4, -4.0, 4.0)
-        else:
-            f, phase = random_tapered_signal(np.random.default_rng(int(case[-1])))
+    @pytest.mark.parametrize("case", ["random-1", "random-2"])
+    def test_folded_gemm_is_within_4_eps_of_the_per_window_loop(self, case):
+        f, phase = random_tapered_signal(np.random.default_rng(int(case[-1])))
         got = gabor_transform(f, phase).values
         want = per_window_transform(f, phase, fourier_window_contraction)
         peak = float(np.max(np.abs(want)))
         assert peak > 0.0
         assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * peak
+
+    @pytest.mark.parametrize("case, m", [("cli-chain-d2", 4), ("d2", 2)],
+                             ids=["cli-chain-d2", "d2"])
+    def test_lattice_fold_is_within_4_eps_of_the_exact_phase_loop(self, case, m):
+        sig_geom, phase, spec = self.FOLDED[case]
+        f = make_analytic(spec, sig_geom)
+        assert [direct_fold_step(f.geometry, phase, a) for a in range(f.dimension)] == [m, m]
+        assert_within_4_eps_of_the_peak(
+            gabor_transform(f, phase).values,
+            per_window_transform(f, phase, exact_phase_window_contraction))
+
+    @pytest.mark.parametrize("case", sorted(UNFOLDED))
+    def test_off_lattice_and_unit_step_grids_keep_the_gemm_bits(self, case):
+        sig_geom, _, spec = self.FOLDED["d2"]
+        phase = self.UNFOLDED[case]
+        f = make_analytic(spec, sig_geom)
+        assert all(direct_fold_step(f.geometry, phase, a) == 1 for a in range(f.dimension))
+        got = gabor_transform(f, phase).values
+        for contraction in (gabor._fourier_contraction, window_folded_gemm_contraction):
+            want = out_of_place_transform(f, phase, contraction)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", sorted(FOLDED))
     def test_folded_fft_is_within_4_eps_of_the_per_window_loop(self, case):
@@ -293,6 +361,17 @@ class TestFoldStep:
         f = make_analytic(shifted_gaussian_spec((0.5,), (-0.25,)), sig_geom)
         fast = gabor_transform_fft(f, phase)
         assert sup_err(fast.values, gabor_transform(f, phase).values) < 1e-12
+
+    @pytest.mark.parametrize("y0, step, ny, m", [
+        (-4.0, 0.25, 33, 4), (-1.0, 0.125, 17, 2), (-1.0, 1.0 / 16.0, 33, 1), (0.0, 1.0, 1, 128),
+        (-1.0 + 1.0 / 32.0, 0.125, 17, 1), (-1.0 + 1e-9 / 16.0, 0.125, 17, 1),
+    ], ids=["report-d2", "two-bins", "one-bin", "lone-y-0", "half-bin-off", "1e-9-off"])
+    def test_direct_fold_step(self, y0, step, ny, m):
+        # 128 samples at dt = 1/8: the lattice is 1/16, and y0 = -4 and -1
+        # are bins -64 and -16.  Off the lattice the direct path does not fold.
+        sig_geom = box_geometry((128,), -8.0, 7.875)
+        phase = GridGeometry((3, ny), (1.0, step), (-1.0, y0))
+        assert direct_fold_step(sig_geom, phase, 0) == m
 
     def test_bins_come_from_the_y_samples(self):
         # n dt = 16: y = -1/2, 0, 1/8 sit on bins 504, 0 and 2 of 512.

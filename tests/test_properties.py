@@ -19,6 +19,8 @@ from gaborstab.grids import (GridGeometry, PhaseSpaceGrid, SignalGrid, box_geome
 from gaborstab.signals import make_analytic, two_bump_spec
 from gaborstab.stability import align_phase_global
 
+from test_gabor import (assert_within_4_eps_of_the_peak, direct_fold_step,
+                        exact_phase_window_contraction, per_window_transform)
 from test_stability import full_scan_alignment
 
 pytest.importorskip("hypothesis")
@@ -105,6 +107,37 @@ def test_fft_path_equals_direct_path_on_lattice_boxes(d, seed):
     direct = gabor_transform(f, phase).values
     fast = gabor_transform_fft(f, phase).values
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _dyadic_lattice_case(rng):
+    """A random complex d = 2 signal on a dyadic grid and a phase box whose
+    y axes step 2 or 4 bins of the lattice 1/(n dt) from a bin the step
+    divides, so the direct path folds each axis by m >= 2."""
+    n = [int(rng.choice([8, 16, 32])) for _ in range(2)]
+    dt = [float(rng.choice([0.125, 0.25, 0.5])) for _ in range(2)]
+    sig_geom = GridGeometry(extents=tuple(n), spacing=tuple(dt),
+                            origin=tuple(dt[a] * int(rng.integers(-n[a], 1)) for a in range(2)))
+    extents, spacing, origin = [], [], []
+    for a in range(2):
+        lattice = 1.0 / (n[a] * dt[a])
+        step = int(rng.choice([2, 4]))
+        k0 = step * int(rng.integers(-(n[a] // step), n[a] // step))
+        extents += [int(rng.integers(2, 8)), int(rng.integers(2, 10))]
+        spacing += [float(rng.uniform(0.1, 1.0)), step * lattice]
+        origin += [float(rng.uniform(-2.0, 2.0)), k0 * lattice]
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return SignalGrid(sig_geom, values), GridGeometry(tuple(extents), tuple(spacing), tuple(origin))
+
+
+@pytest.mark.filterwarnings("ignore:signal does not decay")
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_fold_is_within_4_eps_of_the_exact_phase_loop(seed):
+    f, phase = _dyadic_lattice_case(np.random.default_rng(seed))
+    assert all(direct_fold_step(f.geometry, phase, a) >= 2 for a in range(2))
+    assert_within_4_eps_of_the_peak(
+        gabor_transform(f, phase).values,
+        per_window_transform(f, phase, exact_phase_window_contraction))
 
 
 def _shifted(shift: int, m: int) -> tuple[slice, slice]:

@@ -4,27 +4,24 @@ The transform implemented here is
     Gf(x, y) = int_{R^d} f(t) e^{-pi|t-x|^2} e^{-2 pi i t.y} dt,
 discretized as a Riemann sum over the signal grid.  Window and Fourier
 factor both split over the d axes, so the sum is taken one signal axis at a
-time.  Where the y samples of axis a sit on every m-th bin of the n-point
-DFT lattice k/(n dt), for some m > 1 dividing n, e^{-2 pi i t_a y_a}
-repeats on the m segments of length L = n/m of t_a, and the windowed
-segments can be added first (Portnoff 1980; Sondergaard 2012).  The direct
-path takes one of three shapes:
+time, in one of three shapes:
 
-- one row: a single row (every d = 1 signal) is multiplied by the window
-  e^{-pi(t_a - x_a)^2} of every position x_a, and one batched matrix
-  product contracts t_a against the Fourier factor e^{-2 pi i t_a y_a}:
-  one vector-matrix product per window, the bits of a loop over them;
-- folded onto the y lattice: several rows (an axis of a d = 2 signal)
-  whose y_a sit exactly on the lattice with m > 1 add their windowed
-  segments in one batched product, and one GEMM contracts the sums;
-- other several rows are contracted in one matrix product against
+- one row (every d = 1 signal on the direct path): the row is multiplied
+  by the window e^{-pi(t_a - x_a)^2} of every position x_a, and one
+  batched matrix product contracts t_a against e^{-2 pi i t_a y_a}: one
+  vector-matrix product per window, the bits of a loop over them;
+- the lattice fold: where the y samples of axis a sit on every m-th bin of
+  the n-point DFT lattice k/(n dt), m dividing n, e^{-2 pi i t_a y_a}
+  repeats on the m segments of length L = n/m of t_a, and one batched
+  product adds the windowed segments first (Portnoff 1980; Sondergaard
+  2012).  A GEMM against the factor of the first L samples finishes the
+  sums on the direct path (several rows, m > 1), an L-point FFT on the FFT
+  path (gabor_transform_fft: any rows, any m);
+- the K GEMM: other several rows of the direct path are contracted in one
+  matrix product against
   K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a}.
-Both several-row shapes regroup each term of the sum, so they agree with
-the per-window one to a few ulp of the peak, not bit for bit.
-
-The FFT path (gabor_transform_fft) takes a fourth shape: any number of
-rows, windowed a block at a time, folded by the largest m and transformed
-by one L-point FFT per block.
+The fold at m > 1 and the K GEMM regroup each term of the sum, so they
+agree with the per-window loop to a few ulp of the peak, not bit for bit.
 
 The contracted axis comes out trailing as (x_a, y_a), so after d axes the
 values are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
@@ -130,8 +127,9 @@ def _separable_transform(f: SignalGrid, phase_geometry: GridGeometry,
 # are 2.2 MiB, where the whole field is 18.1 MiB.  At least 2, so no slab
 # is a single row (see _blocks).  256 rows took a stability report's
 # resident peak about 2 MB lower, but slowed the gabor command's FFT path,
-# then a per-window loop, by a fifth.  Both folds also size their blocks by
-# it: a block's fold temporaries hold no more cells than one output slab.
+# then a per-window loop, by a fifth.  It also sets the one block rule of
+# the lattice fold: a block's windowed rows of n samples hold no more cells
+# than one slab of the output.
 SLAB_ROWS = 128
 
 
@@ -143,6 +141,36 @@ def _transform(f: SignalGrid, phase_geometry: GridGeometry, axis_contraction, co
     return PhaseSpaceGrid(geometry=phase_geometry, values=values.reshape(phase_geometry.extents))
 
 
+def _lattice_fold(windows: np.ndarray, m: int, y_size: int, finish):
+    """The contraction of an axis whose y samples sit on every m-th bin of
+    the n-point DFT lattice: per block, (L, rows, m) @ (L, m, x) adds the m
+    windowed segments of length L = n/m, and finish(sums, out) maps the
+    (L, rows x) sums onto the block's (rows x, y) output.  A block's
+    windowed rows of n samples hold no more cells than one output slab:
+    all x of at least two rows, or a run of x of a single row."""
+    nx, n = windows.shape
+    length = n // m
+    # Cast once: a product against real windows casts them on every call.
+    segments = windows.reshape(nx, m, length).transpose(2, 1, 0).astype(complex)
+
+    def contract(g: np.ndarray) -> np.ndarray:
+        rows = g.reshape(n, -1)
+        out = np.empty(g.shape[1:] + (nx, y_size), np.complex128)
+        flat = out.reshape(-1, y_size)
+        pairs = max(1, min(rows.shape[1], SLAB_ROWS) * nx * y_size // n)
+        if rows.shape[1] == 1:
+            blocks = [(0, 1, x0, min(x0 + pairs, nx)) for x0 in range(0, nx, pairs)]
+        else:
+            blocks = [(r0, r1, 0, nx) for r0, r1 in _blocks(rows.shape[1], max(2, pairs // nx))]
+        for r0, r1, x0, x1 in blocks:
+            part = rows[:, r0:r1].reshape(m, length, -1).transpose(1, 2, 0)
+            sums = np.matmul(part, segments[:, :, x0:x1]).reshape(length, -1)
+            finish(sums, flat[r0 * nx + x0:(r1 - 1) * nx + x1])
+        return out
+
+    return contract
+
+
 def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     t = geometry.axis_coordinates(a)
     n = t.size
@@ -150,7 +178,6 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     # origin phase correction exactly.
     fourier = np.exp(-2j * np.pi * np.outer(t, y))
     m = _fold_step(y * (n * geometry.spacing[a]), n)  # 1 unless y is exactly on the lattice
-    length = n // m
 
     def with_windows(windows: np.ndarray):
         nx = windows.shape[0]
@@ -158,29 +185,21 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
 
         def contract(g: np.ndarray) -> np.ndarray:
             nonlocal kernel
+            if m > 1 and g.size != n:
+                # Several rows on the lattice: the fold, finished by a GEMM
+                # against the first L samples' factor at t y reduced mod 1.
+                if kernel is None:
+                    phase = np.outer(t[:n // m], y)
+                    reduced = np.exp(-2j * np.pi * (phase - np.round(phase)))
+                    kernel = _lattice_fold(windows, m, y.size,
+                                           lambda sums, out: np.matmul(sums.T, reduced, out=out))
+                return kernel(g)
             out = np.empty(g.shape[1:] + (nx, y.size), np.complex128)
             if g.size == n:
                 # One row, windowed at every x: the batched product makes
                 # a loop's matrix-vector product per window, bit for bit.
                 np.matmul((g.reshape(1, n) * windows)[:, None, :], fourier,
                           out=out.reshape(nx, 1, y.size))
-                return out
-            rows = g.reshape(n, -1)
-            if m > 1:
-                # Per block of at least two rows, whose sums hold no more
-                # cells than one slab of the output: (L, rows, m) @ (L, m, x)
-                # adds the windowed segments, then one GEMM over L against
-                # the factor of the first L samples, at t y reduced mod 1.
-                if kernel is None:
-                    phase = np.outer(t[:length], y)
-                    kernel = (windows.reshape(nx, m, length).transpose(2, 1, 0).astype(complex),
-                              np.exp(-2j * np.pi * (phase - np.round(phase))))
-                flat = out.reshape(-1, y.size)
-                chunk = max(2, min(rows.shape[1], SLAB_ROWS) * y.size // length)
-                for start, stop in _blocks(rows.shape[1], chunk):
-                    part = rows[:, start:stop].reshape(m, length, -1).transpose(1, 2, 0)
-                    np.matmul(np.matmul(part, kernel[0]).reshape(length, -1).T, kernel[1],
-                              out=flat[start * nx:stop * nx])
                 return out
             # Otherwise the window folds into the Fourier factor,
             # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of
@@ -190,7 +209,7 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
             # split the heap and a report's resident peak rose by about 4 MB.
             if kernel is None:
                 kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
-            np.matmul(rows.T, kernel, out=out.reshape(-1, kernel.shape[1]))
+            np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
             return out
 
         return contract
@@ -202,13 +221,11 @@ def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None
     """Sampled Gabor transform of f on a phase-space grid.
 
     Each signal axis in turn is contracted against its Fourier factor
-    e^{-2 pi i t y}, so any y samples are allowed.  A single row (d = 1)
-    is windowed at every x sample and contracted in one batched call.
-    Several rows (every axis of d = 2) fold onto the y lattice where every
-    y sits exactly on it with m > 1, the factor taken at t y reduced mod 1;
-    else one matrix product contracts them against the window folded into
-    the Fourier factor, e^{-pi(t - x)^2} e^{-2 pi i t y} as a t by (x, y)
-    matrix.  Both are within a few ulp of the peak of the per-window loop.
+    e^{-2 pi i t y}, so any y samples are allowed, in one of the three
+    shapes of the module docstring: a single row (d = 1) windowed at every
+    x; several rows whose y all sit exactly on the lattice with m > 1,
+    folded and finished by a GEMM at t y reduced mod 1; or the K GEMM.
+    Both several-row shapes are within a few ulp of the per-window loop.
 
     Parameters
     ----------
@@ -252,60 +269,28 @@ def _fft_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
     n = geometry.extents[a]
     k = _fft_frequency_indices(y, n, geometry.spacing[a])
     m = _fold_step(k, n)
-    length = n // m
     origin_phase = np.exp(-2j * np.pi * geometry.origin[a] * y)
 
-    def with_windows(windows: np.ndarray):
-        nx = windows.shape[0]
-        # g w casts w to complex on every product; cast once instead.
-        windows = windows.astype(np.complex128)
+    def finish(sums, out):
+        # Bins k/m of the L-point FFT are bins k of the n-point one.
+        np.multiply(np.fft.fft(sums, axis=0)[k // m].T, origin_phase, out=out)
 
-        def contract(g: np.ndarray) -> np.ndarray:
-            rows = g.reshape(n, -1)
-            out = np.empty(g.shape[1:] + (nx, y.size), np.complex128)
-            flat = out.reshape(-1, nx, y.size)
-            # A block windows chunk rows at run x positions, all x of
-            # several rows or a run of x of one row.  Its windowed rows of n
-            # samples hold no more cells than one slab of the output.
-            pairs = max(1, min(rows.shape[1], SLAB_ROWS) * nx * y.size // n)
-            chunk, run = max(1, pairs // nx), min(nx, pairs)
-            for start in range(0, rows.shape[1], chunk):
-                # Rows contiguous along t: the products then read each
-                # row's segments in order, not one cache line per sample.
-                part = np.ascontiguousarray(rows[:, start:start + chunk].T)[:, None, :]
-                for x0 in range(0, nx, run):
-                    w = windows[x0:x0 + run]
-                    # Bin m j of the n-point DFT is bin j of the L-point DFT
-                    # of the windowed row's m segments of length L = n/m
-                    # added up.  At m = 1 that is the windowed row itself.
-                    folded = part[..., :length] * w[:, :length]
-                    for s in range(length, n, length):
-                        folded += part[..., s:s + length] * w[:, s:s + length]
-                    np.multiply(np.fft.fft(folded)[..., k // m], origin_phase,
-                                out=flat[start:start + chunk, x0:x0 + run])
-            return out
-
-        return contract
-
-    return with_windows
+    return lambda windows: _lattice_fold(windows, m, y.size, finish)
 
 
 def gabor_transform_fft(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None):
     """The same Riemann sum as gabor_transform, evaluated with batched FFTs.
 
     Every y sample must sit on the frequency lattice k/(n dt) of its signal
-    axis; then picking bins k of an n-point FFT evaluates the sum for all y
-    at once.  Off-lattice y grids are an error, not an approximation: use
-    gabor_transform for those.  Each signal axis in turn is windowed at
-    every x sample, a block of rows at a time.  With m the largest common
-    divisor of n and every bin index k, each windowed row is folded onto
-    L = n/m samples by adding its m segments of length L, and one L-point
-    FFT along the block's last axis gives bins k/m, which are bins k of the
-    n-point FFT.  The origin phase e^{-2 pi i t0 y} is applied afterwards,
-    from the same absolute-coordinate convention as the direct path.  At
-    m = 1 (a y step of 1/(n dt)) each term is that of a per-window n-point
-    FFT, bit for bit; at m > 1 the fold regroups the sum, within a few ulp
-    of the peak.  consume works as in gabor_transform.
+    axis.  Off-lattice y grids are an error, not an approximation: use
+    gabor_transform for those.  Each signal axis goes through the lattice
+    fold, with m the largest common divisor of n and every bin index k, and
+    one L-point FFT finishes each block of segment sums: its bins k/m are
+    bins k of the n-point FFT.  The origin phase e^{-2 pi i t0 y} is applied
+    afterwards, from the same absolute-coordinate convention as the direct
+    path.  At m = 1 (a y step of 1/(n dt)) each term is that of a per-window
+    n-point FFT, bit for bit; at m > 1 the fold regroups the sum, within a
+    few ulp of the peak.  consume works as in gabor_transform.
     """
     return _transform(f, phase_geometry, _fft_contraction, consume)
 

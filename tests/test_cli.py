@@ -298,27 +298,40 @@ class TestGaborStream:
     def test_traced_peak_of_the_cli_chain_step_is_under_half_a_field(self, tmp_path):
         import tracemalloc
 
-        # The d = 2 gabor step of the cli-chain benchmark: one complex field
-        # on its 33^4 phase grid is 18.1 MiB.  Streamed, the step holds the
+        def two_bump(centre, d):
+            zero = [0.0] * d
+            return {"kind": "two-bump", "center1": [-centre] + zero[1:], "frequency1": zero,
+                    "center2": [centre] + zero[1:], "frequency2": zero, "sign": 1}
+
+        # The two gabor steps of the cli-chain benchmark, each with the bound
+        # on its traced peak in complex fields of its phase grid.  d = 2: one
+        # field on the 33^4 grid is 18.1 MiB.  Streamed, the step holds the
         # working array, one slab, its modulus and the window temporaries.
-        two_bump = {"kind": "two-bump", "center1": [-1.5, 0.0], "frequency1": [0.0, 0.0],
-                    "center2": [1.5, 0.0], "frequency2": [0.0, 0.0], "sign": 1}
-        cfg = {"geometry": {"extents": [128, 128], "lo": -8.0, "hi": 7.875},
-               "signal": two_bump,
-               "phase_geometry": {"extents": [33] * 4, "lo": -4.0, "hi": 4.0},
-               "method": "fft", "output": "F2.ggr", "spectrogram_output": "S2.ggr"}
-        field = 33 ** 4 * 16
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            cli.run_config("gabor", cfg, str(tmp_path))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak <= 0.5 * field
+        # d = 1: the whole 257^2 field (1.0 MiB) is one slab.  The step holds
+        # the windows, real and complex, the field, its modulus and the fold
+        # temporaries of a run of x, 5.5 fields; with all 257 x of the one
+        # row at once they read 8.0.
+        steps = [
+            ({"geometry": {"extents": [128, 128], "lo": -8.0, "hi": 7.875},
+              "signal": two_bump(1.5, 2),
+              "phase_geometry": {"extents": [33] * 4, "lo": -4.0, "hi": 4.0}}, 33 ** 4, 0.5),
+            ({"geometry": {"extents": [512], "lo": -8.0, "hi": 7.96875},
+              "signal": two_bump(3.0, 1),
+              "phase_geometry": {"extents": [257, 257], "lo": -8.0, "hi": 8.0}}, 257 ** 2, 6.5),
+        ]
+        for cfg, cells, bound in steps:
+            cfg.update(method="fft", output="F.ggr", spectrogram_output="S.ggr")
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                cli.run_config("gabor", cfg, str(tmp_path))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            assert peak <= bound * cells * 16, (cells, peak / (cells * 16))
 
 
 class TestCheeger:

@@ -251,12 +251,15 @@ def random_tapered_signal(rng):
 
 
 class TestContractionShapes:
-    """The direct path folds several rows onto the y lattice where every y
-    sits exactly on it with a fold step m > 1, and otherwise folds the
-    window into its Fourier factor.  A single row is windowed at every x
-    and contracted in one batched product with the per-window loop's bits.
-    The FFT path folds each windowed row onto the y lattice: at a lattice
-    step of one bin it computes the per-window loop's terms."""
+    """Both paths share one lattice fold: per block, one batched product
+    adds the windowed segments onto the y lattice, and a finisher contracts
+    the sums.  The direct path folds several rows whose y all sit exactly
+    on the lattice with a fold step m > 1 and finishes with a GEMM; other
+    several rows it contracts against the window folded into its Fourier
+    factor.  A single row it windows at every x and contracts in one
+    batched product with the per-window loop's bits.  The FFT path folds
+    every row and finishes with an L-point FFT: at a lattice step of one
+    bin it computes the per-window loop's terms."""
 
     # case -> (signal grid, phase grid, signal); the fold step m of each
     # signal axis in the comment.

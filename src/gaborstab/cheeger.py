@@ -54,16 +54,11 @@ class WeightGrid:
 
     def __post_init__(self) -> None:
         vals = grid_array(self.values, self.geometry.extents, float, "weight")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("weights must be finite and nonnegative")
         mask = active_mask(self.mask, self.geometry.extents)
         if mask is None:
             mask = np.ones(self.geometry.extents, dtype=bool)
-        n_active = int(mask.sum())
-        if n_active < 2:
-            raise ValueError("need at least 2 active cells")
-        if float(vals[mask].sum()) <= 0.0:
-            raise ValueError("total active mass must be positive")
+        check_weight(bool(np.all(np.isfinite(vals)) and not np.any(vals < 0)), int(mask.sum()),
+                     lambda: float(vals[mask].sum()))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "mask", mask)
 
@@ -72,30 +67,23 @@ class WeightGrid:
         return int(self.mask.sum())
 
     def coarsen(self, factor: int) -> "WeightGrid":
-        """Block-mean downsample by an integer factor per axis.
-
-        Trailing cells that do not fill a block are trimmed.  A coarse cell
-        is active when any fine cell in its block is active; coarse centers
-        sit at block centers, so the origin shifts by (factor-1)*spacing/2.
-        The blocks are summed by strided slices in numpy's order for a
-        reshape-and-mean (_block_reduce), then divided once by k^rank.
-        """
+        """Block-mean downsample by an integer factor per axis: BlockSums fed one piece."""
         k = check_coarsen_factor(factor)
         if k == 1:
             return self
-        geom = self.geometry
-        new_extents = tuple(n // k for n in geom.extents)
-        if any(n < 1 for n in new_extents):
-            raise ValueError(f"grid too small to coarsen by {k}")
-        sl = tuple(slice(0, n * k) for n in new_extents)
-        new_geom = GridGeometry(
-            extents=new_extents,
-            spacing=tuple(s * k for s in geom.spacing),
-            origin=tuple(o + (k - 1) * s / 2.0 for o, s in zip(geom.origin, geom.spacing)),
-        )
-        return WeightGrid(geometry=new_geom,
-                          values=_block_reduce(self.values[sl], k, operator.add) / k ** geom.rank,
-                          mask=_block_reduce(self.mask[sl], k, operator.or_))
+        sums = BlockSums(self.geometry, k)
+        sums.add(self.values)
+        return sums.weight(self.mask)
+
+
+def check_weight(valid: bool, n_active: int, mass) -> None:
+    """WeightGrid's checks in order: all values finite and >= 0, active cells, mass()."""
+    if not valid:
+        raise ValueError("weights must be finite and nonnegative")
+    if n_active < 2:
+        raise ValueError("need at least 2 active cells")
+    if mass() <= 0.0:
+        raise ValueError("total active mass must be positive")
 
 
 def check_coarsen_factor(factor) -> int:
@@ -104,6 +92,45 @@ def check_coarsen_factor(factor) -> int:
     if k < 1:
         raise ValueError("coarsening factor must be >= 1")
     return k
+
+
+class BlockSums:
+    """WeightGrid.coarsen's block sums of a weight fed in row-major pieces: each
+    band of k axis-0 rows is summed as on the whole grid (_block_reduce), in
+    the piece or, when a piece boundary cuts it, in a k-row buffer; the
+    trailing rows that fill no band are trimmed."""
+
+    def __init__(self, geometry: GridGeometry, k: int):
+        self.geometry, self.k, self._filled, self._done = geometry, k, 0, 0
+        self._sums = np.empty(tuple(n // k for n in geometry.extents))
+        self._trim = tuple(slice(0, n * k) for n in self._sums.shape)
+        self._band = np.empty(k * math.prod(geometry.extents[1:]))
+
+    def add(self, values) -> None:
+        """Take the next row-major piece of the fine weight."""
+        flat, rows, band = np.ravel(values), self.geometry.extents[1:], self._band
+        head = flat[:-self._filled % band.size]  # completes the band the last piece cut
+        band[self._filled:self._filled + head.size] = head
+        self._filled += head.size
+        for cells in (band[:self._filled], flat[head.size:]):
+            whole = cells[:cells.size // band.size * band.size].reshape(-1, *rows)
+            n, trim = len(whole) // self.k, (slice(None),) + self._trim[1:]
+            self._sums[self._done:self._done + n] = _block_reduce(whole[trim], self.k, operator.add)
+            self._done += n
+        if self._filled in (0, band.size):  # else the piece ended inside the cut band
+            self._filled = cells.size - whole.size
+            band[:self._filled] = cells[whole.size:]
+
+    def weight(self, mask: np.ndarray) -> WeightGrid:
+        """The coarse WeightGrid, once (the sums are divided by k^rank in place): a
+        coarse cell is active where mask is in its block and sits at its center."""
+        k, g = self.k, self.geometry
+        if 0 in self._sums.shape:
+            raise ValueError(f"grid too small to coarsen by {k}")
+        self._sums /= k ** g.rank
+        coarse = GridGeometry(self._sums.shape, tuple(s * k for s in g.spacing),
+                              tuple(o + (k - 1) * s / 2.0 for o, s in zip(g.origin, g.spacing)))
+        return WeightGrid(coarse, self._sums, _block_reduce(mask[self._trim], k, operator.or_))
 
 
 def _block_reduce(a: np.ndarray, k: int, op) -> np.ndarray:

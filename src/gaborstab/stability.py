@@ -25,11 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fdiff, gabor
-from .cheeger import (ACTIVE_THRESHOLD, check_coarsen_factor, sweep_cut_cheeger,
-                      weight_from_spectrogram)
+from .cheeger import (ACTIVE_THRESHOLD, BlockSums, check_coarsen_factor, check_weight,
+                      sweep_cut_cheeger, weight_from_spectrogram)  # noqa: F401, perfbench wraps it
 from .entire import check_logderiv_exponent
 from .errors import AdmissibilityError
-from .gabor import Spectrogram, _boundary_max, gabor_transform, spectrogram
+from .gabor import _boundary_max, gabor_transform, spectrogram
 from .grids import (DomainPartition, GridGeometry, PhaseSpaceGrid, SignalGrid, active_mask,
                     box_geometry, box_samples, grid_array)
 from .signals import AnalyticSignalSpec, make_analytic, two_bump_spec
@@ -160,10 +160,11 @@ def _scan(power_sum, objective, sel1: np.ndarray, sel2: np.ndarray, p: float,
     heavy = amp >= SCAN_HEAVY_LEVEL * np.max(amp)
     if heavy.all():
         return np.array([objective(t) for t in thetas])
+    light_mass = float(np.sum(amp[~heavy] if p == 1.0 else amp[~heavy] ** p) * vol)
+    del amp  # not held through the bound passes
     h1, h2 = sel1[heavy], sel2[heavy]
     lower = np.array([power_sum(t, h1, h2) for t in thetas])
-    light = amp[~heavy]
-    upper = lower + float(np.sum(light if p == 1.0 else light ** p) * vol)
+    upper = lower + light_mass
     coarse = np.full(thetas.shape, math.inf)
     for j in np.flatnonzero(~(lower * (1.0 - 1e-9) > np.min(upper) * (1.0 + 1e-9))):
         coarse[j] = objective(thetas[j])
@@ -637,32 +638,44 @@ def _whole(make):
     return lambda consume: consume(slabs())
 
 
-def _modulus_and_superset(slabs, geometry: GridGeometry, extra: np.ndarray | None):
-    """The full |F| of a field fed in row-major slabs, and F on a superset of Omega.
+def _weight_and_superset(slabs, geometry: GridGeometry, p: float, k: int,
+                         extra: np.ndarray | None):
+    """z0, Omega, the held cells (flat), the Cheeger weight of |F|^p coarsened
+    by k and the packed slabs of F fed in row-major slabs, with no full |F|.
 
-    Each slab's moduli fill their part of |F|.  The slab is packed on its
-    cells with |F| >= ACTIVE_THRESHOLD times the largest modulus so far, or
-    True in extra (a flat bool grid, or None).  The threshold never exceeds
-    the final one, so the held cells contain Omega = {|F| >= ACTIVE_THRESHOLD
-    max |F|}.  Returns |F|, the held cells as a flat bool grid, and the
-    packed slabs in order.
+    Each slab's moduli feed FirstPeak, the running maximum and, raised to p,
+    BlockSums.  The slab is packed on its cells with |F| >= ACTIVE_THRESHOLD
+    times the largest modulus so far, or True in extra (a flat bool grid, or
+    None): a superset of Omega, which is rebuilt from it.  The Spectrogram's
+    and the fine weight's checks run in order (mass > 0 iff the peak's is).
     """
-    modulus = np.empty(geometry.num_cells)
+    first, sums = gabor.FirstPeak(), BlockSums(geometry, k)
     held = np.empty(geometry.num_cells, bool)
-    pieces, peak, start = [], 0.0, 0
+    pieces, peak, top, start = [], 0.0, 0.0, 0
     for slab in slabs:
         flat = slab.reshape(-1)
         stop = start + flat.size
-        mod = np.abs(flat, out=modulus[start:stop])
-        # A NaN leaves the running maximum; the Spectrogram then refuses it.
+        mod = np.abs(flat)
+        first.feed(mod)
+        # A NaN leaves the running maxima; first.cell() then refuses it.
         peak = max(peak, float(mod.max()))
         cut = np.greater_equal(mod, ACTIVE_THRESHOLD * peak, out=held[start:stop])
         if extra is not None:
             cut |= extra[start:stop]
         pieces.append(flat[cut])
+        weight = mod if p == 1.0 else mod ** p
+        top = max(top, float(weight.max()))
+        sums.add(weight)
         start = stop
-        del slab, flat  # not held while the next slab is computed
-    return modulus.reshape(geometry.extents), held, pieces
+        del slab, flat, mod, weight  # not held while the next slab is computed
+    index = first.cell()[0]
+    if peak <= 0.0:
+        raise ValueError("f has a zero spectrogram; the weight w = |Gf|^p is degenerate")
+    omega = np.zeros(geometry.extents, bool)
+    omega.ravel()[held] = np.concatenate([np.abs(x) >= ACTIVE_THRESHOLD * peak for x in pieces])
+    check_weight(math.isfinite(top), np.count_nonzero(omega), lambda: top)
+    z0 = geometry.index_coordinates(tuple(map(int, np.unravel_index(index, geometry.extents))))
+    return z0, omega, held, sums.weight(omega), pieces
 
 
 def _pack_slabs(slabs, cells: np.ndarray) -> np.ndarray:
@@ -693,13 +706,12 @@ def _assemble_terms(transforms, pg: GridGeometry, p: float, q: float,
 
     transforms holds two calls, for Gf and for Gg on the phase grid pg, that
     take a consume argument as gabor_transform does.  Every argument is
-    checked before the first of them runs.  The full |Gg| is never held,
+    checked before the first of them runs.  No full |Gf| or |Gg| is held,
     and a full complex field only as a single slab (d = 1, a closed form):
-      1. Gf's slabs fill the full |Gf|, which gives z0, Omega and the fine
-         weight, and are packed on a superset of keep (Omega, or Omega and
-         the partition's active cells), cut down to keep once Omega is known.
-      2. The weight is coarsened, the fine weight and |Gf| dropped, and the
-         Cheeger solve runs, then the coarse weight is dropped.
+      1. Gf's slabs give z0, Omega and the coarse weight (_weight_and_superset)
+         and are packed on a superset of keep (Omega, or Omega and the
+         partition's active cells), cut down to keep once Omega is known.
+      2. The Cheeger solve runs, then the coarse weight is dropped.
       3. Gg's slabs are packed on keep.
       4. The packed pair is aligned (per component too, with a partition),
          |Gf| and |Gg| on Omega are taken as the moduli of the packed
@@ -713,21 +725,12 @@ def _assemble_terms(transforms, pg: GridGeometry, p: float, q: float,
     if noise is not None and noise.geometry != pg:
         raise ValueError("noise field must live on the phase-space grid")
     transform_f, transform_g = transforms
-    modulus, held, pieces = transform_f(
-        consume=lambda slabs: _modulus_and_superset(slabs, pg, extra))
-    S1 = Spectrogram(pg, modulus)
-    del modulus
-    if float(S1.values.max()) <= 0.0:
-        raise ValueError("f has a zero spectrogram; the weight w = |Gf|^p is degenerate")
-    z0 = S1.argmax_location
-    weight = weight_from_spectrogram(S1, power=p)
-    del S1
-    omega = weight.mask
+    z0, omega, held, weight, pieces = transform_f(
+        consume=lambda slabs: _weight_and_superset(slabs, pg, p, coarsen, extra))
     keep = omega.ravel() if extra is None else omega.ravel() | extra
     packed_on = None if keep.all() else keep.reshape(pg.extents)
     P1 = PackedField(pg, packed_on, _pack_slabs(pieces, keep[held]))
     del held, pieces
-    weight = weight.coarsen(coarsen)
     est = sweep_cut_cheeger(weight)
     del weight
     h = est.h

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,8 +15,9 @@ import pytest
 from gaborstab import fdiff, gabor
 from gaborstab.entire import max_admissible_p
 from gaborstab.errors import AdmissibilityError
-from gaborstab.gabor import gabor_transform, spectrogram
-from gaborstab.grids import MAX_GRID_CELLS, DomainPartition, PhaseSpaceGrid, box_geometry
+from gaborstab.gabor import Spectrogram, gabor_transform, spectrogram
+from gaborstab.grids import (MAX_GRID_CELLS, DomainPartition, PhaseSpaceGrid, SignalGrid,
+                             box_geometry)
 from gaborstab.signals import (
     analytic_gabor_transform,
     gaussian_spec,
@@ -33,6 +35,7 @@ from gaborstab.stability import (
     _assemble_terms,
     _brent_minimize,
     _scan,
+    _weight_and_superset,
     _whole,
     _wrap_angle,
     align_phase_global,
@@ -1092,6 +1095,137 @@ class TestStreamedReport:
                                              p, q, z0, cells)
 
 
+def _in_pieces(values, cuts):
+    """A transform call taking consume, as gabor_transform does, that hands
+    values on in row-major pieces cut at the flat indices cuts."""
+    return lambda consume: consume(iter(np.split(np.ravel(values), cuts)))
+
+
+class TestStreamedWeight:
+    """A report's Gf stage, _weight_and_superset, gives the coarse weight,
+    z0 and Omega of the full-grid path
+    weight_from_spectrogram(Spectrogram(pg, |F|), p).coarsen(k) bit for bit,
+    and raises each of its errors, with its message, before Gg's transform."""
+
+    @staticmethod
+    def _reference(pg, modulus, p, k):
+        from gaborstab.cheeger import weight_from_spectrogram
+
+        S = Spectrogram(pg, modulus)
+        fine = weight_from_spectrogram(S, power=p)
+        return S.argmax_location, fine.mask, fine.coarsen(k)
+
+    @staticmethod
+    def _assert_same(got, want):
+        (z0, omega, _, w, _), (z0_ref, omega_ref, w_ref) = got, want
+        assert z0 == z0_ref
+        assert np.array_equal(omega, omega_ref)
+        assert w.geometry == w_ref.geometry
+        assert np.array_equal(w.mask, w_ref.mask)
+        assert w.values.tobytes() == w_ref.values.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_the_full_grid_weight(self, monkeypatch, d, p, k):
+        # At d = 2, 13^4 cells: an axis-0 row is 169 rows of (x_1, y_1, x_2),
+        # so slabs of 5 rows straddle the bands of k axis-0 rows, and k = 2
+        # and 3 trim a trailing cell per axis.  A d = 1 transform is one slab.
+        f, _, pg, part = _report_case(d)
+        monkeypatch.setattr(gabor, "SLAB_ROWS", 5)
+        F = gabor_transform(f, pg).values
+        extra = part.active.ravel()
+        got = gabor_transform(
+            f, pg, consume=lambda slabs: _weight_and_superset(slabs, pg, p, k, extra))
+        self._assert_same(got, self._reference(pg, np.abs(F), p, k))
+        _, omega, held, _, pieces = got
+        assert np.all(held >= (omega.ravel() | extra))
+        assert np.array_equal(np.concatenate(pieces), F.ravel()[held])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pieces_cut_anywhere(self, k):
+        # Pieces from 1 cell to more than a band of k axis-0 rows (210 cells
+        # each), cut inside rows, inside bands, on a band's last cell and on
+        # its seam.  One cell sits exactly on Omega's threshold.
+        pg = box_geometry((8, 7, 6, 5), -2.0, 2.0)
+        rng = np.random.default_rng(k)
+        F = rng.standard_normal(pg.extents) + 1j * rng.standard_normal(pg.extents)
+        F.flat[5] = 1e-9 * np.abs(F).max()
+        band = 210 * k
+        cuts = sorted({1, 3, 6, band - 1, band, band + 209, 2 * band - 1, 2 * band + 1})
+        got = _in_pieces(F, cuts)(lambda slabs: _weight_and_superset(slabs, pg, 2.5, k, None))
+        self._assert_same(got, self._reference(pg, np.abs(F), 2.5, k))
+
+    def test_tied_peaks_in_two_slabs_give_the_first(self):
+        # Two bumps whose peaks tie up to rounding, the later one 1e-13
+        # higher, in slabs far apart: z0 is the first peak, as the
+        # spectrogram's argmax rule gives it.
+        pg = box_geometry((13,) * 4, -6.0, 6.0)
+        x1, _, x2, _ = pg.coordinate_arrays()
+        bump = lambda c, h: h * np.exp(-np.pi * ((x1 - c) ** 2 + x2 ** 2))
+        modulus = np.broadcast_to(bump(-3.0, 1.0) + bump(3.0, 1.0 + 1e-13), pg.extents).copy()
+        cuts = np.arange(208, pg.num_cells, 208)
+        got = _in_pieces(modulus.astype(complex), cuts)(
+            lambda slabs: _weight_and_superset(slabs, pg, 1.0, 2, None))
+        want = self._reference(pg, modulus, 1.0, 2)
+        self._assert_same(got, want)
+        assert want[0][0] == pg.axis_coordinates(0)[np.argmin(abs(pg.axis_coordinates(0) + 3.0))]
+        assert np.unravel_index(np.argmax(modulus), pg.extents)[0] > pg.extents[0] // 2
+
+    @staticmethod
+    def _bump(pg, height=1.0):
+        coords = pg.coordinate_arrays()
+        return height * np.exp(-np.pi * sum(c ** 2 for c in coords) / 4.0) + 0j
+
+    @pytest.mark.parametrize("case", ["nan", "nan-in-zero", "zero", "inf", "power-overflow",
+                                      "one-cell", "zero-mass", "too-small"])
+    def test_every_check_raises_before_gg(self, case):
+        pg = box_geometry((13,) * 4, -6.0, 6.0)
+        F, p, k = self._bump(pg), 1.0, 2
+        if case.startswith("nan"):
+            if case == "nan-in-zero":  # NaN comes before the zero check
+                F[...] = 0.0
+            F.flat[pg.num_cells // 2 + 7] = np.nan
+            message = "spectrogram has no maximum: it holds NaN"
+        elif case == "zero":
+            F = None
+            message = "f has a zero spectrogram; the weight w = |Gf|^p is degenerate"
+        elif case in ("inf", "power-overflow"):
+            # In the last cell, which the coarse grid trims: only the fine
+            # weight's check sees it, and it comes before the count of
+            # active cells (here 1).
+            F.flat[-1], p = (np.inf, p) if case == "inf" else (1e200, 2.5)
+            message = "weights must be finite and nonnegative"
+        elif case == "one-cell":
+            F[...] = 0.0
+            F.flat[pg.num_cells // 2] = 1.0
+            message = "need at least 2 active cells"
+        elif case == "zero-mass":
+            # Two active cells in one block: the coarse grid alone would
+            # refuse its single active cell instead.
+            F[...] = 0.0
+            F.flat[:2], p = 1e-150, 2.5
+            message = "total active mass must be positive"
+        else:
+            k = 14
+            message = "grid too small to coarsen by 14"
+        gg = []
+        if F is None:  # an all-zero f, through its transform
+            zero = SignalGrid(box_geometry((24, 24), -6.0, 5.5), np.zeros((24, 24)))
+            transform_f = functools.partial(gabor_transform, zero, pg)
+        else:
+            transform_f = _in_pieces(F, np.arange(208, pg.num_cells, 208))
+        transforms = [transform_f, lambda consume: gg.append(consume)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+            _assemble_terms(transforms, pg, p, 5.0, None, None, k)
+        assert str(got.value) == message
+        assert gg == []
+        # The full-grid path raises the same error (the zero check is the report's).
+        if F is not None:
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+                self._reference(pg, np.abs(F), p, k)
+
+
 class TestInstabilitySweep:
     def test_sweep_monotonicity(self):
         rows = instability_sweep([2.0, 3.0])
@@ -1207,9 +1341,10 @@ def _report_case(d):
 
 
 class TestFieldLifetime:
-    """A report holds no full complex phase grid and no full |Gg|: both
-    transforms reach it slab by slab, and the full |Gf| is dropped once its
-    weight is coarsened.  (A d = 1 transform, or a closed form, is one slab.)"""
+    """A report holds no full complex phase grid and no full |Gf| or |Gg|:
+    both transforms reach it slab by slab, and Gf's moduli go straight into
+    the coarse Cheeger weight's block sums.  (A d = 1 transform, or a closed
+    form, is one slab.)"""
 
     @staticmethod
     def _watch_transforms(monkeypatch, module, name):
@@ -1346,10 +1481,9 @@ class TestFieldLifetime:
                                           + ["slab of Gg"] * 11 + ["align_phase_global"] * 3
                                           + ["sobolev_diff_pieces"])
         assert all(size < n for _, size, _ in stages)
-        # While Gf streams, the full |Gf| it fills is the largest block.
-        assert all(block == 8 * n for _, _, block in stages[1:11])
-        # From the solve on, no block reaches one float per phase cell.
-        assert all(block < 8 * n for _, _, block in stages[11:])
+        # At no stage, Gf's stream included, does a block reach one float
+        # per phase cell: no full |Gf| is filled.
+        assert all(block < 8 * n for _, _, block in stages)
 
     def test_report_traced_peak_per_phase_cell(self, monkeypatch):
         # The traced peak of a d = 2 report with a partition and noise, in
@@ -1360,11 +1494,12 @@ class TestFieldLifetime:
         # per-block temporaries small against the fields on this grid.
         # numpy reports its buffers to tracemalloc, so the figure repeats
         # exactly.  It read 53.5 with Gf and Gg transformed whole and both
-        # spectrograms held whole, and reads 38.7 with both transforms
-        # streamed and every norm term on the packed moduli; the peak is
-        # now in Gg's transform, whose GEMM kernel and first-axis product
-        # are large against the fields on this small grid.  A full complex
-        # grid is 16.
+        # spectrograms held whole, and 38.8 with both transforms streamed
+        # and every norm term on the packed moduli.  With Gf streamed into
+        # the coarse Cheeger weight and the scan's amplitudes dropped before
+        # its bound passes it reads 37.7; the stages before the solve fell
+        # from 28.8 to 21.6.  The peak is in the global alignment, after the
+        # solve.  A full complex grid is 16.
         from gaborstab import stability
 
         f, g, pg, part = _report_case(2)
@@ -1387,7 +1522,7 @@ class TestFieldLifetime:
             base = tracemalloc.get_traced_memory()[0]
             stability_report(f, g, 1.0, 5.0, partition=part, noise=noise, phase_geometry=pg)
             peaks.append(tracemalloc.get_traced_memory()[1])
-        assert (max(peaks) - base) / pg.num_cells <= 41.0
+        assert (max(peaks) - base) / pg.num_cells <= 40.0
 
     def test_norm_terms_traced_peak_per_omega_cell(self, monkeypatch):
         # The three norm terms of the Cheeger route and the weighted shape on

@@ -4,32 +4,32 @@ The transform implemented here is
     Gf(x, y) = int_{R^d} f(t) e^{-pi|t-x|^2} e^{-2 pi i t.y} dt,
 discretized as a Riemann sum over the signal grid.  Window and Fourier
 factor both split over the d axes, so the sum is taken one signal axis at a
-time, in one of three shapes:
+time, in one of two shapes:
 
 - one row (every d = 1 signal on the direct path): the row is multiplied
   by the window e^{-pi(t_a - x_a)^2} of every position x_a, and one
   batched matrix product contracts t_a against e^{-2 pi i t_a y_a}: one
   vector-matrix product per window, the bits of a loop over them;
-- the lattice fold: where the y samples of axis a sit on every m-th bin of
-  the n-point DFT lattice k/(n dt), m dividing n, e^{-2 pi i t_a y_a}
-  repeats on the m segments of length L = n/m of t_a, and one batched
-  product adds the windowed segments first (Portnoff 1980; Sondergaard
-  2012).  A GEMM against the factor of the first L samples finishes the
-  sums on the direct path (several rows, m > 1), an L-point FFT on the FFT
-  path (gabor_transform_fft: any rows, any m);
-- the K GEMM: other several rows of the direct path are contracted in one
-  matrix product against
-  K[t_a, (x_a, y_a)] = e^{-pi(t_a - x_a)^2} e^{-2 pi i t_a y_a}.
-The fold at m > 1 and the K GEMM regroup each term of the sum, so they
-agree with the per-window loop to a few ulp of the peak, not bit for bit.
+- the lattice fold (every other contraction): where the y samples of axis
+  a sit on every m-th bin of the n-point DFT lattice k/(n dt), m dividing
+  n, e^{-2 pi i t_a y_a} repeats on the m segments of length L = n/m of
+  t_a, and one batched product adds the windowed segments first (Portnoff
+  1980; Sondergaard 2012).  Off the lattice m = 1, one segment.  A GEMM
+  against the factor of the first L samples finishes the sums on the
+  direct path (several rows), an L-point FFT on the FFT path
+  (gabor_transform_fft: any rows).
+At m > 1 the fold regroups each term of the sum, so it agrees with the
+per-window loop to a few ulp of the peak, not bit for bit; at m = 1 it
+computes the loop's terms (at reduced phases on the direct path).
 
 The contracted axis comes out trailing as (x_a, y_a), so after d axes the
 values are already in (x_1, y_1, ..., x_d, y_d) order.  Building the Fourier
 factors from the absolute coordinates t = t0 + k*dt bakes in the phase
 correction e^{-2 pi i t0 . y} for grids that do not start at the origin.
 That product is the single source of phase truth for the whole package,
-with one exception: the direct fold takes its factor at t y reduced mod 1,
-the same phase on the lattice, and exact where t y is (on dyadic grids).
+with one exception: every several-row contraction of the direct path takes
+its factor at t y reduced mod 1, the same phase, and exact where t y is
+(on dyadic grids).
 
 Both transforms can also hand Gf to a consumer a slab of leading rows at a
 time (their consume argument), so that a consumer such as the gabor command
@@ -181,35 +181,24 @@ def _fourier_contraction(geometry: GridGeometry, a: int, y: np.ndarray):
 
     def with_windows(windows: np.ndarray):
         nx = windows.shape[0]
-        kernel = None
+        fold = None
 
         def contract(g: np.ndarray) -> np.ndarray:
-            nonlocal kernel
-            if m > 1 and g.size != n:
-                # Several rows on the lattice: the fold, finished by a GEMM
-                # against the first L samples' factor at t y reduced mod 1.
-                if kernel is None:
+            nonlocal fold
+            if g.size != n:
+                # Several rows: the fold, finished by a GEMM against the
+                # first L samples' factor at t y reduced mod 1.
+                if fold is None:
                     phase = np.outer(t[:n // m], y)
                     reduced = np.exp(-2j * np.pi * (phase - np.round(phase)))
-                    kernel = _lattice_fold(windows, m, y.size,
-                                           lambda sums, out: np.matmul(sums.T, reduced, out=out))
-                return kernel(g)
+                    fold = _lattice_fold(windows, m, y.size,
+                                         lambda sums, out: np.matmul(sums.T, reduced, out=out))
+                return fold(g)
+            # One row, windowed at every x: the batched product makes a
+            # loop's matrix-vector product per window, bit for bit.
             out = np.empty(g.shape[1:] + (nx, y.size), np.complex128)
-            if g.size == n:
-                # One row, windowed at every x: the batched product makes
-                # a loop's matrix-vector product per window, bit for bit.
-                np.matmul((g.reshape(1, n) * windows)[:, None, :], fourier,
-                          out=out.reshape(nx, 1, y.size))
-                return out
-            # Otherwise the window folds into the Fourier factor,
-            # K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}, and one GEMM of
-            # the rows against K gives (..., x_a, y_a) directly.  K is built
-            # on the first call and kept for the next slabs.  The first
-            # output is allocated before K: in the other order a freed K
-            # split the heap and a report's resident peak rose by about 4 MB.
-            if kernel is None:
-                kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(n, -1)
-            np.matmul(g.reshape(n, -1).T, kernel, out=out.reshape(-1, kernel.shape[1]))
+            np.matmul((g.reshape(1, n) * windows)[:, None, :], fourier,
+                      out=out.reshape(nx, 1, y.size))
             return out
 
         return contract
@@ -221,11 +210,12 @@ def gabor_transform(f: SignalGrid, phase_geometry: GridGeometry, *, consume=None
     """Sampled Gabor transform of f on a phase-space grid.
 
     Each signal axis in turn is contracted against its Fourier factor
-    e^{-2 pi i t y}, so any y samples are allowed, in one of the three
-    shapes of the module docstring: a single row (d = 1) windowed at every
-    x; several rows whose y all sit exactly on the lattice with m > 1,
-    folded and finished by a GEMM at t y reduced mod 1; or the K GEMM.
-    Both several-row shapes are within a few ulp of the per-window loop.
+    e^{-2 pi i t y}, so any y samples are allowed, in one of the two shapes
+    of the module docstring: a single row (d = 1) windowed at every x, or
+    several rows folded onto the y lattice (m = 1 where y is off it or one
+    bin apart) and finished by a GEMM at t y reduced mod 1.  At m = 1 the
+    fold equals a per-window loop with reduced phases bit for bit; at m > 1
+    it is within a few ulp of the peak.
 
     Parameters
     ----------

@@ -800,19 +800,19 @@ class InstabilityRow:
     ratio: float
 
 
-def _finite_separation(T: float) -> float:
-    if not math.isfinite(T):
-        raise ValueError(f"T = {T} must be finite")
+def _valid_separation(T: float) -> float:
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T = {T} must be finite and positive")
     return T
 
 
 def instability_signal_geometry(T: float) -> GridGeometry:
     """Signal box for the d = 1 pair: t in +-(T/2 + 5) at spacing 1/32.
 
-    A non-finite T, or a box over grids.MAX_GRID_CELLS samples, raises
-    ValueError.
+    A T that is not finite and positive, or a box over
+    grids.MAX_GRID_CELLS samples, raises ValueError.
     """
-    half = _finite_separation(T) / 2.0 + 5.0
+    half = _valid_separation(T) / 2.0 + 5.0
     (n,) = box_samples((2 * half,), 1.0 / 32.0, f"the signal grid for T = {T}")
     return box_geometry((n,), -half, half)
 
@@ -820,12 +820,12 @@ def instability_signal_geometry(T: float) -> GridGeometry:
 def sweep_phase_geometry(T: float, spacing: float = SWEEP_SPACING) -> GridGeometry:
     """Phase box wide enough for bumps at -+T/2: x in +-(T/2 + 4), y in +-4.
 
-    A non-finite T, or a box over grids.MAX_GRID_CELLS cells, raises
-    ValueError.
+    A T that is not finite and positive, or a box over
+    grids.MAX_GRID_CELLS cells, raises ValueError.
     """
     if not spacing > 0.0:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    half = _finite_separation(T) / 2.0 + 4.0
+    half = _valid_separation(T) / 2.0 + 4.0
     nx, ny = box_samples((2 * half, 8.0), spacing,
                          f"the phase grid for T = {T} at spacing {spacing}")
     return box_geometry((nx, ny), (-half, -4.0), (half, 4.0))

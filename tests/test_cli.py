@@ -1027,6 +1027,22 @@ class TestConfigNumbers:
         assert "stability.sweep: " in err and message in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("T", [0, -2])
+    def test_nonpositive_T_exits_2_for_the_sweep_and_the_pair(self, tmp_path, capsys, T):
+        message = f"T = {float(T)} must be finite and positive"
+        cfg = write_cfg(tmp_path, "sweep.json", {
+            "p": 1.0, "q": 3.0, "sweep": {"T_values": [T], "output": "sweep.csv"}})
+        assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "stability.sweep: " in err and message in err
+        assert not (tmp_path / "sweep.csv").exists()
+        cfg = write_cfg(tmp_path, "pair.json", {
+            "pair": {"kind": "instability", "T": T}, "p": 1.0, "q": 3.0,
+            "output": "r.json"})
+        assert run_main("stability", cfg, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "stability.pair.T: " in err and message in err
+
     @pytest.mark.parametrize("radius, message", [
         (1e5, "12800001 x 12800001 samples, over the limit"),
         (1e308, "inf x inf samples, over the limit"),

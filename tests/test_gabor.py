@@ -152,30 +152,23 @@ def fourier_window_contraction(geometry, a, y):
     return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
 
 
-def exact_phase_window_contraction(geometry, a, y):
+def reduced_phase_window_contraction(geometry, a, y):
     """fourier_window_contraction with the factor e^{-2 pi i frac(t y)}, t y
-    reduced mod 1 to [-1/2, 1/2].  Its phases are exact: every product t y
-    is checked to be exact in float64 against the exact rational product."""
-    t = geometry.axis_coordinates(a)
-    ty = np.outer(t, y)
-    assert all(Fraction(p) == Fraction(ti) * Fraction(yj)
-               for ti, row in zip(t.tolist(), ty.tolist()) for yj, p in zip(y.tolist(), row))
+    reduced mod 1 to [-1/2, 1/2]."""
+    ty = np.outer(geometry.axis_coordinates(a), y)
     fourier = np.exp(-2j * np.pi * (ty - np.round(ty)))
     return lambda w: np.tensordot(w, fourier, axes=([0], [0]))
 
 
-def window_folded_gemm_contraction(geometry, a, y):
-    """The direct path's several-row contraction as it was before it folded
-    onto the y lattice: one GEMM of the rows against the window folded into
-    the Fourier factor, K[t, (x, y)] = e^{-pi(t - x)^2} e^{-2 pi i t y}."""
-    fourier = np.exp(-2j * np.pi * np.outer(geometry.axis_coordinates(a), y))
-
-    def with_windows(windows):
-        kernel = (windows.T[:, :, None] * fourier[:, None, :]).reshape(windows.shape[1], -1)
-        return lambda g: (g.reshape(g.shape[0], -1).T @ kernel).reshape(
-            g.shape[1:] + (windows.shape[0], y.size))
-
-    return with_windows
+def exact_phase_window_contraction(geometry, a, y):
+    """reduced_phase_window_contraction, whose phases are exact: every
+    product t y is checked to be exact in float64 against the exact
+    rational product."""
+    t = geometry.axis_coordinates(a)
+    ty = np.outer(t, y)
+    assert all(Fraction(p) == Fraction(ti) * Fraction(yj)
+               for ti, row in zip(t.tolist(), ty.tolist()) for yj, p in zip(y.tolist(), row))
+    return reduced_phase_window_contraction(geometry, a, y)
 
 
 def assert_within_4_eps_of_the_peak(got, want):
@@ -253,13 +246,13 @@ def random_tapered_signal(rng):
 class TestContractionShapes:
     """Both paths share one lattice fold: per block, one batched product
     adds the windowed segments onto the y lattice, and a finisher contracts
-    the sums.  The direct path folds several rows whose y all sit exactly
-    on the lattice with a fold step m > 1 and finishes with a GEMM; other
-    several rows it contracts against the window folded into its Fourier
-    factor.  A single row it windows at every x and contracts in one
-    batched product with the per-window loop's bits.  The FFT path folds
-    every row and finishes with an L-point FFT: at a lattice step of one
-    bin it computes the per-window loop's terms."""
+    the sums.  The direct path folds any several rows and finishes with a
+    GEMM at t y reduced mod 1: at a fold step m = 1 (y off the lattice or
+    one bin apart) it computes the reduced-phase per-window loop's terms.
+    A single row it windows at every x and contracts in one batched product
+    with the per-window loop's bits.  The FFT path folds every row and
+    finishes with an L-point FFT: at a lattice step of one bin it computes
+    the per-window loop's terms."""
 
     # case -> (signal grid, phase grid, signal); the fold step m of each
     # signal axis in the comment.
@@ -275,7 +268,7 @@ class TestContractionShapes:
     }
 
     # case -> phase grid on the "d2" signal grid (lattice 1/8) where the
-    # direct path keeps the window-folded GEMM.
+    # direct path folds at m = 1.
     UNFOLDED = {
         "half-bin-off": GridGeometry((5, 9, 7, 9), (0.5, 0.25, 1.0 / 3.0, 0.25),
                                      (-1.0, -1.0 + 1.0 / 16.0, -1.0, -1.0 + 1.0 / 16.0)),
@@ -305,16 +298,17 @@ class TestContractionShapes:
             gabor_transform(f, phase).values,
             per_window_transform(f, phase, exact_phase_window_contraction))
 
-    @pytest.mark.parametrize("case", sorted(UNFOLDED))
-    def test_off_lattice_and_unit_step_grids_keep_the_gemm_bits(self, case):
-        sig_geom, _, spec = self.FOLDED["d2"]
-        phase = self.UNFOLDED[case]
-        f = make_analytic(spec, sig_geom)
+    @pytest.mark.parametrize("case", sorted(UNFOLDED) + ["random-1", "random-2", "random-3"])
+    def test_unit_step_fold_equals_the_reduced_phase_loop(self, case):
+        if case in self.UNFOLDED:
+            sig_geom, _, spec = self.FOLDED["d2"]
+            f, phase = make_analytic(spec, sig_geom), self.UNFOLDED[case]
+        else:
+            f, phase = random_tapered_signal(np.random.default_rng(int(case[-1])))
         assert all(direct_fold_step(f.geometry, phase, a) == 1 for a in range(f.dimension))
         got = gabor_transform(f, phase).values
-        for contraction in (gabor._fourier_contraction, window_folded_gemm_contraction):
-            want = out_of_place_transform(f, phase, contraction)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = per_window_transform(f, phase, reduced_phase_window_contraction)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", sorted(FOLDED))
     def test_folded_fft_is_within_4_eps_of_the_per_window_loop(self, case):

@@ -1271,6 +1271,15 @@ class TestInstabilitySweep:
         with pytest.raises(ValueError, match="must be finite"):
             instability_signal_geometry(T)
 
+    @pytest.mark.parametrize("T", [0.0, -2.0])
+    def test_sweep_rejects_a_nonpositive_T(self, T):
+        message = f"T = {T} must be finite and positive"
+        for geometry in (sweep_phase_geometry, instability_signal_geometry):
+            with pytest.raises(ValueError, match=message):
+                geometry(T)
+        with pytest.raises(ValueError, match=message):
+            instability_sweep([2.0, T])
+
     @pytest.mark.parametrize("T", [1e5, 1e308])
     def test_sweep_geometry_over_the_cell_limit_rejected(self, T):
         with pytest.raises(ValueError, match=f"over the limit of {MAX_GRID_CELLS} cells"):
